@@ -84,7 +84,7 @@ def _load_config(manifest: RunManifest) -> ScenarioConfig:
     with open(manifest.config_path, "r", encoding="utf-8") as fh:
         cfg = parse_config(fh.read())
     if manifest.seed_override is not None:
-        cfg = replace(cfg, seed=manifest.seed_override)
+        cfg = replace(cfg, seed=manifest.seed_override).require_valid()
     return cfg
 
 

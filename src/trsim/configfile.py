@@ -3,14 +3,10 @@
 Flat sectioned key-value text, one statement per line. `#` starts a
 comment anywhere; blank lines are ignored.
 
-    [scenario]           required: n_users, n_tr, cell_radius_m, n_slots,
-                         seed, bs_tx_power_w, ue_tx_power_w
-                         optional: numerology_mu, duplex, tdd_pattern,
-                         placement, always_on_fraction, ul_demand_prob,
-                         dl_demand_prob, observer_distance_m
-    [channel]            required: freq_hz, noise_w, snr_threshold_db
-    [switching]          required: rss_threshold_dbm
-                         optional: hysteresis_db
+    [scenario] [channel] [switching]
+                         `key = value` lines; each key is declared once,
+                         with its type, default and bounds, on a field of
+                         ScenarioConfig or SwitchConfig (see trsim.schema)
     [standards.<NAME>]   one `band = f_low_hz f_high_hz e_ref_v_per_m note...`
                          line per band; the note is free text recording the
                          value's provenance (whitespace normalized)
@@ -26,63 +22,32 @@ reproduces an equal ScenarioConfig.
 from __future__ import annotations
 
 import re
+from dataclasses import MISSING, fields
 
 from .exposure import ExposureStandard, FrequencyBand
+from .schema import problem
 from .sim import ConfigError, DeviceSpec, ScenarioConfig
 from .trmode import Mode, SwitchConfig
 
 _SECTION_RE = re.compile(r"^\[(?P<name>[A-Za-z0-9_.-]+)\]$")
 _STANDARD_RE = re.compile(r"^standards\.(?P<name>[A-Za-z0-9_-]+)$")
 
-_SCALAR_KEYS: dict[str, dict[str, type]] = {
-    "scenario": {
-        "n_users": int,
-        "n_tr": int,
-        "cell_radius_m": float,
-        "n_slots": int,
-        "seed": int,
-        "bs_tx_power_w": float,
-        "ue_tx_power_w": float,
-        "numerology_mu": int,
-        "duplex": str,
-        "tdd_pattern": str,
-        "placement": str,
-        "always_on_fraction": float,
-        "ul_demand_prob": float,
-        "dl_demand_prob": float,
-        "observer_distance_m": float,
-    },
-    "channel": {
-        "freq_hz": float,
-        "noise_w": float,
-        "snr_threshold_db": float,
-    },
-    "switching": {
-        "rss_threshold_dbm": float,
-        "hysteresis_db": float,
-    },
+# (section, key) -> (dataclass that owns the key, its field)
+_KEYS = {
+    (f.metadata["section"], f.name): (owner, f)
+    for owner in (ScenarioConfig, SwitchConfig)
+    for f in fields(owner)
+    if "section" in f.metadata
 }
-
-_REQUIRED: tuple[tuple[str, str], ...] = (
-    ("scenario", "n_users"),
-    ("scenario", "n_tr"),
-    ("scenario", "cell_radius_m"),
-    ("scenario", "n_slots"),
-    ("scenario", "seed"),
-    ("scenario", "bs_tx_power_w"),
-    ("scenario", "ue_tx_power_w"),
-    ("channel", "freq_hz"),
-    ("channel", "noise_w"),
-    ("channel", "snr_threshold_db"),
-    ("switching", "rss_threshold_dbm"),
-)
+_SECTIONS = tuple(dict.fromkeys(section for section, _ in _KEYS))
+# annotation -> (parser, what a finding says the value should be)
+_TYPES = {"int": (int, "an integer"), "float": (float, "a number"), "str": (str, "")}
 
 
 def parse_config(text: str) -> ScenarioConfig:
     errors: list[str] = []
     scalars: dict[tuple[str, str], tuple[int, str]] = {}
     bands: dict[str, list[tuple[int, FrequencyBand]]] = {}
-    standard_order: list[str] = []
     devices: list[DeviceSpec] = []
     section: str | None = None
 
@@ -96,10 +61,8 @@ def parse_config(text: str) -> ScenarioConfig:
             std = _STANDARD_RE.match(name)
             if std:
                 section = name
-                if std.group("name") not in standard_order:
-                    standard_order.append(std.group("name"))
-                    bands[std.group("name")] = []
-            elif name in ("scenario", "channel", "switching", "devices"):
+                bands.setdefault(std.group("name"), [])
+            elif name in _SECTIONS or name == "devices":
                 section = name
             else:
                 errors.append(f"line {lineno}: unknown section [{name}]")
@@ -116,70 +79,54 @@ def parse_config(text: str) -> ScenarioConfig:
             continue
 
         std = _STANDARD_RE.match(section)
-        if std:
-            if key != "band":
+        if std or section == "devices":
+            expected = "band" if std else "device"
+            if key != expected:
                 errors.append(
                     f"line {lineno}: unknown key {key!r} in [{section}]"
-                    f" (only 'band' lines are allowed)"
+                    f" (only {expected!r} lines are allowed)"
                 )
-                continue
-            band = _parse_band(lineno, value, errors)
-            if band is not None:
-                bands[std.group("name")].append((lineno, band))
-        elif section == "devices":
-            if key != "device":
-                errors.append(
-                    f"line {lineno}: unknown key {key!r} in [devices]"
-                    f" (only 'device' lines are allowed)"
-                )
-                continue
-            spec = _parse_device(lineno, value, errors)
-            if spec is not None:
-                devices.append(spec)
+            elif std:
+                band = _parse_band(lineno, value, errors)
+                if band is not None:
+                    bands[std.group("name")].append((lineno, band))
+            else:
+                spec = _parse_device(lineno, value, errors)
+                if spec is not None:
+                    devices.append(spec)
+        elif (section, key) not in _KEYS:
+            errors.append(f"line {lineno}: unknown key {key!r} in [{section}]")
+        elif (section, key) in scalars:
+            first = scalars[(section, key)][0]
+            errors.append(
+                f"line {lineno}: duplicate key {key!r} in [{section}]"
+                f" (first set at line {first})"
+            )
         else:
-            if key not in _SCALAR_KEYS[section]:
-                errors.append(f"line {lineno}: unknown key {key!r} in [{section}]")
-                continue
-            if (section, key) in scalars:
-                first = scalars[(section, key)][0]
-                errors.append(
-                    f"line {lineno}: duplicate key {key!r} in [{section}]"
-                    f" (first set at line {first})"
-                )
-                continue
             scalars[(section, key)] = (lineno, value)
 
-    values: dict[tuple[str, str], object] = {}
-    for (sec, key), (lineno, raw_value) in scalars.items():
-        kind = _SCALAR_KEYS[sec][key]
-        if kind is str:
-            values[(sec, key)] = raw_value
+    values: dict[type, dict[str, object]] = {ScenarioConfig: {}, SwitchConfig: {}}
+    for (sec, key), (owner, f) in _KEYS.items():
+        if (sec, key) not in scalars:
+            if f.default is MISSING:
+                errors.append(f"missing required key {key!r} in [{sec}]")
             continue
+        lineno, raw_value = scalars[(sec, key)]
+        parse, kind = _TYPES[f.type]
         try:
-            values[(sec, key)] = kind(raw_value)
+            value = parse(raw_value)
         except ValueError:
             errors.append(
-                f"line {lineno}: key {key!r} in [{sec}] expects"
-                f" {'an integer' if kind is int else 'a number'}, got {raw_value!r}"
+                f"line {lineno}: key {key!r} in [{sec}] expects {kind}, got {raw_value!r}"
             )
-
-    for sec, key in _REQUIRED:
-        if (sec, key) not in scalars:
-            errors.append(f"missing required key {key!r} in [{sec}]")
-
-    seen_device_ids: set[str] = set()
-    for spec in devices:
-        if spec.device_id in seen_device_ids:
-            errors.append(f"duplicate device id {spec.device_id!r} in [devices]")
-        seen_device_ids.add(spec.device_id)
-
-    hysteresis = values.get(("switching", "hysteresis_db"), 3.0)
-    if isinstance(hysteresis, float) and hysteresis < 0.0:
-        errors.append(f"hysteresis_db must be >= 0, got {hysteresis}")
+            continue
+        finding = problem(f, value)
+        if finding:
+            errors.append(f"line {lineno}: {key} {finding}")
+        values[owner][key] = value
 
     standards: list[ExposureStandard] = []
-    for name in standard_order:
-        band_list = bands[name]
+    for name, band_list in bands.items():
         if not band_list:
             errors.append(f"standard {name!r} declares no band lines")
             continue
@@ -192,37 +139,12 @@ def parse_config(text: str) -> ScenarioConfig:
 
     if errors:
         raise ConfigError(errors)
-
-    cfg = ScenarioConfig(
-        n_users=values[("scenario", "n_users")],
-        n_tr=values[("scenario", "n_tr")],
-        cell_radius_m=values[("scenario", "cell_radius_m")],
-        n_slots=values[("scenario", "n_slots")],
-        seed=values[("scenario", "seed")],
-        bs_tx_power_w=values[("scenario", "bs_tx_power_w")],
-        ue_tx_power_w=values[("scenario", "ue_tx_power_w")],
-        numerology_mu=values.get(("scenario", "numerology_mu"), 0),
-        duplex=values.get(("scenario", "duplex"), "fdd"),
-        tdd_pattern=values.get(("scenario", "tdd_pattern"), "DSUUUUUUUU"),
-        placement=values.get(("scenario", "placement"), "disk"),
-        always_on_fraction=values.get(("scenario", "always_on_fraction"), 0.1),
-        ul_demand_prob=values.get(("scenario", "ul_demand_prob"), 0.5),
-        dl_demand_prob=values.get(("scenario", "dl_demand_prob"), 0.5),
-        observer_distance_m=values.get(("scenario", "observer_distance_m"), 1.0),
-        freq_hz=values[("channel", "freq_hz")],
-        noise_w=values[("channel", "noise_w")],
-        snr_threshold_db=values[("channel", "snr_threshold_db")],
-        switch=SwitchConfig(
-            rss_threshold_dbm=values[("switching", "rss_threshold_dbm")],
-            hysteresis_db=hysteresis,
-        ),
+    return ScenarioConfig(
+        **values[ScenarioConfig],
+        switch=SwitchConfig(**values[SwitchConfig]),
         standards=tuple(standards),
         devices=tuple(devices),
-    )
-    field_errors = cfg.validate()
-    if field_errors:
-        raise ConfigError(field_errors)
-    return cfg
+    ).require_valid()
 
 
 def _parse_band(lineno: int, value: str, errors: list[str]) -> FrequencyBand | None:
@@ -234,21 +156,15 @@ def _parse_band(lineno: int, value: str, errors: list[str]) -> FrequencyBand | N
         )
         return None
     try:
-        low, high, e_ref = (float(t) for t in tokens[:3])
+        numbers = [float(t) for t in tokens[:3]]
     except ValueError:
         errors.append(f"line {lineno}: band numbers must parse as floats, got {value!r}")
         return None
-    note = " ".join(tokens[3:])
-    if low <= 0.0 or high <= low:
-        errors.append(
-            f"line {lineno}: band edges must satisfy 0 < low < high,"
-            f" got [{low}, {high})"
-        )
+    try:
+        return FrequencyBand(*numbers, note=" ".join(tokens[3:]))
+    except ValueError as exc:
+        errors.append(f"line {lineno}: {exc}")
         return None
-    if e_ref <= 0.0:
-        errors.append(f"line {lineno}: e_ref_v_per_m must be > 0, got {e_ref}")
-        return None
-    return FrequencyBand(low_hz=low, high_hz=high, e_ref_v_per_m=e_ref, note=note)
 
 
 def _parse_device(lineno: int, value: str, errors: list[str]) -> DeviceSpec | None:
@@ -259,77 +175,40 @@ def _parse_device(lineno: int, value: str, errors: list[str]) -> DeviceSpec | No
             f" 'id distance_m tx_power_w freq_hz am|tr', got {value!r}"
         )
         return None
-    ident, distance_s, power_s, freq_s, mode_s = tokens
+    ident, mode_s = tokens[0], tokens[4]
     try:
-        distance, power, freq = float(distance_s), float(power_s), float(freq_s)
+        numbers = [float(t) for t in tokens[1:4]]
     except ValueError:
         errors.append(f"line {lineno}: device numbers must parse as floats, got {value!r}")
         return None
     if mode_s not in ("am", "tr"):
         errors.append(f"line {lineno}: device mode must be 'am' or 'tr', got {mode_s!r}")
         return None
-    if distance <= 0.0:
-        errors.append(f"line {lineno}: device distance_m must be > 0, got {distance}")
+    try:
+        return DeviceSpec(ident, *numbers, Mode.TR if mode_s == "tr" else Mode.AM)
+    except ValueError as exc:
+        errors.append(f"line {lineno}: device {ident!r}: {exc}")
         return None
-    if power < 0.0:
-        errors.append(f"line {lineno}: device tx_power_w must be >= 0, got {power}")
-        return None
-    if freq <= 0.0:
-        errors.append(f"line {lineno}: device freq_hz must be > 0, got {freq}")
-        return None
-    return DeviceSpec(
-        device_id=ident,
-        distance_m=distance,
-        tx_power_w=power,
-        freq_hz=freq,
-        mode=Mode.TR if mode_s == "tr" else Mode.AM,
-    )
 
 
 def format_config(cfg: ScenarioConfig) -> str:
     """Emit the canonical text form of a configuration."""
-    lines = [
-        "[scenario]",
-        f"n_users = {cfg.n_users}",
-        f"n_tr = {cfg.n_tr}",
-        f"cell_radius_m = {cfg.cell_radius_m!r}",
-        f"n_slots = {cfg.n_slots}",
-        f"seed = {cfg.seed}",
-        f"bs_tx_power_w = {cfg.bs_tx_power_w!r}",
-        f"ue_tx_power_w = {cfg.ue_tx_power_w!r}",
-        f"numerology_mu = {cfg.numerology_mu}",
-        f"duplex = {cfg.duplex}",
-        f"tdd_pattern = {cfg.tdd_pattern}",
-        f"placement = {cfg.placement}",
-        f"always_on_fraction = {cfg.always_on_fraction!r}",
-        f"ul_demand_prob = {cfg.ul_demand_prob!r}",
-        f"dl_demand_prob = {cfg.dl_demand_prob!r}",
-        f"observer_distance_m = {cfg.observer_distance_m!r}",
-        "",
-        "[channel]",
-        f"freq_hz = {cfg.freq_hz!r}",
-        f"noise_w = {cfg.noise_w!r}",
-        f"snr_threshold_db = {cfg.snr_threshold_db!r}",
-        "",
-        "[switching]",
-        f"rss_threshold_dbm = {cfg.switch.rss_threshold_dbm!r}",
-        f"hysteresis_db = {cfg.switch.hysteresis_db!r}",
-    ]
+    lines: list[str] = []
+    for section in _SECTIONS:
+        lines += ["", f"[{section}]"]
+        for (sec, key), (owner, _) in _KEYS.items():
+            if sec == section:
+                value = getattr(cfg if owner is ScenarioConfig else cfg.switch, key)
+                lines.append(f"{key} = {value}")
     for std in cfg.standards:
-        lines.append("")
-        lines.append(f"[standards.{std.name}]")
-        for band in std.bands:
-            entry = f"band = {band.low_hz!r} {band.high_hz!r} {band.e_ref_v_per_m!r}"
-            if band.note:
-                entry += f" {band.note}"
-            lines.append(entry)
+        lines += ["", f"[standards.{std.name}]"]
+        for b in std.bands:
+            lines.append(f"band = {b.low_hz} {b.high_hz} {b.e_ref_v_per_m} {b.note}".rstrip())
     if cfg.devices:
-        lines.append("")
-        lines.append("[devices]")
-        for spec in cfg.devices:
-            mode_s = "tr" if spec.mode is Mode.TR else "am"
+        lines += ["", "[devices]"]
+        for d in cfg.devices:
+            mode_s = "tr" if d.mode is Mode.TR else "am"
             lines.append(
-                f"device = {spec.device_id} {spec.distance_m!r}"
-                f" {spec.tx_power_w!r} {spec.freq_hz!r} {mode_s}"
+                f"device = {d.device_id} {d.distance_m} {d.tx_power_w} {d.freq_hz} {mode_s}"
             )
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines[1:]) + "\n"

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
+from .schema import FREQ_HZ, check, key
 from .trmode import Mode
 
 FREE_SPACE_IMPEDANCE_OHM = 376.73
@@ -24,19 +25,17 @@ class UnmappedBandError(ValueError):
 
 @dataclass(frozen=True)
 class FrequencyBand:
-    low_hz: float
-    high_hz: float
-    e_ref_v_per_m: float
+    low_hz: float = key("standards", *FREQ_HZ)
+    high_hz: float = key("standards", *FREQ_HZ)
+    e_ref_v_per_m: float = key("standards", 1e-6, 1e9)
     note: str = ""
 
     def __post_init__(self) -> None:
-        if self.low_hz <= 0.0 or self.high_hz <= self.low_hz:
+        check(self)
+        if self.high_hz <= self.low_hz:
             raise ValueError(
-                f"band edges must satisfy 0 < low < high,"
-                f" got [{self.low_hz}, {self.high_hz})"
+                f"band edges must satisfy low < high, got [{self.low_hz}, {self.high_hz})"
             )
-        if self.e_ref_v_per_m <= 0.0:
-            raise ValueError(f"e_ref_v_per_m must be > 0, got {self.e_ref_v_per_m}")
 
 
 @dataclass(frozen=True)

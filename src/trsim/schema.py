@@ -1,0 +1,53 @@
+"""Declared bounds of configuration values.
+
+A dataclass field made with `key` carries the config-file section it is
+read from and the closed range, or the choices, its value must lie in.
+`problem` and `problems` check values against those declarations, so each
+bound is written once, on the field it applies to. Every float field has
+a finite range, which also rules out NaN and infinities.
+"""
+
+from __future__ import annotations
+
+from dataclasses import MISSING, Field, field, fields
+
+# Ranges shared by several fields. Inside them the Friis path loss,
+# received power, SINR, power density and exposure ratio stay finite and
+# nonzero for every population the device-slot cap allows.
+DISTANCE_M = (1e-3, 1e7)
+POWER_W = (1e-12, 1e6)
+FREQ_HZ = (1e3, 1e15)
+
+
+def key(section: str, lo=None, hi=None, *, default=MISSING, choices=None) -> Field:
+    """A field read from `[section]`: required unless it has a default,
+    bounded below by `lo` and above by `hi` (None: unbounded), or limited
+    to `choices`."""
+    return field(
+        default=default,
+        metadata={"section": section, "lo": lo, "hi": hi, "choices": choices},
+    )
+
+
+def problem(f: Field, value) -> str | None:
+    """Why `value` breaks the declaration of `f`, or None if it does not."""
+    lo, hi, choices = (f.metadata.get(name) for name in ("lo", "hi", "choices"))
+    if choices is not None and value not in choices:
+        return f"must be one of {', '.join(choices)}, got {value!r}"
+    if lo is not None and not (lo <= value and (hi is None or value <= hi)):
+        bound = f">= {lo}" if hi is None else f"in [{lo:g}, {hi:g}]"
+        return f"must be {bound}, got {value}"
+    return None
+
+
+def problems(obj) -> list[str]:
+    """One finding per field of the dataclass `obj` that breaks its declaration."""
+    found = ((f.name, problem(f, getattr(obj, f.name))) for f in fields(obj))
+    return [f"{name} {text}" for name, text in found if text]
+
+
+def check(obj) -> None:
+    """Raise ValueError listing every finding of `problems(obj)`."""
+    found = problems(obj)
+    if found:
+        raise ValueError("; ".join(found))

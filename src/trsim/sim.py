@@ -41,7 +41,15 @@ from .frames import (
     build_tdd_frame,
     make_numerology,
 )
+from .schema import DISTANCE_M, FREQ_HZ, POWER_W, check, key, problems
 from .trmode import Mode, SwitchConfig, evaluate_switch, uplink_enabled
+
+
+# Upper bound on population x n_slots. The engine keeps every sample of a
+# run in memory, about 0.5 kB per device-slot, so a run at the cap needs
+# about 5 GB; a larger one is refused as a configuration error before
+# anything is allocated.
+MAX_DEVICE_SLOTS = 10**7
 
 
 class ConfigError(ValueError):
@@ -57,93 +65,75 @@ class DeviceSpec:
     """Explicit device entry, overriding synthesized placement."""
 
     device_id: str
-    distance_m: float
-    tx_power_w: float
-    freq_hz: float
+    distance_m: float = key("devices", *DISTANCE_M)
+    tx_power_w: float = key("devices", 0.0, POWER_W[1])
+    freq_hz: float = key("devices", *FREQ_HZ)
     mode: Mode
+
+    def __post_init__(self) -> None:
+        check(self)
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    n_users: int
-    n_tr: int
-    cell_radius_m: float
-    bs_tx_power_w: float
-    ue_tx_power_w: float
-    freq_hz: float
-    noise_w: float
-    snr_threshold_db: float
-    n_slots: int
-    seed: int
+    """A scenario. Each field made with `key` is a config-file key, declared
+    here once with its section, type, default and bounds; the parser, the
+    emitter and `validate` are derived from these declarations."""
+
+    n_users: int = key("scenario", 1)
+    n_tr: int = key("scenario")  # in [0, n_users], checked in validate()
+    cell_radius_m: float = key("scenario", *DISTANCE_M)
+    bs_tx_power_w: float = key("scenario", *POWER_W)
+    ue_tx_power_w: float = key("scenario", *POWER_W)
+    freq_hz: float = key("channel", *FREQ_HZ)
+    noise_w: float = key("channel", 1e-30, 1e3)
+    snr_threshold_db: float = key("channel", -200.0, 200.0)
+    n_slots: int = key("scenario", 1)
+    seed: int = key("scenario", 0)
     switch: SwitchConfig
-    numerology_mu: int = 0
-    duplex: str = "fdd"
-    tdd_pattern: str = "DSUUUUUUUU"
-    placement: str = "disk"
-    always_on_fraction: float = 0.1
-    ul_demand_prob: float = 0.5
-    dl_demand_prob: float = 0.5
-    observer_distance_m: float = 1.0
+    numerology_mu: int = key("scenario", 0, 4, default=0)
+    duplex: str = key("scenario", default="fdd", choices=("fdd", "tdd"))
+    tdd_pattern: str = key("scenario", default="DSUUUUUUUU")
+    placement: str = key("scenario", default="disk", choices=("disk", "ring"))
+    always_on_fraction: float = key("scenario", 0.0, 1.0, default=0.1)
+    ul_demand_prob: float = key("scenario", 0.0, 1.0, default=0.5)
+    dl_demand_prob: float = key("scenario", 0.0, 1.0, default=0.5)
+    observer_distance_m: float = key("scenario", *DISTANCE_M, default=1.0)
     standards: tuple[ExposureStandard, ...] = ()
     devices: tuple[DeviceSpec, ...] = ()
 
     def validate(self) -> list[str]:
-        errors: list[str] = []
-        if self.n_users < 1:
-            errors.append(f"n_users must be >= 1, got {self.n_users}")
+        """Every finding against the field declarations and the rules that
+        tie fields together."""
+        errors = problems(self)
         if not 0 <= self.n_tr <= self.n_users:
             errors.append(
                 f"n_tr ({self.n_tr}) must lie in [0, n_users] (n_users={self.n_users})"
             )
-        for name in (
-            "cell_radius_m",
-            "bs_tx_power_w",
-            "ue_tx_power_w",
-            "freq_hz",
-            "noise_w",
-            "observer_distance_m",
-        ):
-            value = getattr(self, name)
-            if not value > 0.0:
-                errors.append(f"{name} must be > 0, got {value}")
-        if self.n_slots < 1:
-            errors.append(f"n_slots must be >= 1, got {self.n_slots}")
-        if not 0 <= self.numerology_mu <= 4:
-            errors.append(f"numerology_mu must be in [0, 4], got {self.numerology_mu}")
-        if self.duplex not in ("fdd", "tdd"):
-            errors.append(f"duplex must be 'fdd' or 'tdd', got {self.duplex!r}")
-        elif self.duplex == "tdd":
+        population = len(self.devices) or self.n_users
+        if population * self.n_slots > MAX_DEVICE_SLOTS:
+            errors.append(
+                f"n_users x n_slots must be <= {MAX_DEVICE_SLOTS} device-slots,"
+                f" got {population} x {self.n_slots}"
+            )
+        if self.duplex == "tdd":
             try:
                 parse_pattern(self.tdd_pattern)
             except ValueError as exc:
                 errors.append(f"tdd_pattern: {exc}")
-        if self.placement not in ("disk", "ring"):
-            errors.append(f"placement must be 'disk' or 'ring', got {self.placement!r}")
-        for name in ("always_on_fraction", "ul_demand_prob", "dl_demand_prob"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                errors.append(f"{name} must be in [0, 1], got {value}")
         seen_ids: set[str] = set()
         for spec in self.devices:
             if spec.device_id in seen_ids:
-                errors.append(f"duplicate device id {spec.device_id!r}")
+                errors.append(f"duplicate device id {spec.device_id!r} in [devices]")
             seen_ids.add(spec.device_id)
-            if not spec.distance_m > 0.0:
-                errors.append(
-                    f"device {spec.device_id!r}: distance_m must be > 0,"
-                    f" got {spec.distance_m}"
-                )
-            if spec.tx_power_w < 0.0:
-                errors.append(
-                    f"device {spec.device_id!r}: tx_power_w must be >= 0,"
-                    f" got {spec.tx_power_w}"
-                )
-            if not spec.freq_hz > 0.0:
-                errors.append(
-                    f"device {spec.device_id!r}: freq_hz must be > 0,"
-                    f" got {spec.freq_hz}"
-                )
         return errors
+
+    def require_valid(self) -> ScenarioConfig:
+        """Return self, or raise ConfigError listing every finding of validate()."""
+        errors = self.validate()
+        if errors:
+            raise ConfigError(errors)
+        return self
 
 
 @dataclass
@@ -306,10 +296,7 @@ def run_scenario(cfg: ScenarioConfig) -> SimResult:
     arrival), then charge uplink interference from every transmitter that
     is both uplink-enabled and grant-allowed.
     """
-    errors = cfg.validate()
-    if errors:
-        raise ConfigError(errors)
-
+    cfg.require_valid()
     devices = build_devices(cfg)
     n = len(devices)
     num = make_numerology(cfg.numerology_mu)
@@ -438,9 +425,7 @@ def outage_curve(
     full data power; fading on the desired path is unit-mean exponential,
     so P(SINR < theta) = 1 - exp(-theta * (I + N) / (mean * N)).
     """
-    errors = cfg.validate()
-    if errors:
-        raise ConfigError(errors)
+    cfg.require_valid()
     if not mean_snr_points_db:
         raise ValueError("mean_snr_points_db must be non-empty")
 

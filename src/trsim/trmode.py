@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+from .schema import check, key
+
 
 class Mode(Enum):
     AM = "AM"
@@ -28,14 +30,13 @@ class ServiceClass(Enum):
 
 @dataclass(frozen=True)
 class SwitchConfig:
-    rss_threshold_dbm: float
-    hysteresis_db: float = 3.0
+    """The [switching] section of a scenario config."""
+
+    rss_threshold_dbm: float = key("switching", -500.0, 500.0)
+    hysteresis_db: float = key("switching", 0.0, 1000.0, default=3.0)
 
     def __post_init__(self) -> None:
-        if math.isnan(self.rss_threshold_dbm):
-            raise ValueError("rss_threshold_dbm must not be NaN")
-        if math.isnan(self.hysteresis_db) or self.hysteresis_db < 0.0:
-            raise ValueError(f"hysteresis_db must be >= 0, got {self.hysteresis_db}")
+        check(self)
 
 
 def evaluate_switch(rss_dbm: float, cfg: SwitchConfig, current: Mode) -> Mode:
