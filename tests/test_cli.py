@@ -57,6 +57,14 @@ class TestGoldenOutputs:
             tmp_path,
         )
 
+    @pytest.mark.parametrize("duplex", ["fdd", "tdd"])
+    def test_run_switching_csv(self, duplex, tmp_path):
+        self.check(
+            ["run", "--config", str(REPO_ROOT / "tests" / "data" / f"run_switch_{duplex}.cfg")],
+            f"run_switch_{duplex}.csv",
+            tmp_path,
+        )
+
 
 class TestFramesCommand:
     def test_tdd_tr_on_has_one_hold_and_no_uplink(self, tmp_path, capsys):
