@@ -5,7 +5,6 @@ RRC state machine, and EM exposure / outage / complexity metrics."""
 __version__ = "0.1.0"
 
 from .channel import (
-    ChannelRealization,
     draw_fading_gain,
     free_space_path_loss,
     outage_analytic,
@@ -57,7 +56,6 @@ from .sim import (
 from .trmode import Mode, ServiceClass, SwitchConfig, evaluate_switch, service_admitted, uplink_enabled
 
 __all__ = [
-    "ChannelRealization",
     "ConfigError",
     "DeviceSpec",
     "Duplex",

@@ -7,7 +7,6 @@ only at the API surface.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,43 +32,6 @@ def watts_to_dbm(power_w: float) -> float:
 
 def dbm_to_watts(power_dbm: float) -> float:
     return db_to_linear(power_dbm - 30.0)
-
-
-@dataclass(frozen=True)
-class ChannelRealization:
-    """One fading draw on a link.
-
-    The instantaneous SNR is tied to the mean SNR through the power gain:
-    inst (linear) = mean (linear) * fading_power_gain.
-    """
-
-    path_loss_db: float
-    fading_power_gain: float
-    mean_snr_db: float
-    inst_snr_db: float
-
-    def __post_init__(self) -> None:
-        if self.path_loss_db < 0.0:
-            raise ValueError(f"path_loss_db must be >= 0, got {self.path_loss_db}")
-        if self.fading_power_gain < 0.0:
-            raise ValueError(
-                f"fading_power_gain must be >= 0, got {self.fading_power_gain}"
-            )
-
-    @classmethod
-    def draw(
-        cls,
-        path_loss_db: float,
-        mean_snr_db: float,
-        rng: np.random.Generator,
-    ) -> "ChannelRealization":
-        gain = draw_fading_gain(rng)
-        return cls(
-            path_loss_db=path_loss_db,
-            fading_power_gain=gain,
-            mean_snr_db=mean_snr_db,
-            inst_snr_db=mean_snr_db + linear_to_db(gain),
-        )
 
 
 def free_space_path_loss(distance_m: float, freq_hz: float) -> float:

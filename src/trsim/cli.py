@@ -1,9 +1,13 @@
 """Command-line front end: config ingestion, subcommand dispatch, emission.
 
 Subcommands: run, outage, frames, rrc-check, exposure. Output goes to
---out (default stdout). Formats are csv (frozen column orders, see the
-README) or json-lines; frames and rrc-check emit fixed text layouts used
-as golden files.
+--out (default stdout). run, outage and exposure each build one stream of
+`(kind, values)` records, the values in the order of the kind's keys, and
+either encoder writes that stream: csv puts each record's kind and keys
+under the columns of the same names in a frozen column order (see the
+README) and leaves the other columns empty; json-lines writes each record
+as one object of its kind and keys. frames and rrc-check emit fixed text
+layouts used as golden files.
 
 Exit codes: 0 success; 2 configuration or usage error; 3 domain error
 (invalid operation input); 4 frequency outside every configured band;
@@ -18,15 +22,18 @@ import csv
 import json
 import sys
 from contextlib import nullcontext
-from dataclasses import dataclass, field, replace
-from typing import IO, Any
+from dataclasses import astuple, fields, replace
+from operator import itemgetter
+from typing import IO, Iterable
 
 from . import __version__, rrc
 from .configfile import parse_config
 from .exposure import ExposureReport, UnmappedBandError, network_exposure
 from .frames import build_fdd_pair, build_tdd_frame, frame_dump, make_numerology
+from .schema import SNR_DB
 from .sim import (
     ConfigError,
+    OutagePoint,
     ScenarioConfig,
     SimResult,
     build_devices,
@@ -43,49 +50,100 @@ EXIT_IO = 5
 OUTPUT_FORMATS = ("csv", "json-lines")
 
 RUN_CSV_COLUMNS = (
-    "kind",
-    "slot",
-    "device_id",
-    "mode",
-    "rrc_state",
-    "fading_gain",
-    "rss_dbm",
-    "sinr_db",
-    "ul_active",
-    "ul_tx_w",
-    "event",
-    "from",
-    "to",
-    "metric",
-    "value",
+    "kind", "slot", "device_id", "mode", "rrc_state", "fading_gain", "rss_dbm",
+    "sinr_db", "ul_active", "ul_tx_w", "event", "from", "to", "metric", "value",
 )
 
+Kinds = dict[str, tuple[str, ...]]  # record kind -> its keys, in column order
+Records = Iterable[tuple[str, tuple]]  # (kind, values in the order of its keys)
 
-@dataclass(frozen=True)
-class RunManifest:
-    subcommand: str
-    config_path: str | None = None
-    out_path: str = "-"
-    output_format: str = "csv"
-    seed_override: int | None = None
-    params: dict[str, Any] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.output_format not in OUTPUT_FORMATS:
-            raise ValueError(
-                f"output format must be one of {OUTPUT_FORMATS},"
-                f" got {self.output_format!r}"
-            )
+RUN_KINDS: Kinds = {
+    "sample": RUN_CSV_COLUMNS[1:10],
+    "mode_transition": ("slot", "device_id", "rss_dbm", "from", "to"),
+    "rrc_event": ("slot", "device_id", "event", "from", "to"),
+    "metric": ("metric", "value"),
+}
+OUTAGE_KINDS: Kinds = {"outage_point": tuple(f.name for f in fields(OutagePoint))}
 
 
-def _load_config(manifest: RunManifest) -> ScenarioConfig:
-    if manifest.config_path is None:
-        raise ConfigError([f"subcommand {manifest.subcommand!r} requires --config"])
-    with open(manifest.config_path, "r", encoding="utf-8") as fh:
-        cfg = parse_config(fh.read())
-    if manifest.seed_override is not None:
-        cfg = replace(cfg, seed=manifest.seed_override).require_valid()
-    return cfg
+def exposure_kinds(standards: tuple) -> Kinds:
+    keys = ("device_id", "power_density_w_m2", "e_field_v_per_m")
+    keys += tuple(f"er_{std.name}" for std in standards)
+    return {"device-exposure": keys, "network-exposure": keys}
+
+
+def _run_records(result: SimResult) -> Records:
+    # `_value_` is `.value` without its property call, a tenth of the encoding time
+    for s in result.samples:
+        yield "sample", (
+            s.slot, s.device_id, s.mode._value_, s.rrc_state._value_, s.fading_gain,
+            s.rss_dbm, s.sinr_db, int(s.ul_active), s.ul_tx_w,
+        )
+    for tr in result.mode_transitions:
+        yield "mode_transition", (
+            tr.slot, tr.device_id, tr.rss_dbm, tr.old_mode._value_, tr.new_mode._value_,
+        )
+    for ev in result.rrc_events:
+        yield "rrc_event", (
+            ev.slot, ev.device_id, ev.event._value_,
+            ev.old_state._value_, ev.new_state._value_,
+        )
+    report = result.exposure
+    metrics = {
+        "outage_am": result.outage_am,
+        "outage_tr": result.outage_tr,
+        "total_uplink_interference_w": result.total_uplink_interference_w,
+        "complexity": result.complexity,
+        "network_total_power_density_w_m2": report.network_total_power_density_w_m2,
+        "network_e_field_v_per_m": report.network_e_field_v_per_m,
+    }
+    for std in result.config.standards:
+        metrics[f"network_er_{std.name}"] = report.network_er_per_standard[std.name]
+    for name, value in metrics.items():
+        yield "metric", (name, value)
+
+
+def _exposure_records(report: ExposureReport, standards: tuple) -> Records:
+    names = [std.name for std in standards]
+    for dev in report.per_device:
+        ers = (dev.er_per_standard[name] for name in names)
+        yield "device-exposure", (
+            dev.device_id, dev.power_density_w_m2, dev.e_field_v_per_m, *ers,
+        )
+    total = (report.network_total_power_density_w_m2, report.network_e_field_v_per_m)
+    ers = (report.network_er_per_standard[name] for name in names)
+    yield "network-exposure", ("network-total", *total, *ers)
+
+
+def _write_csv(fh: IO[str], columns: tuple[str, ...], kinds: Kinds, records: Records):
+    """A header of `columns`, then one row per record. A record fills the
+    `kind` column, if there is one, and its keys' columns; it leaves the
+    rest empty. Floats are written as their repr, None as an empty cell."""
+    getters = {}
+    for kind, keys in kinds.items():
+        # positions in (kind, *values, ""); a column not in keys reads the ""
+        position = {"kind": 0, **{key: i for i, key in enumerate(keys, 1)}}
+        getters[kind] = itemgetter(*(position.get(c, len(keys) + 1) for c in columns))
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows(getters[kind]((kind, *values, "")) for kind, values in records)
+
+
+def _write_jsonl(fh: IO[str], kinds: Kinds, records: Records) -> None:
+    """One JSON object per record: its `kind`, then its keys in order."""
+    fh.writelines(
+        json.dumps({"kind": kind, **dict(zip(kinds[kind], values))}) + "\n"
+        for kind, values in records
+    )
+
+
+def _emit(args: argparse.Namespace, columns, kinds: Kinds, records: Records) -> int:
+    with _out_stream(args.out) as fh:
+        if args.format == "csv":
+            _write_csv(fh, columns, kinds, records)
+        else:
+            _write_jsonl(fh, kinds, records)
+    return EXIT_OK
 
 
 def _out_stream(path: str):
@@ -94,265 +152,56 @@ def _out_stream(path: str):
     return open(path, "w", encoding="utf-8", newline="")
 
 
-def _fmt(value: float | int | None) -> str:
-    if value is None:
-        return ""
-    return repr(value)
+def _load_config(args: argparse.Namespace) -> ScenarioConfig:
+    with open(args.config, "r", encoding="utf-8") as fh:
+        cfg = parse_config(fh.read())
+    if args.seed is not None:
+        cfg = replace(cfg, seed=args.seed).require_valid()
+    return cfg
 
 
-def _run_metrics(result: SimResult) -> list[tuple[str, float | None]]:
-    metrics: list[tuple[str, float | None]] = [
-        ("outage_am", result.outage_am),
-        ("outage_tr", result.outage_tr),
-        ("total_uplink_interference_w", result.total_uplink_interference_w),
-        ("complexity", result.complexity),
-        (
-            "network_total_power_density_w_m2",
-            result.exposure.network_total_power_density_w_m2,
-        ),
-        ("network_e_field_v_per_m", result.exposure.network_e_field_v_per_m),
-    ]
-    for std in result.config.standards:
-        metrics.append(
-            (f"network_er_{std.name}", result.exposure.network_er_per_standard[std.name])
-        )
-    return metrics
+def _cmd_run(args: argparse.Namespace) -> int:
+    result = run_scenario(_load_config(args))
+    return _emit(args, RUN_CSV_COLUMNS, RUN_KINDS, _run_records(result))
 
 
-def _write_run_csv(result: SimResult, fh: IO[str]) -> None:
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(RUN_CSV_COLUMNS)
-    blank = [""] * len(RUN_CSV_COLUMNS)
-    for s in result.samples:
-        writer.writerow(
-            [
-                "sample",
-                s.slot,
-                s.device_id,
-                s.mode.value,
-                s.rrc_state.value,
-                _fmt(s.fading_gain),
-                _fmt(s.rss_dbm),
-                _fmt(s.sinr_db),
-                int(s.ul_active),
-                _fmt(s.ul_tx_w),
-                "",
-                "",
-                "",
-                "",
-                "",
-            ]
-        )
-    for tr in result.mode_transitions:
-        row = blank.copy()
-        row[0], row[1], row[2] = "mode_transition", tr.slot, tr.device_id
-        row[6] = _fmt(tr.rss_dbm)
-        row[11], row[12] = tr.old_mode.value, tr.new_mode.value
-        writer.writerow(row)
-    for ev in result.rrc_events:
-        row = blank.copy()
-        row[0], row[1], row[2] = "rrc_event", ev.slot, ev.device_id
-        row[10], row[11], row[12] = ev.event.value, ev.old_state.value, ev.new_state.value
-        writer.writerow(row)
-    for name, value in _run_metrics(result):
-        row = blank.copy()
-        row[0], row[13], row[14] = "metric", name, _fmt(value)
-        writer.writerow(row)
+def _cmd_outage(args: argparse.Namespace) -> int:
+    points = outage_curve(_load_config(args), args.snr_db)
+    records = (("outage_point", astuple(p)) for p in points)
+    return _emit(args, OUTAGE_KINDS["outage_point"], OUTAGE_KINDS, records)
 
 
-def _write_run_jsonl(result: SimResult, fh: IO[str]) -> None:
-    def emit(obj: dict[str, Any]) -> None:
-        fh.write(json.dumps(obj, sort_keys=True) + "\n")
-
-    for s in result.samples:
-        emit(
-            {
-                "kind": "sample",
-                "slot": s.slot,
-                "device_id": s.device_id,
-                "mode": s.mode.value,
-                "rrc_state": s.rrc_state.value,
-                "fading_gain": s.fading_gain,
-                "rss_dbm": s.rss_dbm,
-                "sinr_db": s.sinr_db,
-                "ul_active": s.ul_active,
-                "ul_tx_w": s.ul_tx_w,
-            }
-        )
-    for tr in result.mode_transitions:
-        emit(
-            {
-                "kind": "mode_transition",
-                "slot": tr.slot,
-                "device_id": tr.device_id,
-                "old_mode": tr.old_mode.value,
-                "new_mode": tr.new_mode.value,
-                "rss_dbm": tr.rss_dbm,
-            }
-        )
-    for ev in result.rrc_events:
-        emit(
-            {
-                "kind": "rrc_event",
-                "slot": ev.slot,
-                "device_id": ev.device_id,
-                "event": ev.event.value,
-                "old_state": ev.old_state.value,
-                "new_state": ev.new_state.value,
-            }
-        )
-    for name, value in _run_metrics(result):
-        emit({"kind": "metric", "name": name, "value": value})
-
-
-def _write_exposure_csv(
-    report: ExposureReport, standards: tuple, fh: IO[str]
-) -> None:
-    writer = csv.writer(fh, lineterminator="\n")
-    names = [std.name for std in standards]
-    writer.writerow(
-        ["device_id", "power_density_w_m2", "e_field_v_per_m"]
-        + [f"er_{name}" for name in names]
-    )
-    for dev in report.per_device:
-        writer.writerow(
-            [dev.device_id, _fmt(dev.power_density_w_m2), _fmt(dev.e_field_v_per_m)]
-            + [_fmt(dev.er_per_standard[name]) for name in names]
-        )
-    writer.writerow(
-        [
-            "network-total",
-            _fmt(report.network_total_power_density_w_m2),
-            _fmt(report.network_e_field_v_per_m),
-        ]
-        + [_fmt(report.network_er_per_standard[name]) for name in names]
-    )
-
-
-def _write_exposure_jsonl(
-    report: ExposureReport, standards: tuple, fh: IO[str]
-) -> None:
-    names = [std.name for std in standards]
-    for dev in report.per_device:
-        fh.write(
-            json.dumps(
-                {
-                    "kind": "device-exposure",
-                    "device_id": dev.device_id,
-                    "power_density_w_m2": dev.power_density_w_m2,
-                    "e_field_v_per_m": dev.e_field_v_per_m,
-                    "er": {name: dev.er_per_standard[name] for name in names},
-                },
-                sort_keys=True,
-            )
-            + "\n"
-        )
-    fh.write(
-        json.dumps(
-            {
-                "kind": "network-exposure",
-                "power_density_w_m2": report.network_total_power_density_w_m2,
-                "e_field_v_per_m": report.network_e_field_v_per_m,
-                "er": {name: report.network_er_per_standard[name] for name in names},
-            },
-            sort_keys=True,
-        )
-        + "\n"
-    )
-
-
-def _cmd_run(manifest: RunManifest) -> int:
-    cfg = _load_config(manifest)
-    result = run_scenario(cfg)
-    with _out_stream(manifest.out_path) as fh:
-        if manifest.output_format == "csv":
-            _write_run_csv(result, fh)
-        else:
-            _write_run_jsonl(result, fh)
-    return EXIT_OK
-
-
-def _cmd_outage(manifest: RunManifest) -> int:
-    cfg = _load_config(manifest)
-    points = outage_curve(cfg, manifest.params["snr_points"])
-    with _out_stream(manifest.out_path) as fh:
-        if manifest.output_format == "csv":
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["mean_snr_db", "outage_am", "outage_tr"])
-            for p in points:
-                writer.writerow([_fmt(p.mean_snr_db), _fmt(p.outage_am), _fmt(p.outage_tr)])
-        else:
-            for p in points:
-                fh.write(
-                    json.dumps(
-                        {
-                            "kind": "outage_point",
-                            "mean_snr_db": p.mean_snr_db,
-                            "outage_am": p.outage_am,
-                            "outage_tr": p.outage_tr,
-                        },
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
-    return EXIT_OK
-
-
-def _cmd_frames(manifest: RunManifest) -> int:
-    params = manifest.params
-    num = make_numerology(params["mu"])
-    tr_active = params["tr_on"]
-    flag = "on" if tr_active else "off"
-    blocks = []
-    if params["duplex"] == "fdd":
-        dl, ul = build_fdd_pair(num, tr_active, switch_subframe=params["switch_subframe"])
-        for frame in (dl, ul):
-            blocks.append(f"frame {frame.duplex.value} mu={num.mu} tr={flag}")
-            blocks.append(frame_dump(frame))
-    else:
-        frame = build_tdd_frame(num, params["pattern"], tr_active)
-        blocks.append(f"frame {frame.duplex.value} mu={num.mu} tr={flag}")
-        blocks.append(frame_dump(frame))
-    with _out_stream(manifest.out_path) as fh:
-        fh.write("\n".join(blocks) + "\n")
-    return EXIT_OK
-
-
-def _cmd_rrc_check(manifest: RunManifest) -> int:
-    report = rrc.check_reachability()
-    with _out_stream(manifest.out_path) as fh:
-        fh.write(report.format_report() + "\n")
-    return EXIT_OK
-
-
-def _cmd_exposure(manifest: RunManifest) -> int:
-    cfg = _load_config(manifest)
+def _cmd_exposure(args: argparse.Namespace) -> int:
+    cfg = _load_config(args)
     if not cfg.standards:
         raise ConfigError(["exposure requires at least one [standards.<name>] section"])
     devices = build_devices(cfg)
     report = network_exposure(devices, cfg.standards, cfg.observer_distance_m)
-    with _out_stream(manifest.out_path) as fh:
-        if manifest.output_format == "csv":
-            _write_exposure_csv(report, cfg.standards, fh)
-        else:
-            _write_exposure_jsonl(report, cfg.standards, fh)
+    kinds = exposure_kinds(cfg.standards)
+    records = _exposure_records(report, cfg.standards)
+    return _emit(args, kinds["device-exposure"], kinds, records)
+
+
+def _cmd_frames(args: argparse.Namespace) -> int:
+    num = make_numerology(args.mu)
+    tr_active = args.tr == "on"
+    if args.duplex == "fdd":
+        frames = build_fdd_pair(num, tr_active, switch_subframe=args.switch_subframe)
+    else:
+        frames = (build_tdd_frame(num, args.pattern, tr_active),)
+    text = "".join(
+        f"frame {frame.duplex.value} mu={num.mu} tr={args.tr}\n{frame_dump(frame)}\n"
+        for frame in frames
+    )
+    with _out_stream(args.out) as fh:
+        fh.write(text)
     return EXIT_OK
 
 
-_COMMANDS = {
-    "run": _cmd_run,
-    "outage": _cmd_outage,
-    "frames": _cmd_frames,
-    "rrc-check": _cmd_rrc_check,
-    "exposure": _cmd_exposure,
-}
-
-
-def dispatch(manifest: RunManifest) -> int:
-    handler = _COMMANDS.get(manifest.subcommand)
-    if handler is None:
-        raise ValueError(f"unknown subcommand {manifest.subcommand!r}")
-    return handler(manifest)
+def _cmd_rrc_check(args: argparse.Namespace) -> int:
+    with _out_stream(args.out) as fh:
+        fh.write(rrc.check_reachability().format_report() + "\n")
+    return EXIT_OK
 
 
 def _snr_points(text: str) -> tuple[float, ...]:
@@ -362,6 +211,12 @@ def _snr_points(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(f"bad --snr-db list {text!r}: {exc}")
     if not points:
         raise argparse.ArgumentTypeError("--snr-db list must be non-empty")
+    lo, hi = SNR_DB
+    for point in points:
+        if not lo <= point <= hi:
+            raise argparse.ArgumentTypeError(
+                f"--snr-db points must be in [{lo:g}, {hi:g}], got {point}"
+            )
     return points
 
 
@@ -380,31 +235,30 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"trsim {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_io(p: argparse.ArgumentParser, needs_config: bool) -> None:
-        if needs_config:
+    def add(name: str, handler, summary: str, records: bool) -> argparse.ArgumentParser:
+        """A subcommand; one that emits records reads a config and takes --format."""
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=handler)
+        if records:
             p.add_argument("--config", required=True, help="scenario config file")
-            p.add_argument("--seed", type=int, default=None, help="override the config seed")
+            p.add_argument("--seed", type=int, help="override the config seed")
         p.add_argument("--out", default="-", help="output path, '-' for stdout")
-        p.add_argument(
-            "--format",
-            choices=OUTPUT_FORMATS,
-            default="csv",
-            help="output format (default csv)",
-        )
+        if records:
+            p.add_argument("--format", choices=OUTPUT_FORMATS, default="csv",
+                           help="output format (default csv)")
+        return p
 
-    p_run = sub.add_parser("run", help="run the scenario and emit the full result")
-    add_io(p_run, needs_config=True)
-
-    p_outage = sub.add_parser("outage", help="outage versus mean SNR, AM and TR curves")
-    add_io(p_outage, needs_config=True)
+    add("run", _cmd_run, "run the scenario and emit the full result", records=True)
+    p_outage = add(
+        "outage", _cmd_outage, "outage versus mean SNR, AM and TR curves", records=True
+    )
     p_outage.add_argument(
         "--snr-db",
         type=_snr_points,
         default=(-5.0, 0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0),
         help="comma-separated mean SNR points in dB",
     )
-
-    p_frames = sub.add_parser("frames", help="dump frame structures")
+    p_frames = add("frames", _cmd_frames, "dump frame structures", records=False)
     p_frames.add_argument("--mu", type=int, required=True, help="numerology in [0, 4]")
     p_frames.add_argument("--duplex", choices=("fdd", "tdd"), required=True)
     p_frames.add_argument("--tr", choices=("on", "off"), required=True)
@@ -419,58 +273,26 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         help="FDD frequency-switching subframe index (default 0)",
     )
-    p_frames.add_argument("--out", default="-", help="output path, '-' for stdout")
-
-    p_rrc = sub.add_parser("rrc-check", help="transition table and reachability report")
-    p_rrc.add_argument("--out", default="-", help="output path, '-' for stdout")
-
-    p_exp = sub.add_parser("exposure", help="per-device and network exposure report")
-    add_io(p_exp, needs_config=True)
-
+    add("rrc-check", _cmd_rrc_check, "transition table and reachability report", False)
+    add("exposure", _cmd_exposure, "per-device and network exposure report", True)
     return parser
 
 
-def _manifest_from_args(args: argparse.Namespace) -> RunManifest:
-    params: dict[str, Any] = {}
-    if args.subcommand == "outage":
-        params["snr_points"] = tuple(args.snr_db)
-    elif args.subcommand == "frames":
-        params = {
-            "mu": args.mu,
-            "duplex": args.duplex,
-            "tr_on": args.tr == "on",
-            "pattern": args.pattern,
-            "switch_subframe": args.switch_subframe,
-        }
-    return RunManifest(
-        subcommand=args.subcommand,
-        config_path=getattr(args, "config", None),
-        out_path=args.out,
-        output_format=getattr(args, "format", "csv"),
-        seed_override=getattr(args, "seed", None),
-        params=params,
-    )
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    manifest = _manifest_from_args(args)
+    args = build_parser().parse_args(argv)
     try:
-        return dispatch(manifest)
+        return args.func(args)
     except ConfigError as exc:
-        for finding in exc.errors:
-            print(f"trsim: error: {finding}", file=sys.stderr)
-        return EXIT_CONFIG
+        findings, code = exc.errors, EXIT_CONFIG
     except UnmappedBandError as exc:
-        print(f"trsim: error: {exc}", file=sys.stderr)
-        return EXIT_BAND
+        findings, code = [exc], EXIT_BAND
     except ValueError as exc:
-        print(f"trsim: error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+        findings, code = [exc], EXIT_DOMAIN
     except OSError as exc:
-        print(f"trsim: error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        findings, code = [exc], EXIT_IO
+    for finding in findings:
+        print(f"trsim: error: {finding}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -17,6 +17,8 @@ from dataclasses import MISSING, Field, field, fields
 DISTANCE_M = (1e-3, 1e7)
 POWER_W = (1e-12, 1e6)
 FREQ_HZ = (1e3, 1e15)
+# SNR threshold and mean SNR points, in dB.
+SNR_DB = (-200.0, 200.0)
 
 
 def key(section: str, lo=None, hi=None, *, default=MISSING, choices=None) -> Field:

@@ -41,7 +41,7 @@ from .frames import (
     build_tdd_frame,
     make_numerology,
 )
-from .schema import DISTANCE_M, FREQ_HZ, POWER_W, check, key, problems
+from .schema import DISTANCE_M, FREQ_HZ, POWER_W, SNR_DB, check, key, problems
 from .trmode import Mode, SwitchConfig, evaluate_switch, uplink_enabled
 
 
@@ -87,7 +87,7 @@ class ScenarioConfig:
     ue_tx_power_w: float = key("scenario", *POWER_W)
     freq_hz: float = key("channel", *FREQ_HZ)
     noise_w: float = key("channel", 1e-30, 1e3)
-    snr_threshold_db: float = key("channel", -200.0, 200.0)
+    snr_threshold_db: float = key("channel", *SNR_DB)
     n_slots: int = key("scenario", 1)
     seed: int = key("scenario", 0)
     switch: SwitchConfig

@@ -5,9 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from trsim.channel import (
-    ChannelRealization,
     SPEED_OF_LIGHT_M_S,
-    db_to_linear,
     draw_fading_gain,
     free_space_path_loss,
     linear_to_db,
@@ -160,26 +158,6 @@ class TestOutageMonteCarlo:
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
             outage_monte_carlo(1.0, 1.0, 0, seed=1)
-
-
-class TestChannelRealization:
-    def test_instantaneous_ties_to_mean_through_gain(self):
-        rng = np.random.default_rng(31)
-        for _ in range(200):
-            link = ChannelRealization.draw(path_loss_db=90.0, mean_snr_db=12.0, rng=rng)
-            expected = db_to_linear(link.mean_snr_db) * link.fading_power_gain
-            assert db_to_linear(link.inst_snr_db) == pytest.approx(expected, rel=1e-9)
-            assert link.fading_power_gain >= 0.0
-
-    def test_rejects_negative_fields(self):
-        with pytest.raises(ValueError):
-            ChannelRealization(
-                path_loss_db=-1.0, fading_power_gain=1.0, mean_snr_db=0.0, inst_snr_db=0.0
-            )
-        with pytest.raises(ValueError):
-            ChannelRealization(
-                path_loss_db=1.0, fading_power_gain=-0.5, mean_snr_db=0.0, inst_snr_db=0.0
-            )
 
 
 class TestUnitHelpers:

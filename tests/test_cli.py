@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -8,12 +9,17 @@ from trsim.cli import (
     EXIT_CONFIG,
     EXIT_DOMAIN,
     EXIT_IO,
+    OUTAGE_KINDS,
     RUN_CSV_COLUMNS,
-    RunManifest,
+    RUN_KINDS,
+    exposure_kinds,
     main,
 )
+from trsim.configfile import parse_config
 
-OUTAGE_DEMO = REPO_ROOT / "tests" / "data" / "outage_demo.cfg"
+DATA_DIR = REPO_ROOT / "tests" / "data"
+OUTAGE_DEMO = DATA_DIR / "outage_demo.cfg"
+SWITCH_TDD = DATA_DIR / "run_switch_tdd.cfg"
 
 
 def run_cli(args: list[str]) -> int:
@@ -60,7 +66,7 @@ class TestGoldenOutputs:
     @pytest.mark.parametrize("duplex", ["fdd", "tdd"])
     def test_run_switching_csv(self, duplex, tmp_path):
         self.check(
-            ["run", "--config", str(REPO_ROOT / "tests" / "data" / f"run_switch_{duplex}.cfg")],
+            ["run", "--config", str(DATA_DIR / f"run_switch_{duplex}.cfg")],
             f"run_switch_{duplex}.csv",
             tmp_path,
         )
@@ -210,9 +216,14 @@ class TestErrorPaths:
         with pytest.raises(SystemExit):
             run_cli(["run", "--config", "x.cfg", "--format", "xml"])
 
-    def test_manifest_validates_output_format(self):
-        with pytest.raises(ValueError):
-            RunManifest(subcommand="run", output_format="xml")
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e300", "-1e300"])
+    def test_snr_point_outside_range_is_usage_error(self, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["outage", "--config", str(OUTAGE_DEMO), f"--snr-db=10,{value}"])
+        assert exc.value.code == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "--snr-db" in err
 
 
 class TestExposureCommand:
@@ -250,3 +261,50 @@ class TestOutageCommand:
         assert first["kind"] == "outage_point"
         assert first["mean_snr_db"] == 20.0
         assert first["outage_tr"] < first["outage_am"]
+
+
+def _declared_kinds(args: list[str]) -> dict[str, tuple[str, ...]]:
+    if args[0] == "run":
+        return RUN_KINDS
+    if args[0] == "outage":
+        return OUTAGE_KINDS
+    with open(args[2], encoding="utf-8") as fh:
+        return exposure_kinds(parse_config(fh.read()).standards)
+
+
+class TestJsonLinesMatchesCsv:
+    """Both formats encode the same records: row i of the CSV and object i of
+    the JSON-lines output carry the same kind, keys and values."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["run", "--config", str(SCENARIO_TR50)],
+            ["run", "--config", str(SWITCH_TDD)],
+            ["exposure", "--config", str(ER_TABLE_FIXTURE)],
+            ["outage", "--config", str(OUTAGE_DEMO)],
+        ],
+        ids=["run-tr50", "run-switch-tdd", "exposure-er-table", "outage-demo"],
+    )
+    def test_records_pair_up(self, args, tmp_path):
+        csv_out, jsonl_out = tmp_path / "out.csv", tmp_path / "out.jsonl"
+        assert run_cli(args + ["--out", str(csv_out)]) == 0
+        assert run_cli(args + ["--format", "json-lines", "--out", str(jsonl_out)]) == 0
+        with open(csv_out, encoding="utf-8", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        objects = [json.loads(line) for line in jsonl_out.read_text().splitlines()]
+        assert len(objects) == len(rows)
+        kinds = _declared_kinds(args)
+        for row, obj in zip(rows, objects):
+            cells = dict(zip(header, row))
+            kind = obj.pop("kind")
+            assert cells.pop("kind", kind) == kind
+            assert tuple(obj) == kinds[kind]
+            as_text = {key: "" if v is None else str(v) for key, v in obj.items()}
+            assert as_text == {key: cells.pop(key) for key in obj}
+            assert set(cells.values()) <= {""}  # columns of other kinds stay empty
+
+    def test_readme_lists_each_kinds_keys(self):
+        readme = (REPO_ROOT / "README.md").read_text()
+        for kind, keys in {**RUN_KINDS, **OUTAGE_KINDS}.items():
+            assert f"{kind}: {','.join(keys)}\n" in readme
