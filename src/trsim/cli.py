@@ -67,6 +67,7 @@ OUTAGE_KINDS: Kinds = {"outage_point": tuple(f.name for f in fields(OutagePoint)
 
 
 def exposure_kinds(standards: tuple) -> Kinds:
+    """Both exposure kinds have these keys, with one `er_<std>` per standard."""
     keys = ("device_id", "power_density_w_m2", "e_field_v_per_m")
     keys += tuple(f"er_{std.name}" for std in standards)
     return {"device-exposure": keys, "network-exposure": keys}
