@@ -5,9 +5,15 @@ import numpy as np
 import pytest
 
 from conftest import make_config
-from trsim.channel import db_to_linear, free_space_path_loss
+from trsim.channel import db_to_linear, free_space_path_loss, outage_analytic
 from trsim.exposure import ExposureStandard, FrequencyBand
-from trsim.frames import SlotKind, slot_census
+from trsim.frames import (
+    SlotKind,
+    build_fdd_pair,
+    build_tdd_frame,
+    make_numerology,
+    slot_census,
+)
 from trsim.rrc import RrcEvent, RrcState, uplink_grant_allowed
 from trsim.sim import (
     ConfigError,
@@ -183,6 +189,27 @@ class TestBuildDevices:
         assert first == second
         assert all(0.0 <= d <= cfg.cell_radius_m for d in first)
 
+    def test_explicit_copy_of_synthesized_population_runs_the_same(self):
+        std = ExposureStandard("ICNIRP", (FrequencyBand(1e9, 1e10, 61.0),))
+        cfg = switching_config(
+            placement="disk", n_tr=2, cell_radius_m=500.0, standards=(std,)
+        )
+        specs = tuple(
+            DeviceSpec(ue.id, ue.distance_m, cfg.ue_tx_power_w, cfg.freq_hz, ue.mode)
+            for ue in build_devices(cfg)
+        )
+        synthesized = run_scenario(cfg)
+        explicit = run_scenario(replace(cfg, devices=specs))
+        assert synthesized.mode_transitions, "scenario never switched a device"
+        assert explicit.samples == synthesized.samples
+        assert explicit.mode_transitions == synthesized.mode_transitions
+        assert explicit.rrc_events == synthesized.rrc_events
+        assert explicit.exposure == synthesized.exposure
+        for metric in (
+            "outage_am", "outage_tr", "total_uplink_interference_w", "complexity"
+        ):
+            assert getattr(explicit, metric) == getattr(synthesized, metric)
+
 
 class TestFrameContexts:
     @pytest.mark.parametrize("duplex", ["fdd", "tdd"])
@@ -196,6 +223,70 @@ class TestFrameContexts:
         cfg = make_config(duplex="tdd", tdd_pattern="DSUUUDUUUU")
         contexts = frame_contexts(cfg)
         assert slot_census(contexts[Mode.AM][0])[SlotKind.UPLINK] > 0
+
+
+class TestEngineOutageOracle:
+    """The engine's cohort outage against the closed form. On a ring with
+    demand 1 and no switching, every AM device transmits in every slot, so
+    slot t's interference at a victim is k * p_t / L: p_t is the data power
+    on the uplink positions of the AM uplink frame and the always-on power
+    elsewhere, and k is n_am - 1 for an AM victim and n_am for a TR victim.
+    Each sample is then a Bernoulli draw with a known outage probability."""
+
+    N_USERS, N_TR, N_SLOTS = 20, 16, 400
+    INR = 10.0  # one interferer's data power over noise
+
+    def config(self, duplex, mu, seed):
+        base = make_config()
+        loss = db_to_linear(free_space_path_loss(base.cell_radius_m, base.freq_hz))
+        return replace(
+            base,
+            n_users=self.N_USERS,
+            n_tr=self.N_TR,
+            n_slots=self.N_SLOTS,
+            seed=seed,
+            placement="ring",
+            duplex=duplex,
+            numerology_mu=mu,
+            ul_demand_prob=1.0,
+            dl_demand_prob=1.0,
+            noise_w=base.ue_tx_power_w / loss / self.INR,
+            snr_threshold_db=10.5,
+        )
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("duplex, mu", [("fdd", 0), ("tdd", 1)])
+    def test_cohort_outage_matches_closed_form(self, duplex, mu, seed):
+        cfg = self.config(duplex, mu, seed)
+        result = run_scenario(cfg)
+        assert not result.mode_transitions
+        num = make_numerology(mu)
+        if duplex == "fdd":
+            frame = build_fdd_pair(num, tr_active=False)[1]
+        else:
+            frame = build_tdd_frame(num, cfg.tdd_pattern, tr_active=False)
+        uplink = [slot is SlotKind.UPLINK for sf in frame.subframes for slot in sf]
+        loss = db_to_linear(free_space_path_loss(cfg.cell_radius_m, cfg.freq_hz))
+        theta = db_to_linear(cfg.snr_threshold_db)
+        mean_snr = cfg.bs_tx_power_w / (loss * cfg.noise_w)
+        n_am = cfg.n_users - cfg.n_tr
+        for measured, n_victims, k in (
+            (result.outage_am, n_am, n_am - 1),
+            (result.outage_tr, cfg.n_tr, n_am),
+        ):
+            probs = []
+            for t in range(cfg.n_slots):
+                share = 1.0 if uplink[t % len(uplink)] else cfg.always_on_fraction
+                interference_w = k * share * cfg.ue_tx_power_w / loss
+                probs.append(
+                    outage_analytic(
+                        theta * (interference_w + cfg.noise_w) / cfg.noise_w, mean_snr
+                    )
+                )
+            expected = sum(probs) / cfg.n_slots
+            variance = n_victims * sum(p * (1.0 - p) for p in probs)
+            sigma = math.sqrt(variance) / (n_victims * cfg.n_slots)
+            assert abs(measured - expected) <= 4.0 * sigma, (measured, expected, sigma)
 
 
 class TestOutageCurve:
