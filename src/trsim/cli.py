@@ -154,8 +154,12 @@ def _out_stream(path: str):
 
 
 def _load_config(args: argparse.Namespace) -> ScenarioConfig:
-    with open(args.config, "r", encoding="utf-8") as fh:
-        cfg = parse_config(fh.read())
+    try:
+        with open(args.config, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError([f"{args.config}: not UTF-8 text: {exc}"]) from None
+    cfg = parse_config(text)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed).require_valid()
     return cfg

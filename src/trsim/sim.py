@@ -34,7 +34,6 @@ from .exposure import (
     power_density,
 )
 from .frames import (
-    RadioFrame,
     SlotKind,
     parse_pattern,
     build_fdd_pair,
@@ -144,8 +143,6 @@ class UserEquipment:
     freq_hz: float
     mode: Mode
     rrc_state: rrc.RrcState
-    dl_demand: tuple[bool, ...]
-    ul_demand: tuple[bool, ...]
 
 
 @dataclass(frozen=True)
@@ -193,98 +190,53 @@ class SimResult:
     rrc_events: tuple[RrcLogEntry, ...]
 
 
-def _placement_rng(seed: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([seed, 0]))
-
-
-def _traffic_rng(seed: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([seed, 1]))
-
-
-def _fading_rng(seed: int, device_index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([seed, 2, device_index]))
+def _rng(seed: int, *stream: int) -> np.random.Generator:
+    """One split stream of the seed: (0,) placement, (1,) traffic, (2, i)
+    fading of device i."""
+    return np.random.default_rng(np.random.SeedSequence([seed, *stream]))
 
 
 def build_devices(cfg: ScenarioConfig) -> list[UserEquipment]:
     """Materialize the device population: explicit [devices] entries when
     given, otherwise seed-derived placement with the TR cohort assigned to
-    the weakest links."""
-    n_slots = cfg.n_slots
-    traffic = _traffic_rng(cfg.seed)
+    the weakest links. A TR device starts in Energy-efficient, an AM device
+    in Connected."""
     if cfg.devices:
-        specs = cfg.devices
-        ul = traffic.random((n_slots, len(specs))) < cfg.ul_demand_prob
-        dl = traffic.random((n_slots, len(specs))) < cfg.dl_demand_prob
-        return [
-            UserEquipment(
-                id=spec.device_id,
-                distance_m=spec.distance_m,
-                tx_power_w=spec.tx_power_w,
-                freq_hz=spec.freq_hz,
-                mode=spec.mode,
-                rrc_state=rrc.RrcState.ENERGY_EFFICIENT
-                if spec.mode is Mode.TR
-                else rrc.RrcState.CONNECTED,
-                dl_demand=tuple(bool(v) for v in dl[:, i]),
-                ul_demand=tuple(bool(v) for v in ul[:, i]),
-            )
-            for i, spec in enumerate(specs)
+        rows = [
+            (spec.device_id, spec.distance_m, spec.tx_power_w, spec.freq_hz, spec.mode)
+            for spec in cfg.devices
         ]
-
-    place = _placement_rng(cfg.seed)
-    if cfg.placement == "ring":
-        distances = np.full(cfg.n_users, cfg.cell_radius_m)
     else:
-        # uniform over the disk: radius grows with sqrt of the uniform draw
-        distances = cfg.cell_radius_m * np.sqrt(place.random(cfg.n_users))
-    ul = traffic.random((n_slots, cfg.n_users)) < cfg.ul_demand_prob
-    dl = traffic.random((n_slots, cfg.n_users)) < cfg.dl_demand_prob
-    # TR cohort = the weakest links (largest distance), ties by device index
-    tr_indices = set(np.argsort(-distances, kind="stable")[: cfg.n_tr].tolist())
-    width = len(str(cfg.n_users - 1))
-    devices = []
-    for i in range(cfg.n_users):
-        in_tr = i in tr_indices
-        devices.append(
-            UserEquipment(
-                id=f"ue-{i:0{width}d}",
-                distance_m=float(distances[i]),
-                tx_power_w=cfg.ue_tx_power_w,
-                freq_hz=cfg.freq_hz,
-                mode=Mode.TR if in_tr else Mode.AM,
-                rrc_state=rrc.RrcState.ENERGY_EFFICIENT
-                if in_tr
-                else rrc.RrcState.CONNECTED,
-                dl_demand=tuple(bool(v) for v in dl[:, i]),
-                ul_demand=tuple(bool(v) for v in ul[:, i]),
-            )
-        )
-    return devices
+        if cfg.placement == "ring":
+            distances = np.full(cfg.n_users, cfg.cell_radius_m)
+        else:
+            # uniform over the disk: radius grows with sqrt of the uniform draw
+            uniform = _rng(cfg.seed, 0).random(cfg.n_users)
+            distances = cfg.cell_radius_m * np.sqrt(uniform)
+        # TR cohort = the weakest links (largest distance), ties by device index
+        tr_indices = set(np.argsort(-distances, kind="stable")[: cfg.n_tr].tolist())
+        width = len(str(cfg.n_users - 1))
+        rows = [
+            (f"ue-{i:0{width}d}", distance, cfg.ue_tx_power_w, cfg.freq_hz,
+             Mode.TR if i in tr_indices else Mode.AM)
+            for i, distance in enumerate(distances.tolist())
+        ]
+    return [
+        UserEquipment(*row, rrc.RrcState.ENERGY_EFFICIENT
+                      if row[-1] is Mode.TR else rrc.RrcState.CONNECTED)
+        for row in rows
+    ]
 
 
-def frame_contexts(cfg: ScenarioConfig) -> dict[Mode, tuple[RadioFrame, ...]]:
-    """Frame variants per device mode: (DL, UL) pair for FDD, one frame for TDD."""
+def _am_uplink_mask(cfg: ScenarioConfig) -> list[bool]:
+    """Per slot position within the 10 ms frame: does the AM uplink frame
+    (FDD: the uplink carrier; TDD: the one frame) schedule uplink there."""
     num = make_numerology(cfg.numerology_mu)
     if cfg.duplex == "fdd":
-        return {
-            Mode.AM: build_fdd_pair(num, tr_active=False),
-            Mode.TR: build_fdd_pair(num, tr_active=True),
-        }
-    return {
-        Mode.AM: (build_tdd_frame(num, cfg.tdd_pattern, tr_active=False),),
-        Mode.TR: (build_tdd_frame(num, cfg.tdd_pattern, tr_active=True),),
-    }
-
-
-def _uplink_slot_mask(frames: tuple[RadioFrame, ...], slots_per_subframe: int) -> list[bool]:
-    """Per slot position within the 10 ms frame: is uplink transmission scheduled."""
-    ul_frame = frames[-1]  # FDD: (dl, ul); TDD: (frame,)
-    mask = []
-    for sf in ul_frame.subframes:
-        for slot in sf:
-            mask.append(slot is SlotKind.UPLINK)
-    assert len(mask) == 10 * slots_per_subframe
-    return mask
+        frame = build_fdd_pair(num, tr_active=False)[1]
+    else:
+        frame = build_tdd_frame(num, cfg.tdd_pattern, tr_active=False)
+    return [slot is SlotKind.UPLINK for sf in frame.subframes for slot in sf]
 
 
 def run_scenario(cfg: ScenarioConfig) -> SimResult:
@@ -299,12 +251,13 @@ def run_scenario(cfg: ScenarioConfig) -> SimResult:
     cfg.require_valid()
     devices = build_devices(cfg)
     n = len(devices)
-    num = make_numerology(cfg.numerology_mu)
-    contexts = frame_contexts(cfg)
-    am_ul_mask = _uplink_slot_mask(contexts[Mode.AM], num.slots_per_subframe)
-    positions_per_frame = len(am_ul_mask)
+    # per-device demand flags, indexed [device][slot]; uplink drawn first
+    traffic = _rng(cfg.seed, 1)
+    ul_demand = (traffic.random((cfg.n_slots, n)) < cfg.ul_demand_prob).T.tolist()
+    dl_demand = (traffic.random((cfg.n_slots, n)) < cfg.dl_demand_prob).T.tolist()
+    am_uplink = _am_uplink_mask(cfg)
 
-    fading_rngs = [_fading_rng(cfg.seed, i) for i in range(n)]
+    fading_rngs = [_rng(cfg.seed, 2, i) for i in range(n)]
     path_loss_lin = [
         channel.db_to_linear(channel.free_space_path_loss(ue.distance_m, ue.freq_hz))
         for ue in devices
@@ -314,9 +267,9 @@ def run_scenario(cfg: ScenarioConfig) -> SimResult:
     mode_transitions: list[ModeTransition] = []
     rrc_events: list[RrcLogEntry] = []
     threshold_lin = channel.db_to_linear(cfg.snr_threshold_db)
-    outage_counts = {Mode.AM: [0, 0], Mode.TR: [0, 0]}  # [below, total]
+    below = {Mode.AM: 0, Mode.TR: 0}  # device-slots in outage, per mode
+    counted = {Mode.AM: 0, Mode.TR: 0}
     total_interference = 0.0
-    last_slot_active = 0
 
     def drive(slot: int, ue: UserEquipment, event: rrc.RrcEvent) -> None:
         old = ue.rrc_state
@@ -324,74 +277,50 @@ def run_scenario(cfg: ScenarioConfig) -> SimResult:
         rrc_events.append(RrcLogEntry(slot, ue.id, event, old, ue.rrc_state))
 
     for t in range(cfg.n_slots):
-        pos = t % positions_per_frame
-        gains = []
-        signals = []
-        contribs = []
+        uplink_slot = am_uplink[t % len(am_uplink)]
+        # one row per device: ue, gain, rx_w, rss_dbm, ul_active, ul_tx_w, own_w
+        rows = []
         for i, ue in enumerate(devices):
             gain = channel.draw_fading_gain(fading_rngs[i])
             inst_rx_w = cfg.bs_tx_power_w / path_loss_lin[i] * gain
             rss_dbm = channel.watts_to_dbm(inst_rx_w)
             new_mode = evaluate_switch(rss_dbm, cfg.switch, ue.mode)
             if new_mode is not ue.mode:
-                mode_transitions.append(
-                    ModeTransition(t, ue.id, ue.mode, new_mode, rss_dbm)
-                )
+                mode_transitions.append(ModeTransition(t, ue.id, ue.mode, new_mode, rss_dbm))
                 ue.mode = new_mode
-                drive(
-                    t,
-                    ue,
-                    rrc.RrcEvent.TR_MODE_ENTER
-                    if new_mode is Mode.TR
-                    else rrc.RrcEvent.TR_MODE_EXIT,
-                )
+                drive(t, ue, rrc.RrcEvent.TR_MODE_ENTER if new_mode is Mode.TR
+                      else rrc.RrcEvent.TR_MODE_EXIT)
+            ul_wanted = ul_demand[i][t]
             # TR gates uplink traffic generation entirely
-            if ue.mode is Mode.AM and ue.ul_demand[t]:
+            if ue.mode is Mode.AM and ul_wanted:
                 drive(t, ue, rrc.RrcEvent.UPLINK_DATA_PENDING)
-            if ue.dl_demand[t]:
+            if dl_demand[i][t]:
                 drive(t, ue, rrc.RrcEvent.DOWNLINK_DATA_ARRIVAL)
 
             ul_active = uplink_enabled(ue.mode) and rrc.uplink_grant_allowed(ue.rrc_state)
-            if ul_active:
-                if ue.ul_demand[t] and am_ul_mask[pos]:
-                    ul_tx_w = ue.tx_power_w
-                else:
-                    ul_tx_w = cfg.always_on_fraction * ue.tx_power_w
-            else:
+            if not ul_active:
                 ul_tx_w = 0.0
-            gains.append(gain)
-            signals.append((inst_rx_w, rss_dbm, ul_active, ul_tx_w))
-            contribs.append(ul_tx_w / path_loss_lin[i])
+            elif ul_wanted and uplink_slot:
+                ul_tx_w = ue.tx_power_w
+            else:
+                ul_tx_w = cfg.always_on_fraction * ue.tx_power_w
+            rows.append((ue, gain, inst_rx_w, rss_dbm, ul_active, ul_tx_w,
+                         ul_tx_w / path_loss_lin[i]))
 
-        interference_w = sum(contribs)
+        interference_w = sum(row[-1] for row in rows)
         total_interference += interference_w
-        last_slot_active = sum(1 for (_, _, active, _) in signals if active)
-        for i, ue in enumerate(devices):
-            inst_rx_w, rss_dbm, ul_active, ul_tx_w = signals[i]
-            other_w = max(interference_w - contribs[i], 0.0)
-            sinr_db = channel.sinr(inst_rx_w, [other_w], cfg.noise_w)
-            below, total = outage_counts[ue.mode]
-            outage_counts[ue.mode] = [
-                below + (1 if inst_rx_w / (other_w + cfg.noise_w) < threshold_lin else 0),
-                total + 1,
-            ]
-            samples.append(
-                SlotSample(
-                    slot=t,
-                    device_id=ue.id,
-                    mode=ue.mode,
-                    rrc_state=ue.rrc_state,
-                    fading_gain=gains[i],
-                    rss_dbm=rss_dbm,
-                    sinr_db=sinr_db,
-                    ul_active=ul_active,
-                    ul_tx_w=ul_tx_w,
-                )
-            )
+        for ue, gain, inst_rx_w, rss_dbm, ul_active, ul_tx_w, own_w in rows:
+            sinr_lin = inst_rx_w / (max(interference_w - own_w, 0.0) + cfg.noise_w)
+            if sinr_lin < threshold_lin:
+                below[ue.mode] += 1
+            counted[ue.mode] += 1
+            samples.append(SlotSample(
+                t, ue.id, ue.mode, ue.rrc_state, gain, rss_dbm,
+                channel.linear_to_db(sinr_lin), ul_active, ul_tx_w,
+            ))
 
     def cohort_outage(mode: Mode) -> float | None:
-        below, total = outage_counts[mode]
-        return below / total if total else None
+        return below[mode] / counted[mode] if counted[mode] else None
 
     report = network_exposure(devices, cfg.standards, cfg.observer_distance_m)
     return SimResult(
@@ -402,7 +331,8 @@ def run_scenario(cfg: ScenarioConfig) -> SimResult:
         outage_tr=cohort_outage(Mode.TR),
         total_uplink_interference_w=total_interference,
         exposure=report,
-        complexity=complexity_metric(last_slot_active),
+        # n_slots >= 1, so rows holds the final slot
+        complexity=complexity_metric(sum(1 for row in rows if row[4])),
         mode_transitions=tuple(mode_transitions),
         rrc_events=tuple(rrc_events),
     )

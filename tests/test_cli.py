@@ -190,6 +190,15 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err.count("trsim: error:") >= 2  # type error plus missing keys
 
+    @pytest.mark.parametrize("command", ["run", "outage"])
+    def test_non_utf8_config_is_config_error(self, command, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_bytes(b"[scenario]\nn_users = 5\xff\n")
+        assert run_cli([command, "--config", str(bad)]) == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"trsim: error: {bad}: not UTF-8 text")
+
     def test_exposure_without_standards_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "nostd.cfg"
         cfg.write_text(

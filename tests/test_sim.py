@@ -7,20 +7,13 @@ import pytest
 from conftest import make_config
 from trsim.channel import db_to_linear, free_space_path_loss, outage_analytic
 from trsim.exposure import ExposureStandard, FrequencyBand
-from trsim.frames import (
-    SlotKind,
-    build_fdd_pair,
-    build_tdd_frame,
-    make_numerology,
-    slot_census,
-)
+from trsim.frames import SlotKind, build_fdd_pair, build_tdd_frame, make_numerology
 from trsim.rrc import RrcEvent, RrcState, uplink_grant_allowed
 from trsim.sim import (
     ConfigError,
     DeviceSpec,
     GenerationScenario,
     build_devices,
-    frame_contexts,
     generation_power_density_series,
     outage_curve,
     run_scenario,
@@ -209,20 +202,6 @@ class TestBuildDevices:
             "outage_am", "outage_tr", "total_uplink_interference_w", "complexity"
         ):
             assert getattr(explicit, metric) == getattr(synthesized, metric)
-
-
-class TestFrameContexts:
-    @pytest.mark.parametrize("duplex", ["fdd", "tdd"])
-    def test_tr_context_has_no_uplink_slots(self, duplex):
-        cfg = make_config(duplex=duplex, tdd_pattern="DSUUUDUUUU", numerology_mu=1)
-        contexts = frame_contexts(cfg)
-        for frame in contexts[Mode.TR]:
-            assert slot_census(frame)[SlotKind.UPLINK] == 0
-
-    def test_am_context_keeps_uplink(self):
-        cfg = make_config(duplex="tdd", tdd_pattern="DSUUUDUUUU")
-        contexts = frame_contexts(cfg)
-        assert slot_census(contexts[Mode.AM][0])[SlotKind.UPLINK] > 0
 
 
 class TestEngineOutageOracle:
