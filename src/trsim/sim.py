@@ -222,8 +222,8 @@ def build_devices(cfg: ScenarioConfig) -> list[UserEquipment]:
             for i, distance in enumerate(distances.tolist())
         ]
     return [
-        UserEquipment(*row, rrc.RrcState.ENERGY_EFFICIENT
-                      if row[-1] is Mode.TR else rrc.RrcState.CONNECTED)
+        UserEquipment(*row, rrc.RrcState.ENERGY_EFFICIENT if row[-1] is Mode.TR
+                      else rrc.RrcState.CONNECTED)
         for row in rows
     ]
 

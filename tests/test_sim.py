@@ -212,6 +212,8 @@ class TestEngineOutageOracle:
     elsewhere, and k is n_am - 1 for an AM victim and n_am for a TR victim.
     Each sample is then a Bernoulli draw with a known outage probability."""
 
+    # 4 AM devices: an AM victim's own uplink is a quarter of the slot's
+    # interference, so charging it to the victim moves the AM outage by ~7 sigma
     N_USERS, N_TR, N_SLOTS = 20, 16, 400
     INR = 10.0  # one interferer's data power over noise
 
