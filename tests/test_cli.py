@@ -1,15 +1,19 @@
 import csv
 import json
+import math
+import re
 
 import pytest
 
 from conftest import ER_TABLE_FIXTURE, GOLDEN_DIR, REPO_ROOT, SCENARIO_TR50
+from trsim import channel
 from trsim.cli import (
     EXIT_BAND,
     EXIT_CONFIG,
     EXIT_DOMAIN,
     EXIT_IO,
     OUTAGE_KINDS,
+    OUTPUT_FORMATS,
     RUN_CSV_COLUMNS,
     RUN_KINDS,
     exposure_kinds,
@@ -68,6 +72,15 @@ class TestGoldenOutputs:
         self.check(
             ["run", "--config", str(DATA_DIR / f"run_switch_{duplex}.cfg")],
             f"run_switch_{duplex}.csv",
+            tmp_path,
+        )
+
+    @pytest.mark.parametrize("duplex", ["fdd", "tdd"])
+    def test_run_switching_jsonl(self, duplex, tmp_path):
+        self.check(
+            ["run", "--config", str(DATA_DIR / f"run_switch_{duplex}.cfg"),
+             "--format", "json-lines"],
+            f"run_switch_{duplex}.jsonl",
             tmp_path,
         )
 
@@ -156,6 +169,37 @@ class TestRunCommand:
             kinds.add(record["kind"])
         assert {"sample", "metric"} <= kinds
 
+    def test_device_ids_that_need_escaping_round_trip(self, tmp_path):
+        """Explicit ids holding the CSV delimiter and quote come back intact
+        from csv.reader and json.loads, in every kind of record."""
+        config = tmp_path / "ids.cfg"
+        config.write_text(
+            SWITCH_TDD.read_text()
+            + "\n[devices]\ndevice = a,b 300.0 0.2 3.5e9 am\n"
+            + 'device = q"x 390.0 0.2 3.5e9 tr\n'
+        )
+        ids_by_format = []
+        for fmt in OUTPUT_FORMATS:
+            out = tmp_path / f"ids.{fmt}"
+            assert run_cli(
+                ["run", "--config", str(config), "--format", fmt, "--out", str(out)]
+            ) == 0
+            with open(out, encoding="utf-8", newline="") as fh:
+                if fmt == "csv":
+                    records = list(csv.DictReader(fh))
+                else:
+                    records = [json.loads(line) for line in fh]
+            ids = {}
+            for record in records:
+                if record["kind"] != "metric":
+                    ids.setdefault(record["kind"], set()).add(record["device_id"])
+            ids_by_format.append(ids)
+        assert ids_by_format[0] == ids_by_format[1]
+        assert ids_by_format[0]["sample"] == {"a,b", 'q"x'}
+        assert ids_by_format[0]["mode_transition"] <= {"a,b", 'q"x'}
+        assert ids_by_format[0]["rrc_event"] <= {"a,b", 'q"x'}
+        assert ids_by_format[0]["mode_transition"], "no device switched"
+
     def test_same_seed_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for path in (a, b):
@@ -174,6 +218,47 @@ class TestRunCommand:
             == 0
         )
         assert a.read_bytes() != b.read_bytes()
+
+
+class TestEncoders:
+    def test_non_finite_and_none_written_as_csv_writer_and_json_dumps(
+        self, tmp_path, monkeypatch
+    ):
+        """Every row is what csv.writer writes, and every line what json.dumps
+        writes, for the same values, with nan, +-inf and None among them."""
+        real_linear_to_db = channel.linear_to_db
+        specials = (math.nan, math.inf, -math.inf)
+
+        def linear_to_db(value):
+            # received powers in W stay far below 1e-3 and keep their value;
+            # three in four SINR ratios become nan, inf or -inf
+            if value < 1e-3 or int(value) % 4 == 3:
+                return real_linear_to_db(value)
+            return specials[int(value) % 4]
+
+        monkeypatch.setattr(channel, "linear_to_db", linear_to_db)
+        config = tmp_path / "all_tr.cfg"
+        text = re.sub(r"(?m)^n_slots = .*$", "n_slots = 8", SCENARIO_TR50.read_text())
+        config.write_text(re.sub(r"(?m)^n_tr = .*$", "n_tr = 50", text))
+        csv_out, jsonl_out = tmp_path / "out.csv", tmp_path / "out.jsonl"
+        assert run_cli(["run", "--config", str(config), "--out", str(csv_out)]) == 0
+        assert run_cli(
+            ["run", "--config", str(config), "--format", "json-lines", "--out", str(jsonl_out)]
+        ) == 0
+
+        lines = jsonl_out.read_text().splitlines()
+        objects = [json.loads(line) for line in lines]
+        assert [json.dumps(obj) for obj in objects] == lines
+        expected = tmp_path / "expected.csv"
+        with open(expected, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(RUN_CSV_COLUMNS)
+            writer.writerows([obj.get(c, "") for c in RUN_CSV_COLUMNS] for obj in objects)
+        assert csv_out.read_bytes() == expected.read_bytes()
+
+        body = jsonl_out.read_text()
+        for token in ("NaN", "Infinity", "-Infinity", '"value": null'):
+            assert token in body, token
 
 
 class TestErrorPaths:
