@@ -9,7 +9,6 @@ from .channel import (
     free_space_path_loss,
     outage_analytic,
     outage_monte_carlo,
-    sinr,
 )
 from .exposure import (
     ExposureReport,
@@ -95,7 +94,6 @@ __all__ = [
     "power_density",
     "run_scenario",
     "service_admitted",
-    "sinr",
     "slot_census",
     "transition",
     "uplink_enabled",

@@ -1,4 +1,4 @@
-"""Link-level channel math: free-space loss, Rayleigh fading, SINR, outage.
+"""Link-level channel math: free-space loss, Rayleigh fading, outage.
 
 Arithmetic is carried out in linear units internally; dB and dBm appear
 only at the API surface.
@@ -47,28 +47,16 @@ def free_space_path_loss(distance_m: float, freq_hz: float) -> float:
     )
 
 
-def draw_fading_gain(rng: np.random.Generator) -> float:
+def draw_fading_gain(rng: np.random.Generator, size: int | None = None):
     """Draw a Rayleigh-fading power gain: unit-mean exponential.
 
     The squared envelope of a Rayleigh channel with unit average power is
     exponentially distributed with mean 1; downstream formulas consume power
-    ratios, so the gain is sampled directly on power.
+    ratios, so the gain is sampled directly on power. With `size`, an array
+    of that many gains, the same values as that many draws one at a time.
     """
-    return float(rng.exponential(1.0))
-
-
-def sinr(signal_w: float, interference_w: list[float], noise_w: float) -> float:
-    """SINR in dB: 10 log10(signal / (sum(interference) + noise))."""
-    if signal_w < 0.0:
-        raise ValueError(f"signal_w must be >= 0, got {signal_w}")
-    if noise_w <= 0.0:
-        raise ValueError(f"noise_w must be > 0, got {noise_w}")
-    total_interference = 0.0
-    for i, power in enumerate(interference_w):
-        if power < 0.0:
-            raise ValueError(f"interference_w[{i}] must be >= 0, got {power}")
-        total_interference += power
-    return linear_to_db(signal_w / (total_interference + noise_w))
+    gain = rng.exponential(1.0, size)
+    return float(gain) if size is None else gain
 
 
 def outage_analytic(snr_threshold_lin: float, mean_snr_lin: float) -> float:

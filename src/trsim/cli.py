@@ -2,9 +2,9 @@
 
 Subcommands: run, outage, frames, rrc-check, exposure. Output goes to
 --out (default stdout). run, outage and exposure each build one stream of
-`(kind, values)` records, the values in the order of the kind's keys, and
-either encoder writes that stream: csv puts each record's kind and keys
-under the columns of the same names in a frozen column order (see the
+records, in chunks of records of one kind held as one column per key of the
+kind, and either encoder writes that stream: csv puts each record's kind and
+keys under the columns of the same names in a frozen column order (see the
 README) and leaves the other columns empty; json-lines writes each record
 as one object of its kind and keys. frames and rrc-check emit fixed text
 layouts used as golden files.
@@ -20,11 +20,11 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from contextlib import nullcontext
 from dataclasses import astuple, fields, replace
-from operator import itemgetter
-from typing import IO, Iterable
+from typing import IO, Iterable, NamedTuple
 
 from . import __version__, rrc
 from .configfile import parse_config
@@ -32,6 +32,9 @@ from .exposure import ExposureReport, UnmappedBandError, network_exposure
 from .frames import build_fdd_pair, build_tdd_frame, frame_dump, make_numerology
 from .schema import SNR_DB
 from .sim import (
+    MODES,
+    RRC_EVENTS,
+    RRC_STATES,
     ConfigError,
     OutagePoint,
     ScenarioConfig,
@@ -55,7 +58,21 @@ RUN_CSV_COLUMNS = (
 )
 
 Kinds = dict[str, tuple[str, ...]]  # record kind -> its keys, in column order
-Records = Iterable[tuple[str, tuple]]  # (kind, values in the order of its keys)
+# (kind, columns): a run of records of one kind, one column per key in the
+# order of the kind's keys, all of one length. A column is a list or tuple of
+# values, a numeric numpy array, or Coded.
+Chunks = Iterable[tuple[str, tuple]]
+
+CHUNK_ROWS = 4096  # records per chunk of samples or of a log
+
+
+class Coded(NamedTuple):
+    """A column of labels given as codes into a table, so that an encoder
+    escapes each distinct label once rather than once per record."""
+
+    labels: tuple | range
+    codes: list[int]
+
 
 RUN_KINDS: Kinds = {
     "sample": RUN_CSV_COLUMNS[1:10],
@@ -73,21 +90,45 @@ def exposure_kinds(standards: tuple) -> Kinds:
     return {"device-exposure": keys, "network-exposure": keys}
 
 
-def _run_records(result: SimResult) -> Records:
-    # `_value_` is `.value` without its property call, a tenth of the encoding time
-    for s in result.samples:
+def _chunk(kind: str, records: list[tuple]) -> tuple[str, tuple]:
+    """A chunk of records given as value tuples."""
+    return kind, tuple(zip(*records))
+
+
+def _run_chunks(result: SimResult) -> Chunks:
+    n, n_slots = len(result.devices), result.config.n_slots
+    ids = tuple(ue.id for ue in result.devices)
+    # `_value_` is `.value` without its property call
+    modes = tuple(m._value_ for m in MODES)
+    states = tuple(s._value_ for s in RRC_STATES)
+    events = tuple(e._value_ for e in RRC_EVENTS)
+    per_chunk = max(1, CHUNK_ROWS // n)
+    for t0 in range(0, n_slots, per_chunk):
+        slots = range(t0, min(t0 + per_chunk, n_slots))
+        rows = slice(t0, t0 + per_chunk)
         yield "sample", (
-            s.slot, s.device_id, s.mode._value_, s.rrc_state._value_, s.fading_gain,
-            s.rss_dbm, s.sinr_db, int(s.ul_active), s.ul_tx_w,
+            Coded(slots, [j for j in range(len(slots)) for _ in range(n)]),
+            Coded(ids, list(range(n)) * len(slots)),
+            Coded(modes, result.mode[rows].ravel().tolist()),
+            Coded(states, result.rrc_state[rows].ravel().tolist()),
+            result.fading_gain[rows].ravel(),
+            result.rss_dbm[rows].ravel(),
+            result.sinr_db[rows].ravel(),
+            result.ul_active[rows].ravel().view("i1"),
+            result.ul_tx_w[rows].ravel(),
         )
-    for tr in result.mode_transitions:
+    transitions, rrc_events = result.mode_transitions, result.rrc_events
+    for t0 in range(0, len(transitions), CHUNK_ROWS):
+        tr = transitions[t0:t0 + CHUNK_ROWS]
         yield "mode_transition", (
-            tr.slot, tr.device_id, tr.rss_dbm, tr.old_mode._value_, tr.new_mode._value_,
+            tr.slot, Coded(ids, tr.device.tolist()), tr.rss_dbm,
+            Coded(modes, tr.old.tolist()), Coded(modes, tr.new.tolist()),
         )
-    for ev in result.rrc_events:
+    for t0 in range(0, len(rrc_events), CHUNK_ROWS):
+        ev = rrc_events[t0:t0 + CHUNK_ROWS]
         yield "rrc_event", (
-            ev.slot, ev.device_id, ev.event._value_,
-            ev.old_state._value_, ev.new_state._value_,
+            ev.slot, Coded(ids, ev.device.tolist()), Coded(events, ev.event.tolist()),
+            Coded(states, ev.old.tolist()), Coded(states, ev.new.tolist()),
         )
     report = result.exposure
     metrics = {
@@ -100,50 +141,106 @@ def _run_records(result: SimResult) -> Records:
     }
     for std in result.config.standards:
         metrics[f"network_er_{std.name}"] = report.network_er_per_standard[std.name]
-    for name, value in metrics.items():
-        yield "metric", (name, value)
+    yield _chunk("metric", list(metrics.items()))
 
 
-def _exposure_records(report: ExposureReport, standards: tuple) -> Records:
+def _exposure_chunks(report: ExposureReport, standards: tuple) -> Chunks:
     names = [std.name for std in standards]
-    for dev in report.per_device:
-        ers = (dev.er_per_standard[name] for name in names)
-        yield "device-exposure", (
-            dev.device_id, dev.power_density_w_m2, dev.e_field_v_per_m, *ers,
-        )
+    yield _chunk("device-exposure", [
+        (dev.device_id, dev.power_density_w_m2, dev.e_field_v_per_m,
+         *(dev.er_per_standard[name] for name in names))
+        for dev in report.per_device
+    ])
     total = (report.network_total_power_density_w_m2, report.network_e_field_v_per_m)
     ers = (report.network_er_per_standard[name] for name in names)
-    yield "network-exposure", ("network-total", *total, *ers)
+    yield _chunk("network-exposure", [("network-total", *total, *ers)])
 
 
-def _write_csv(fh: IO[str], columns: tuple[str, ...], kinds: Kinds, records: Records):
+def _write_chunks(fh: IO[str], layouts: dict, chunks: Chunks, escape, plain) -> None:
+    """Write each chunk through its kind's layout: a %-template of one record
+    and the positions of the chunk's columns in the template's fields. (No
+    kind or key name holds a `%`: they are the program's own names and
+    standard names, which the config parser limits to [A-Za-z0-9_-].)
+
+    Every value goes through `escape`, which writes one value as the format
+    does, except the numbers of an array whose values `plain` accepts: those
+    are written as `str` writes them. A Coded column's labels are escaped
+    once per run.
+    """
+    escaped: dict[tuple, list[str]] = {}
+    for kind, columns in chunks:
+        template, order = layouts[kind]
+        texts = []
+        for column in (columns[j] for j in order):
+            if isinstance(column, Coded):
+                table = escaped.get(column.labels)
+                if table is None:
+                    table = escaped[column.labels] = list(map(escape, column.labels))
+                texts.append(list(map(table.__getitem__, column.codes)))
+            elif isinstance(column, (list, tuple)):
+                texts.append(list(map(escape, column)))
+            else:
+                values = column.tolist()
+                texts.append(values if plain(values) else list(map(escape, values)))
+        # one %-format of the template repeated once per record, its fields
+        # filled from the columns interleaved record by record
+        n_records, width = len(texts[0]), len(texts)
+        flat = [None] * (n_records * width)
+        for j, text in enumerate(texts):
+            flat[j::width] = text
+        fh.write((template * n_records) % tuple(flat))
+
+
+class _Echo:
+    """A file whose `write` returns its text, so that a csv writer's
+    `writerow` returns the row."""
+
+    @staticmethod
+    def write(text: str) -> str:
+        return text
+
+
+def _write_csv(fh: IO[str], columns: tuple[str, ...], kinds: Kinds, chunks: Chunks):
     """A header of `columns`, then one row per record. A record fills the
     `kind` column, if there is one, and its keys' columns; it leaves the
-    rest empty. Floats are written as their repr, None as an empty cell."""
-    getters = {}
+    rest empty. Each cell is what csv.writer writes: a float as its repr,
+    None as an empty cell, a string quoted when it needs to be."""
+    writerow = csv.writer(_Echo(), lineterminator="\n").writerow
+
+    def cell(value) -> str:
+        # the cell as it stands in a row of several cells
+        return writerow((value, ""))[:-2]
+
+    layouts = {}
     for kind, keys in kinds.items():
-        # positions in (kind, *values, ""); a column not in keys reads the ""
-        position = {"kind": 0, **{key: i for i, key in enumerate(keys, 1)}}
-        getters[kind] = itemgetter(*(position.get(c, len(keys) + 1) for c in columns))
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(columns)
-    writer.writerows(getters[kind]((kind, *values, "")) for kind, values in records)
+        cells = [cell(kind) if c == "kind" else "%s" if c in keys else "" for c in columns]
+        layouts[kind] = ",".join(cells) + "\n", [keys.index(c) for c in columns if c in keys]
+    fh.write(",".join(map(cell, columns)) + "\n")
+    # str of an int or float is the text csv.writer writes for it
+    _write_chunks(fh, layouts, chunks, cell, lambda values: True)
 
 
-def _write_jsonl(fh: IO[str], kinds: Kinds, records: Records) -> None:
-    """One JSON object per record: its `kind`, then its keys in order."""
-    fh.writelines(
-        json.dumps({"kind": kind, **dict(zip(kinds[kind], values))}) + "\n"
-        for kind, values in records
-    )
+def _write_jsonl(fh: IO[str], kinds: Kinds, chunks: Chunks) -> None:
+    """One JSON object per record, as json.dumps writes it: its `kind`, then
+    its keys in order."""
+    layouts = {
+        kind: (
+            "{" + ", ".join([f'"kind": {json.dumps(kind)}']
+                            + [f"{json.dumps(key)}: %s" for key in keys]) + "}\n",
+            range(len(keys)),
+        )
+        for kind, keys in kinds.items()
+    }
+    # str of an int or finite float is the text json.dumps writes for it
+    _write_chunks(fh, layouts, chunks, json.dumps, lambda values: all(map(math.isfinite, values)))
 
 
-def _emit(args: argparse.Namespace, columns, kinds: Kinds, records: Records) -> int:
+def _emit(args: argparse.Namespace, columns, kinds: Kinds, chunks: Chunks) -> int:
     with _out_stream(args.out) as fh:
         if args.format == "csv":
-            _write_csv(fh, columns, kinds, records)
+            _write_csv(fh, columns, kinds, chunks)
         else:
-            _write_jsonl(fh, kinds, records)
+            _write_jsonl(fh, kinds, chunks)
     return EXIT_OK
 
 
@@ -167,13 +264,13 @@ def _load_config(args: argparse.Namespace) -> ScenarioConfig:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     result = run_scenario(_load_config(args))
-    return _emit(args, RUN_CSV_COLUMNS, RUN_KINDS, _run_records(result))
+    return _emit(args, RUN_CSV_COLUMNS, RUN_KINDS, _run_chunks(result))
 
 
 def _cmd_outage(args: argparse.Namespace) -> int:
     points = outage_curve(_load_config(args), args.snr_db)
-    records = (("outage_point", astuple(p)) for p in points)
-    return _emit(args, OUTAGE_KINDS["outage_point"], OUTAGE_KINDS, records)
+    chunks = [_chunk("outage_point", [astuple(p) for p in points])]
+    return _emit(args, OUTAGE_KINDS["outage_point"], OUTAGE_KINDS, chunks)
 
 
 def _cmd_exposure(args: argparse.Namespace) -> int:
@@ -183,8 +280,8 @@ def _cmd_exposure(args: argparse.Namespace) -> int:
     devices = build_devices(cfg)
     report = network_exposure(devices, cfg.standards, cfg.observer_distance_m)
     kinds = exposure_kinds(cfg.standards)
-    records = _exposure_records(report, cfg.standards)
-    return _emit(args, kinds["device-exposure"], kinds, records)
+    chunks = _exposure_chunks(report, cfg.standards)
+    return _emit(args, kinds["device-exposure"], kinds, chunks)
 
 
 def _cmd_frames(args: argparse.Namespace) -> int:

@@ -1,9 +1,12 @@
 """Deterministic single-cell scenario engine.
 
-A fixed-step loop over slots: each slot redraws per-device fading, feeds
+A fixed-step run over slots: each slot redraws per-device fading, feeds
 the received signal strength to the mode switch, drives RRC events, and
 accumulates SINR against the uplink interference of that slot. Exposure
-and complexity metrics are finalized at the end of the run.
+and complexity metrics are finalized at the end of the run. The engine
+computes each quantity for every slot and device at once, as an
+(n_slots, n) array, and steps along the slot axis only through array
+operations: the mode switch as a forward fill, the RRC machine as a scan.
 
 Modeling choices, at desk scale:
   * Uplink interference is aggregated at the cell center from every
@@ -20,7 +23,7 @@ Modeling choices, at desk scale:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -41,7 +44,7 @@ from .frames import (
     make_numerology,
 )
 from .schema import DISTANCE_M, FREQ_HZ, POWER_W, SNR_DB, check, key, problems
-from .trmode import Mode, SwitchConfig, evaluate_switch, uplink_enabled
+from .trmode import Mode, SwitchConfig, hold_modes, uplink_enabled
 
 
 # Upper bound on population x n_slots. The engine keeps every sample of a
@@ -145,49 +148,86 @@ class UserEquipment:
     rrc_state: rrc.RrcState
 
 
-@dataclass(frozen=True)
-class SlotSample:
-    slot: int
-    device_id: str
-    mode: Mode
-    rrc_state: rrc.RrcState
-    fading_gain: float
-    rss_dbm: float
-    sinr_db: float
-    ul_active: bool
-    ul_tx_w: float
+# Codes of the columns: the mode column and the mode-transition log index
+# MODES, the rrc_state column and the RRC log's states index RRC_STATES, and
+# its events index RRC_EVENTS.
+MODES = (Mode.AM, Mode.TR)
+RRC_STATES = tuple(rrc.RrcState)
+RRC_EVENTS = tuple(rrc.RrcEvent)
 
 
-@dataclass(frozen=True)
-class ModeTransition:
-    slot: int
-    device_id: str
-    old_mode: Mode
-    new_mode: Mode
-    rss_dbm: float
+def _equal_fields(a, b) -> bool:
+    """Field-by-field equality of two dataclasses of one type, numpy array
+    fields compared by value."""
+    return type(a) is type(b) and all(
+        np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
+        for x, y in ((getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
+    )
 
 
-@dataclass(frozen=True)
-class RrcLogEntry:
-    slot: int
-    device_id: str
-    event: rrc.RrcEvent
-    old_state: rrc.RrcState
-    new_state: rrc.RrcState
+@dataclass(frozen=True, eq=False)
+class _Log:
+    """Columns of one length, one row per logged event; `log[a:b]` slices
+    every column."""
+
+    __eq__ = _equal_fields
+
+    def __len__(self) -> int:
+        return len(self.slot)
+
+    def __getitem__(self, rows: slice):
+        return type(self)(*(getattr(self, f.name)[rows] for f in fields(self)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
+class ModeTransitions(_Log):
+    """One row per mode transition, in slot, then device order. `device`
+    indexes SimResult.devices; `old` and `new` index MODES."""
+
+    slot: np.ndarray
+    device: np.ndarray
+    rss_dbm: np.ndarray
+    old: np.ndarray
+    new: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class RrcEvents(_Log):
+    """One row per RRC event, in slot, then device, then event order.
+    `device` indexes SimResult.devices, `event` indexes RRC_EVENTS, and `old`
+    and `new` index RRC_STATES."""
+
+    slot: np.ndarray
+    device: np.ndarray
+    event: np.ndarray
+    old: np.ndarray
+    new: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
 class SimResult:
+    """A run. Each per device-slot column is an (n_slots, n) array: row t is
+    slot t and column i is devices[i]. `devices` carry each device's mode and
+    RRC state after the last slot."""
+
     config: ScenarioConfig
     devices: tuple[UserEquipment, ...]
-    samples: tuple[SlotSample, ...]
+    mode: np.ndarray  # int8, indexes MODES
+    rrc_state: np.ndarray  # int8, indexes RRC_STATES
+    fading_gain: np.ndarray
+    rss_dbm: np.ndarray
+    sinr_db: np.ndarray
+    ul_active: np.ndarray  # bool
+    ul_tx_w: np.ndarray
+    mode_transitions: ModeTransitions
+    rrc_events: RrcEvents
     outage_am: float | None
     outage_tr: float | None
     total_uplink_interference_w: float
     exposure: ExposureReport
     complexity: float
-    mode_transitions: tuple[ModeTransition, ...]
-    rrc_events: tuple[RrcLogEntry, ...]
+
+    __eq__ = _equal_fields
 
 
 def _rng(seed: int, *stream: int) -> np.random.Generator:
@@ -239,102 +279,157 @@ def _am_uplink_mask(cfg: ScenarioConfig) -> list[bool]:
     return [slot is SlotKind.UPLINK for sf in frame.subframes for slot in sf]
 
 
+def _each(fn, values: np.ndarray) -> np.ndarray:
+    """`fn` applied to each value as a Python float. The dB columns go
+    through channel's math.log10: numpy's log10 differs from it in the last
+    bit on some inputs, which would change the printed digits."""
+    out = np.empty(values.size)
+    flat = values.ravel()
+    block = 4096  # values held as Python floats at once
+    for i in range(0, flat.size, block):
+        out[i:i + block] = list(map(fn, flat[i:i + block].tolist()))
+    return out.reshape(values.shape)
+
+
+def _rrc_states(step: np.ndarray, events: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """The RRC state of each device after each slot, as an (n_slots, n) array.
+
+    `step[s, e]` is the state after event e in state s; `events[t, i]` lists
+    device i's events in slot t, in order, and `start[i]` is its state before
+    slot 0. A slot's events map every state before the slot to one after it;
+    these maps are composed along the slot axis by doubling, an inclusive
+    scan in log2(n_slots) array passes, so no Python loop runs per slot.
+    """
+    n_slots, n, _ = events.shape
+    maps = np.broadcast_to(np.arange(len(step), dtype=np.int8), (n_slots, n, len(step)))
+    for k in range(events.shape[2]):
+        maps = step[maps, events[..., k, None]]
+    width = 1
+    while width < n_slots:
+        # the map of slots t-2w+1..t: the one of slots t-w+1..t after the one up to t-w
+        maps[width:] = np.take_along_axis(maps[width:], maps[:-width], axis=2)
+        width *= 2
+    return maps[:, np.arange(n), start]
+
+
+def _drive_rrc(
+    start: np.ndarray, start_tr: np.ndarray, in_tr: np.ndarray,
+    ul_demand: np.ndarray, dl_demand: np.ndarray,
+) -> tuple[np.ndarray, RrcEvents]:
+    """The RRC state of each device after each slot, and the log of every
+    event. A device-slot's events, in order: TR enter or exit where the mode
+    changed, uplink data pending where it has uplink demand in AM (TR gates
+    uplink traffic generation entirely), downlink arrival where it has
+    downlink demand. `step`, the transition table, comes from
+    rrc.transition; its last column, for no event, keeps the state."""
+    no_event = len(RRC_EVENTS)
+    code = {event: np.int8(j) for j, event in enumerate(RRC_EVENTS)}
+    switched = in_tr != np.vstack([start_tr, in_tr[:-1]])
+    events = np.stack([
+        np.where(switched, np.where(in_tr, code[rrc.RrcEvent.TR_MODE_ENTER],
+                                    code[rrc.RrcEvent.TR_MODE_EXIT]), no_event),
+        np.where(~in_tr & ul_demand, code[rrc.RrcEvent.UPLINK_DATA_PENDING], no_event),
+        np.where(dl_demand, code[rrc.RrcEvent.DOWNLINK_DATA_ARRIVAL], no_event),
+    ], axis=-1).astype(np.int8)
+    step = np.array([
+        [RRC_STATES.index(rrc.transition(state, event)) for event in RRC_EVENTS] + [j]
+        for j, state in enumerate(RRC_STATES)
+    ], dtype=np.int8)
+    after = _rrc_states(step, events, start)
+    # the state before each slot, then after each of its events
+    states = [np.vstack([start, after[:-1]])]
+    for k in range(events.shape[2]):
+        states.append(step[states[-1], events[..., k]])
+    logged = events != no_event
+    slot, device, _ = np.nonzero(logged)
+    return after, RrcEvents(
+        slot.astype(np.int32), device.astype(np.int32), events[logged],
+        np.stack(states[:-1], axis=-1)[logged], np.stack(states[1:], axis=-1)[logged],
+    )
+
+
 def run_scenario(cfg: ScenarioConfig) -> SimResult:
     """Run the scenario; the result is a pure function of the config.
 
-    Per slot and device, in device order: draw fading, evaluate the mode
-    switch on the downlink received signal strength, drive the RRC events
-    that follow (TR enter/exit, then pending uplink data, then downlink
-    arrival), then charge uplink interference from every transmitter that
-    is both uplink-enabled and grant-allowed.
+    Each slot, for every device: draw fading, evaluate the mode switch on
+    the downlink received signal strength, drive the RRC events that follow
+    (TR enter/exit, then pending uplink data, then downlink arrival), then
+    charge uplink interference from every transmitter that is both
+    uplink-enabled and grant-allowed. Each quantity is computed for all
+    slots and devices at once, as an (n_slots, n) array.
     """
     cfg.require_valid()
     devices = build_devices(cfg)
-    n = len(devices)
-    # per-device demand flags, indexed [device][slot]; uplink drawn first
+    n, n_slots = len(devices), cfg.n_slots
+    # demand flags, indexed [slot, device]; uplink drawn first
     traffic = _rng(cfg.seed, 1)
-    ul_demand = (traffic.random((cfg.n_slots, n)) < cfg.ul_demand_prob).T.tolist()
-    dl_demand = (traffic.random((cfg.n_slots, n)) < cfg.dl_demand_prob).T.tolist()
-    am_uplink = _am_uplink_mask(cfg)
-
-    fading_rngs = [_rng(cfg.seed, 2, i) for i in range(n)]
-    path_loss_lin = [
+    ul_demand = traffic.random((n_slots, n)) < cfg.ul_demand_prob
+    dl_demand = traffic.random((n_slots, n)) < cfg.dl_demand_prob
+    path_loss_lin = np.array([
         channel.db_to_linear(channel.free_space_path_loss(ue.distance_m, ue.freq_hz))
         for ue in devices
-    ]
+    ])
+    tx_power_w = np.array([ue.tx_power_w for ue in devices])
 
-    samples: list[SlotSample] = []
-    mode_transitions: list[ModeTransition] = []
-    rrc_events: list[RrcLogEntry] = []
-    threshold_lin = channel.db_to_linear(cfg.snr_threshold_db)
-    below = {Mode.AM: 0, Mode.TR: 0}  # device-slots in outage, per mode
-    counted = {Mode.AM: 0, Mode.TR: 0}
-    total_interference = 0.0
+    # each device's own stream, drawn for the whole run at once
+    gain = np.empty((n_slots, n))
+    for i in range(n):
+        gain[:, i] = channel.draw_fading_gain(_rng(cfg.seed, 2, i), n_slots)
+    rx_w = cfg.bs_tx_power_w / path_loss_lin * gain
+    rss_dbm = _each(channel.watts_to_dbm, rx_w)
 
-    def drive(slot: int, ue: UserEquipment, event: rrc.RrcEvent) -> None:
-        old = ue.rrc_state
-        ue.rrc_state = rrc.transition(old, event)
-        rrc_events.append(RrcLogEntry(slot, ue.id, event, old, ue.rrc_state))
+    start_tr = np.array([ue.mode is Mode.TR for ue in devices])
+    in_tr = hold_modes(rss_dbm, cfg.switch, start_tr)
+    mode = in_tr.view(np.int8)  # indexes MODES
+    slot, device = np.nonzero(in_tr != np.vstack([start_tr, in_tr[:-1]]))
+    mode_transitions = ModeTransitions(
+        slot.astype(np.int32), device.astype(np.int32), rss_dbm[slot, device],
+        1 - mode[slot, device], mode[slot, device],  # a transition flips the mode
+    )
+    start_state = np.array([RRC_STATES.index(ue.rrc_state) for ue in devices], np.int8)
+    rrc_state, rrc_events = _drive_rrc(start_state, start_tr, in_tr, ul_demand, dl_demand)
 
-    for t in range(cfg.n_slots):
-        uplink_slot = am_uplink[t % len(am_uplink)]
-        # one row per device: ue, gain, rx_w, rss_dbm, ul_active, ul_tx_w, own_w
-        rows = []
-        for i, ue in enumerate(devices):
-            gain = channel.draw_fading_gain(fading_rngs[i])
-            inst_rx_w = cfg.bs_tx_power_w / path_loss_lin[i] * gain
-            rss_dbm = channel.watts_to_dbm(inst_rx_w)
-            new_mode = evaluate_switch(rss_dbm, cfg.switch, ue.mode)
-            if new_mode is not ue.mode:
-                mode_transitions.append(ModeTransition(t, ue.id, ue.mode, new_mode, rss_dbm))
-                ue.mode = new_mode
-                drive(t, ue, rrc.RrcEvent.TR_MODE_ENTER if new_mode is Mode.TR
-                      else rrc.RrcEvent.TR_MODE_EXIT)
-            ul_wanted = ul_demand[i][t]
-            # TR gates uplink traffic generation entirely
-            if ue.mode is Mode.AM and ul_wanted:
-                drive(t, ue, rrc.RrcEvent.UPLINK_DATA_PENDING)
-            if dl_demand[i][t]:
-                drive(t, ue, rrc.RrcEvent.DOWNLINK_DATA_ARRIVAL)
+    grant_allowed = np.array([rrc.uplink_grant_allowed(s) for s in RRC_STATES])
+    enabled = np.array([uplink_enabled(m) for m in MODES])
+    ul_active = enabled[mode] & grant_allowed[rrc_state]
+    uplink_slot = np.resize(_am_uplink_mask(cfg), n_slots)[:, None]
+    ul_tx_w = np.where(
+        ul_active,
+        np.where(ul_demand & uplink_slot, tx_power_w, cfg.always_on_fraction * tx_power_w),
+        0.0,
+    )
+    own_w = ul_tx_w / path_loss_lin
+    # a running sum in device order: a pairwise sum would reorder the additions
+    interference_w = np.cumsum(own_w, axis=1)[:, -1]
+    sinr_lin = rx_w / (np.maximum(interference_w[:, None] - own_w, 0.0) + cfg.noise_w)
+    in_outage = sinr_lin < channel.db_to_linear(cfg.snr_threshold_db)
 
-            ul_active = uplink_enabled(ue.mode) and rrc.uplink_grant_allowed(ue.rrc_state)
-            if not ul_active:
-                ul_tx_w = 0.0
-            elif ul_wanted and uplink_slot:
-                ul_tx_w = ue.tx_power_w
-            else:
-                ul_tx_w = cfg.always_on_fraction * ue.tx_power_w
-            rows.append((ue, gain, inst_rx_w, rss_dbm, ul_active, ul_tx_w,
-                         ul_tx_w / path_loss_lin[i]))
+    def cohort_outage(members: np.ndarray) -> float | None:
+        counted = int(np.count_nonzero(members))
+        return int(np.count_nonzero(in_outage & members)) / counted if counted else None
 
-        interference_w = sum(row[-1] for row in rows)
-        total_interference += interference_w
-        for ue, gain, inst_rx_w, rss_dbm, ul_active, ul_tx_w, own_w in rows:
-            sinr_lin = inst_rx_w / (max(interference_w - own_w, 0.0) + cfg.noise_w)
-            if sinr_lin < threshold_lin:
-                below[ue.mode] += 1
-            counted[ue.mode] += 1
-            samples.append(SlotSample(
-                t, ue.id, ue.mode, ue.rrc_state, gain, rss_dbm,
-                channel.linear_to_db(sinr_lin), ul_active, ul_tx_w,
-            ))
-
-    def cohort_outage(mode: Mode) -> float | None:
-        return below[mode] / counted[mode] if counted[mode] else None
-
+    for ue, final_mode, final_state in zip(
+        devices, mode[-1].tolist(), rrc_state[-1].tolist()
+    ):
+        ue.mode, ue.rrc_state = MODES[final_mode], RRC_STATES[final_state]
     report = network_exposure(devices, cfg.standards, cfg.observer_distance_m)
     return SimResult(
         config=cfg,
         devices=tuple(devices),
-        samples=tuple(samples),
-        outage_am=cohort_outage(Mode.AM),
-        outage_tr=cohort_outage(Mode.TR),
-        total_uplink_interference_w=total_interference,
+        mode=mode,
+        rrc_state=rrc_state,
+        fading_gain=gain,
+        rss_dbm=rss_dbm,
+        sinr_db=_each(channel.linear_to_db, sinr_lin),
+        ul_active=ul_active,
+        ul_tx_w=ul_tx_w,
+        mode_transitions=mode_transitions,
+        rrc_events=rrc_events,
+        outage_am=cohort_outage(~in_tr),
+        outage_tr=cohort_outage(in_tr),
+        total_uplink_interference_w=float(np.cumsum(interference_w)[-1]),
         exposure=report,
-        # n_slots >= 1, so rows holds the final slot
-        complexity=complexity_metric(sum(1 for row in rows if row[4])),
-        mode_transitions=tuple(mode_transitions),
-        rrc_events=tuple(rrc_events),
+        complexity=complexity_metric(int(np.count_nonzero(ul_active[-1]))),
     )
 
 

@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .schema import check, key
 
 
@@ -52,6 +54,24 @@ def evaluate_switch(rss_dbm: float, cfg: SwitchConfig, current: Mode) -> Mode:
     if current is Mode.TR and rss_dbm > cfg.rss_threshold_dbm + cfg.hysteresis_db:
         return Mode.AM
     return current
+
+
+def hold_modes(rss_dbm: np.ndarray, cfg: SwitchConfig, start_tr: np.ndarray) -> np.ndarray:
+    """`evaluate_switch` applied slot after slot to an (n_slots, n) array of
+    rss, each column from its device's starting mode (`start_tr[i]`: does
+    device i start in TR). True where a device is in TR after that slot.
+
+    Below the dead band a device ends the slot in TR whatever its mode, above
+    it in AM, and inside it keeps its mode; so its mode is that of the latest
+    slot whose rss fell outside the band, or its starting mode if none did.
+    """
+    if np.isnan(rss_dbm).any():
+        raise ValueError("rss_dbm must not be NaN")
+    below = rss_dbm < cfg.rss_threshold_dbm - cfg.hysteresis_db
+    outside = below | (rss_dbm > cfg.rss_threshold_dbm + cfg.hysteresis_db)
+    latest = np.where(outside, np.arange(len(rss_dbm))[:, None], -1)
+    np.maximum.accumulate(latest, axis=0, out=latest)
+    return np.where(latest >= 0, below[latest, np.arange(below.shape[1])], start_tr)
 
 
 def uplink_enabled(mode: Mode) -> bool:

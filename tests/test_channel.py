@@ -11,9 +11,9 @@ from trsim.channel import (
     linear_to_db,
     outage_analytic,
     outage_monte_carlo,
-    sinr,
     watts_to_dbm,
 )
+from trsim.sim import _rng
 
 
 class TestFreeSpacePathLoss:
@@ -73,38 +73,13 @@ class TestFadingGain:
         rng = np.random.default_rng(5)
         assert all(draw_fading_gain(rng) >= 0.0 for _ in range(1000))
 
-
-class TestSinr:
-    def test_unity_ratio(self):
-        assert sinr(1.0, [], 1.0) == pytest.approx(0.0, abs=1e-12)
-
-    def test_hand_evaluated_point(self):
-        assert sinr(1.0, [0.5, 0.5], 1.0) == pytest.approx(-3.0103, abs=1e-4)
-
-    def test_empty_interference_equals_pure_snr(self):
-        assert sinr(2e-9, [], 5e-13) == linear_to_db(2e-9 / 5e-13)
-
-    @given(
-        st.floats(1e-12, 1e3),
-        st.lists(st.floats(0, 1e3), min_size=1, max_size=8),
-        st.floats(1e-12, 1e3),
-    )
-    def test_removing_an_interferer_never_decreases_result(self, s, interf, n):
-        full = sinr(s, interf, n)
-        for k in range(len(interf)):
-            reduced = sinr(s, interf[:k] + interf[k + 1 :], n)
-            assert reduced >= full
-
-    def test_rejects_negative_power(self):
-        with pytest.raises(ValueError):
-            sinr(-1.0, [], 1.0)
-        with pytest.raises(ValueError):
-            sinr(1.0, [-0.1], 1.0)
-        with pytest.raises(ValueError):
-            sinr(1.0, [], 0.0)
-
-    def test_zero_signal_is_minus_infinity(self):
-        assert sinr(0.0, [1.0], 1.0) == -math.inf
+    @pytest.mark.parametrize("seed, device, k", [(20260808, 0, 1), (7, 3, 257), (1, 999, 5000)])
+    def test_vector_draw_equals_scalar_draws(self, seed, device, k):
+        """The engine draws a device's gains for the whole run in one call on
+        its own stream; the values are bit-identical to k draws in turn."""
+        vector = draw_fading_gain(_rng(seed, 2, device), k)
+        stream = _rng(seed, 2, device)
+        assert vector.tolist() == [draw_fading_gain(stream) for _ in range(k)]
 
 
 class TestOutageAnalytic:

@@ -1,24 +1,71 @@
 import math
+from collections import namedtuple
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import make_config
-from trsim.channel import db_to_linear, free_space_path_loss, outage_analytic
+from trsim.channel import db_to_linear, free_space_path_loss, outage_analytic, watts_to_dbm
 from trsim.exposure import ExposureStandard, FrequencyBand
 from trsim.frames import SlotKind, build_fdd_pair, build_tdd_frame, make_numerology
 from trsim.rrc import RrcEvent, RrcState, uplink_grant_allowed
 from trsim.sim import (
+    MODES,
+    RRC_EVENTS,
+    RRC_STATES,
     ConfigError,
     DeviceSpec,
     GenerationScenario,
+    _rrc_states,
     build_devices,
     generation_power_density_series,
     outage_curve,
     run_scenario,
 )
 from trsim.trmode import Mode, SwitchConfig, uplink_enabled
+
+
+SAMPLE_COLUMNS = (
+    "mode", "rrc_state", "fading_gain", "rss_dbm", "sinr_db", "ul_active", "ul_tx_w"
+)
+Sample = namedtuple("Sample", ("slot", "device_id") + SAMPLE_COLUMNS)
+Transition = namedtuple("Transition", "slot device_id old_mode new_mode rss_dbm")
+RrcEntry = namedtuple("RrcEntry", "slot device_id event old_state new_state")
+
+
+def samples(result) -> list[Sample]:
+    """The result's columns read back as one record per device-slot, in slot,
+    then device order, with enum members for the coded columns."""
+    ids = [ue.id for ue in result.devices]
+    columns = [getattr(result, name).tolist() for name in SAMPLE_COLUMNS]
+    return [
+        Sample(t, ids[i], MODES[mode[i]], RRC_STATES[state[i]], *(c[i] for c in rest))
+        for t, (mode, state, *rest) in enumerate(zip(*columns))
+        for i in range(len(ids))
+    ]
+
+
+def transitions(result) -> list[Transition]:
+    log = result.mode_transitions
+    return [
+        Transition(slot, result.devices[i].id, MODES[old], MODES[new], rss_dbm)
+        for slot, i, rss_dbm, old, new in zip(
+            log.slot.tolist(), log.device.tolist(), log.rss_dbm.tolist(),
+            log.old.tolist(), log.new.tolist(),
+        )
+    ]
+
+
+def rrc_log(result) -> list[RrcEntry]:
+    log = result.rrc_events
+    return [
+        RrcEntry(slot, result.devices[i].id, RRC_EVENTS[e], RRC_STATES[old], RRC_STATES[new])
+        for slot, i, e, old, new in zip(
+            log.slot.tolist(), log.device.tolist(), log.event.tolist(),
+            log.old.tolist(), log.new.tolist(),
+        )
+    ]
 
 
 def switching_config(**overrides):
@@ -51,10 +98,25 @@ class TestRunScenario:
         cfg = make_config(n_users=1, n_tr=0, placement="ring", n_slots=30)
         result = run_scenario(cfg)
         loss = db_to_linear(free_space_path_loss(cfg.cell_radius_m, cfg.freq_hz))
-        for s in result.samples:
-            signal_w = cfg.bs_tx_power_w / loss * s.fading_gain
+        for fading_gain, sinr_db in zip(
+            result.fading_gain.ravel().tolist(), result.sinr_db.ravel().tolist()
+        ):
+            signal_w = cfg.bs_tx_power_w / loss * fading_gain
             expected_db = 10.0 * math.log10(signal_w / cfg.noise_w)
-            assert s.sinr_db == pytest.approx(expected_db, rel=1e-12)
+            assert sinr_db == pytest.approx(expected_db, rel=1e-12)
+
+    def test_rss_column_is_watts_to_dbm_of_each_received_power(self):
+        """The dB column holds channel.watts_to_dbm of each value, bit for bit;
+        numpy's own log10 would differ in the last bit on some inputs."""
+        cfg = switching_config(placement="disk", n_users=9, n_tr=3)
+        result = run_scenario(cfg)
+        for i, ue in enumerate(result.devices):
+            loss = db_to_linear(free_space_path_loss(ue.distance_m, ue.freq_hz))
+            expected = [
+                watts_to_dbm(cfg.bs_tx_power_w / loss * g)
+                for g in result.fading_gain[:, i].tolist()
+            ]
+            assert result.rss_dbm[:, i].tolist() == expected
 
     def test_cohort_split_gives_exact_linear_ratio(self):
         cfg = make_config(
@@ -78,9 +140,11 @@ class TestRunScenario:
 
     def test_sample_shape_and_order(self, small_config):
         result = run_scenario(small_config)
-        assert len(result.samples) == small_config.n_users * small_config.n_slots
-        slots = [s.slot for s in result.samples]
-        assert slots == sorted(slots)
+        # one row per slot in slot order, one column per device
+        for column in SAMPLE_COLUMNS:
+            assert getattr(result, column).shape == (
+                small_config.n_slots, small_config.n_users
+            )
 
     def test_invalid_config_rejected_before_work(self):
         cfg = make_config(n_users=3, n_tr=5)
@@ -91,7 +155,7 @@ class TestRunScenario:
     def test_tr_devices_never_emit_uplink(self):
         result = run_scenario(switching_config())
         saw_tr_sample = False
-        for s in result.samples:
+        for s in samples(result):
             if s.mode is Mode.TR:
                 saw_tr_sample = True
                 assert s.ul_tx_w == 0.0
@@ -103,14 +167,14 @@ class TestRunScenario:
 
     def test_mode_and_rrc_state_stay_consistent(self):
         result = run_scenario(switching_config())
-        for s in result.samples:
+        for s in samples(result):
             if s.mode is Mode.TR:
                 assert s.rrc_state in (RrcState.ENERGY_EFFICIENT, RrcState.IDLE)
 
     def test_tr_entries_are_caused_by_subthreshold_rss(self):
         cfg = switching_config()
         result = run_scenario(cfg)
-        entries = [t for t in result.mode_transitions if t.new_mode is Mode.TR]
+        entries = [t for t in transitions(result) if t.new_mode is Mode.TR]
         assert entries, "scenario produced no TR entries"
         band_low = cfg.switch.rss_threshold_dbm - cfg.switch.hysteresis_db
         for t in entries:
@@ -120,7 +184,7 @@ class TestRunScenario:
         result = run_scenario(switching_config())
         rrc_mode_events = [
             (e.slot, e.device_id, e.event)
-            for e in result.rrc_events
+            for e in rrc_log(result)
             if e.event in (RrcEvent.TR_MODE_ENTER, RrcEvent.TR_MODE_EXIT)
         ]
         expected = [
@@ -129,7 +193,7 @@ class TestRunScenario:
                 t.device_id,
                 RrcEvent.TR_MODE_ENTER if t.new_mode is Mode.TR else RrcEvent.TR_MODE_EXIT,
             )
-            for t in result.mode_transitions
+            for t in transitions(result)
         ]
         assert rrc_mode_events == expected
 
@@ -140,14 +204,14 @@ class TestRunScenario:
             ue.id: db_to_linear(free_space_path_loss(ue.distance_m, ue.freq_hz))
             for ue in result.devices
         }
-        total = sum(s.ul_tx_w / loss[s.device_id] for s in result.samples)
+        total = sum(s.ul_tx_w / loss[s.device_id] for s in samples(result))
         assert total == pytest.approx(result.total_uplink_interference_w, rel=1e-12)
 
     def test_complexity_counts_final_slot_transmitters(self):
         cfg = make_config(n_users=10, n_tr=4, placement="ring")
         result = run_scenario(cfg)
         last = cfg.n_slots - 1
-        active = sum(1 for s in result.samples if s.slot == last and s.ul_active)
+        active = sum(1 for s in samples(result) if s.slot == last and s.ul_active)
         assert result.complexity == active * (active - 1) / 2
 
     def test_explicit_devices_override_synthesis(self):
@@ -161,6 +225,23 @@ class TestRunScenario:
         assert [ue.id for ue in result.devices] == ["near", "far"]
         assert result.devices[1].mode is Mode.TR
         assert result.devices[1].rrc_state is RrcState.ENERGY_EFFICIENT
+
+
+class TestRrcStates:
+    @pytest.mark.parametrize("n_slots", [1, 2, 3, 7, 64, 100])
+    def test_scan_equals_stepping_slot_by_slot(self, n_slots):
+        rng = np.random.default_rng(n_slots)
+        n_states, n_events, n = 4, 10, 6
+        step = rng.integers(0, n_states, (n_states, n_events)).astype(np.int8)
+        events = rng.integers(0, n_events, (n_slots, n, 3)).astype(np.int8)
+        start = rng.integers(0, n_states, n).astype(np.int8)
+        states = _rrc_states(step, events, start)
+        for i in range(n):
+            state = start[i]
+            for t in range(n_slots):
+                for event in events[t, i]:
+                    state = step[state, event]
+                assert states[t, i] == state
 
 
 class TestBuildDevices:
@@ -194,9 +275,9 @@ class TestBuildDevices:
         synthesized = run_scenario(cfg)
         explicit = run_scenario(replace(cfg, devices=specs))
         assert synthesized.mode_transitions, "scenario never switched a device"
-        assert explicit.samples == synthesized.samples
-        assert explicit.mode_transitions == synthesized.mode_transitions
-        assert explicit.rrc_events == synthesized.rrc_events
+        assert samples(explicit) == samples(synthesized)
+        assert transitions(explicit) == transitions(synthesized)
+        assert rrc_log(explicit) == rrc_log(synthesized)
         assert explicit.exposure == synthesized.exposure
         for metric in (
             "outage_am", "outage_tr", "total_uplink_interference_w", "complexity"

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -8,6 +9,7 @@ from trsim.trmode import (
     ServiceClass,
     SwitchConfig,
     evaluate_switch,
+    hold_modes,
     service_admitted,
     uplink_enabled,
 )
@@ -110,3 +112,33 @@ def test_trace_below_band_locks_into_tr_after_first_sample(trace, threshold, hys
     for offset in trace:
         mode = evaluate_switch(threshold - hysteresis - offset, cfg, mode)
         assert mode is Mode.TR
+
+
+@given(
+    data=st.data(),
+    n_slots=st.integers(1, 40),
+    n=st.integers(1, 5),
+    threshold=st.floats(-110.0, -70.0, allow_nan=False),
+    hysteresis=st.floats(0.0, 10.0, allow_nan=False),
+)
+def test_hold_modes_equals_evaluate_switch_in_turn(data, n_slots, n, threshold, hysteresis):
+    """The engine's switch over a whole (n_slots, n) array against the scalar
+    rule applied slot after slot, band edges included."""
+    cfg = SwitchConfig(rss_threshold_dbm=threshold, hysteresis_db=hysteresis)
+    edges = [threshold - hysteresis, threshold, threshold + hysteresis]
+    value = st.one_of(st.sampled_from(edges), st.floats(-130.0, -50.0, allow_nan=False))
+    rss = np.array(data.draw(st.lists(
+        st.lists(value, min_size=n, max_size=n), min_size=n_slots, max_size=n_slots
+    )))
+    start_tr = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    held = hold_modes(rss, cfg, start_tr)
+    for i in range(n):
+        mode = Mode.TR if start_tr[i] else Mode.AM
+        for t in range(n_slots):
+            mode = evaluate_switch(float(rss[t, i]), cfg, mode)
+            assert held[t, i] == (mode is Mode.TR)
+
+
+def test_hold_modes_rejects_nan():
+    with pytest.raises(ValueError):
+        hold_modes(np.array([[-80.0], [math.nan]]), CFG, np.array([False]))
