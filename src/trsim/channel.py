@@ -47,7 +47,7 @@ def free_space_path_loss(distance_m: float, freq_hz: float) -> float:
     )
 
 
-def draw_fading_gain(rng: np.random.Generator, size: int | None = None):
+def draw_fading_gain(rng: np.random.Generator, size: int | None = None) -> float | np.ndarray:
     """Draw a Rayleigh-fading power gain: unit-mean exponential.
 
     The squared envelope of a Rayleigh channel with unit average power is

@@ -20,11 +20,12 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 from contextlib import nullcontext
 from dataclasses import astuple, fields, replace
 from typing import IO, Iterable, NamedTuple
+
+import numpy as np
 
 from . import __version__, rrc
 from .configfile import parse_config
@@ -70,7 +71,7 @@ class Coded(NamedTuple):
     """A column of labels given as codes into a table, so that an encoder
     escapes each distinct label once rather than once per record."""
 
-    labels: tuple | range
+    labels: tuple
     codes: list[int]
 
 
@@ -104,11 +105,11 @@ def _run_chunks(result: SimResult) -> Chunks:
     events = tuple(e._value_ for e in RRC_EVENTS)
     per_chunk = max(1, CHUNK_ROWS // n)
     for t0 in range(0, n_slots, per_chunk):
-        slots = range(t0, min(t0 + per_chunk, n_slots))
-        rows = slice(t0, t0 + per_chunk)
+        t1 = min(t0 + per_chunk, n_slots)
+        rows = slice(t0, t1)
         yield "sample", (
-            Coded(slots, [j for j in range(len(slots)) for _ in range(n)]),
-            Coded(ids, list(range(n)) * len(slots)),
+            np.arange(t0, t1).repeat(n),
+            Coded(ids, list(range(n)) * (t1 - t0)),
             Coded(modes, result.mode[rows].ravel().tolist()),
             Coded(states, result.rrc_state[rows].ravel().tolist()),
             result.fading_gain[rows].ravel(),
@@ -163,9 +164,9 @@ def _write_chunks(fh: IO[str], layouts: dict, chunks: Chunks, escape, plain) -> 
     standard names, which the config parser limits to [A-Za-z0-9_-].)
 
     Every value goes through `escape`, which writes one value as the format
-    does, except the numbers of an array whose values `plain` accepts: those
-    are written as `str` writes them. A Coded column's labels are escaped
-    once per run.
+    does, except the numbers of an array that `plain` accepts: those are
+    written as `str` writes them. A Coded column's labels are escaped once
+    per run.
     """
     escaped: dict[tuple, list[str]] = {}
     for kind, columns in chunks:
@@ -179,9 +180,10 @@ def _write_chunks(fh: IO[str], layouts: dict, chunks: Chunks, escape, plain) -> 
                 texts.append(list(map(table.__getitem__, column.codes)))
             elif isinstance(column, (list, tuple)):
                 texts.append(list(map(escape, column)))
+            elif plain(column):
+                texts.append(column.tolist())
             else:
-                values = column.tolist()
-                texts.append(values if plain(values) else list(map(escape, values)))
+                texts.append(list(map(escape, column.tolist())))
         # one %-format of the template repeated once per record, its fields
         # filled from the columns interleaved record by record
         n_records, width = len(texts[0]), len(texts)
@@ -217,7 +219,7 @@ def _write_csv(fh: IO[str], columns: tuple[str, ...], kinds: Kinds, chunks: Chun
         layouts[kind] = ",".join(cells) + "\n", [keys.index(c) for c in columns if c in keys]
     fh.write(",".join(map(cell, columns)) + "\n")
     # str of an int or float is the text csv.writer writes for it
-    _write_chunks(fh, layouts, chunks, cell, lambda values: True)
+    _write_chunks(fh, layouts, chunks, cell, lambda array: True)
 
 
 def _write_jsonl(fh: IO[str], kinds: Kinds, chunks: Chunks) -> None:
@@ -232,7 +234,7 @@ def _write_jsonl(fh: IO[str], kinds: Kinds, chunks: Chunks) -> None:
         for kind, keys in kinds.items()
     }
     # str of an int or finite float is the text json.dumps writes for it
-    _write_chunks(fh, layouts, chunks, json.dumps, lambda values: all(map(math.isfinite, values)))
+    _write_chunks(fh, layouts, chunks, json.dumps, lambda array: np.isfinite(array).all())
 
 
 def _emit(args: argparse.Namespace, columns, kinds: Kinds, chunks: Chunks) -> int:

@@ -47,10 +47,10 @@ from .schema import DISTANCE_M, FREQ_HZ, POWER_W, SNR_DB, check, key, problems
 from .trmode import Mode, SwitchConfig, hold_modes, uplink_enabled
 
 
-# Upper bound on population x n_slots. The engine keeps every sample of a
-# run in memory, about 0.5 kB per device-slot, so a run at the cap needs
-# about 5 GB; a larger one is refused as a configuration error before
-# anything is allocated.
+# Upper bound on population x n_slots. The engine holds a run's columns in
+# memory and peaks at about 110 B per device-slot (tracemalloc, 10^5 and
+# 10^6 device-slots), so a run at the cap needs about 1.1 GB; a larger one
+# is refused as a configuration error before anything is allocated.
 MAX_DEVICE_SLOTS = 10**7
 
 
