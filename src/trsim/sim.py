@@ -313,18 +313,17 @@ def _rrc_states(step: np.ndarray, events: np.ndarray, start: np.ndarray) -> np.n
 
 
 def _drive_rrc(
-    start: np.ndarray, start_tr: np.ndarray, in_tr: np.ndarray,
+    start: np.ndarray, in_tr: np.ndarray, switched: np.ndarray,
     ul_demand: np.ndarray, dl_demand: np.ndarray,
 ) -> tuple[np.ndarray, RrcEvents]:
     """The RRC state of each device after each slot, and the log of every
     event. A device-slot's events, in order: TR enter or exit where the mode
-    changed, uplink data pending where it has uplink demand in AM (TR gates
+    switched, uplink data pending where it has uplink demand in AM (TR gates
     uplink traffic generation entirely), downlink arrival where it has
     downlink demand. `step`, the transition table, comes from
     rrc.transition; its last column, for no event, keeps the state."""
     no_event = len(RRC_EVENTS)
     code = {event: np.int8(j) for j, event in enumerate(RRC_EVENTS)}
-    switched = in_tr != np.vstack([start_tr, in_tr[:-1]])
     events = np.stack([
         np.where(switched, np.where(in_tr, code[rrc.RrcEvent.TR_MODE_ENTER],
                                     code[rrc.RrcEvent.TR_MODE_EXIT]), no_event),
@@ -381,13 +380,14 @@ def run_scenario(cfg: ScenarioConfig) -> SimResult:
     start_tr = np.array([ue.mode is Mode.TR for ue in devices])
     in_tr = hold_modes(rss_dbm, cfg.switch, start_tr)
     mode = in_tr.view(np.int8)  # indexes MODES
-    slot, device = np.nonzero(in_tr != np.vstack([start_tr, in_tr[:-1]]))
+    switched = in_tr != np.vstack([start_tr, in_tr[:-1]])
+    slot, device = np.nonzero(switched)
     mode_transitions = ModeTransitions(
         slot.astype(np.int32), device.astype(np.int32), rss_dbm[slot, device],
         1 - mode[slot, device], mode[slot, device],  # a transition flips the mode
     )
     start_state = np.array([RRC_STATES.index(ue.rrc_state) for ue in devices], np.int8)
-    rrc_state, rrc_events = _drive_rrc(start_state, start_tr, in_tr, ul_demand, dl_demand)
+    rrc_state, rrc_events = _drive_rrc(start_state, in_tr, switched, ul_demand, dl_demand)
 
     grant_allowed = np.array([rrc.uplink_grant_allowed(s) for s in RRC_STATES])
     enabled = np.array([uplink_enabled(m) for m in MODES])

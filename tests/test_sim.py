@@ -145,6 +145,9 @@ class TestRunScenario:
             assert getattr(result, column).shape == (
                 small_config.n_slots, small_config.n_users
             )
+        assert len(samples(result)) == small_config.n_users * small_config.n_slots
+        slots = [s.slot for s in samples(result)]
+        assert slots == sorted(slots)
 
     def test_invalid_config_rejected_before_work(self):
         cfg = make_config(n_users=3, n_tr=5)
