@@ -4,8 +4,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import make_config
+from trsim import channel, rrc
 from trsim.channel import db_to_linear, free_space_path_loss, outage_analytic, watts_to_dbm
 from trsim.exposure import ExposureStandard, FrequencyBand
 from trsim.frames import SlotKind, build_fdd_pair, build_tdd_frame, make_numerology
@@ -17,13 +19,15 @@ from trsim.sim import (
     ConfigError,
     DeviceSpec,
     GenerationScenario,
+    _am_uplink_mask,
+    _rng,
     _rrc_states,
     build_devices,
     generation_power_density_series,
     outage_curve,
     run_scenario,
 )
-from trsim.trmode import Mode, SwitchConfig, uplink_enabled
+from trsim.trmode import Mode, SwitchConfig, evaluate_switch, uplink_enabled
 
 
 SAMPLE_COLUMNS = (
@@ -245,6 +249,98 @@ class TestRrcStates:
                 for event in events[t, i]:
                     state = step[state, event]
                 assert states[t, i] == state
+
+
+def scalar_run(cfg):
+    """The engine as one scalar step per device-slot, in slot, then device
+    order: the reference the columnar engine must equal exactly. Returns
+    the samples, transitions and RRC log as the helpers above read them,
+    and the four metrics."""
+    devices = build_devices(cfg)
+    n = len(devices)
+    traffic = _rng(cfg.seed, 1)
+    ul_demand = (traffic.random((cfg.n_slots, n)) < cfg.ul_demand_prob).tolist()
+    dl_demand = (traffic.random((cfg.n_slots, n)) < cfg.dl_demand_prob).tolist()
+    am_uplink = _am_uplink_mask(cfg)
+    fading = [_rng(cfg.seed, 2, i) for i in range(n)]
+    loss = [db_to_linear(free_space_path_loss(ue.distance_m, ue.freq_hz)) for ue in devices]
+    out, moves, log = [], [], []
+    below = {Mode.AM: 0, Mode.TR: 0}
+    counted = {Mode.AM: 0, Mode.TR: 0}
+    total = 0.0
+    for t in range(cfg.n_slots):
+        rows = []
+        for i, ue in enumerate(devices):
+            gain = channel.draw_fading_gain(fading[i])
+            rx_w = cfg.bs_tx_power_w / loss[i] * gain
+            rss_dbm = watts_to_dbm(rx_w)
+            events = []
+            new_mode = evaluate_switch(rss_dbm, cfg.switch, ue.mode)
+            if new_mode is not ue.mode:
+                moves.append(Transition(t, ue.id, ue.mode, new_mode, rss_dbm))
+                ue.mode = new_mode
+                events.append(RrcEvent.TR_MODE_ENTER if new_mode is Mode.TR
+                              else RrcEvent.TR_MODE_EXIT)
+            if ue.mode is Mode.AM and ul_demand[t][i]:
+                events.append(RrcEvent.UPLINK_DATA_PENDING)
+            if dl_demand[t][i]:
+                events.append(RrcEvent.DOWNLINK_DATA_ARRIVAL)
+            for event in events:
+                old, ue.rrc_state = ue.rrc_state, rrc.transition(ue.rrc_state, event)
+                log.append(RrcEntry(t, ue.id, event, old, ue.rrc_state))
+            active = uplink_enabled(ue.mode) and uplink_grant_allowed(ue.rrc_state)
+            if not active:
+                ul_tx_w = 0.0
+            elif ul_demand[t][i] and am_uplink[t % len(am_uplink)]:
+                ul_tx_w = ue.tx_power_w
+            else:
+                ul_tx_w = cfg.always_on_fraction * ue.tx_power_w
+            rows.append((ue, gain, rx_w, rss_dbm, active, ul_tx_w, ul_tx_w / loss[i]))
+        interference_w = sum(row[-1] for row in rows)
+        total += interference_w
+        for ue, gain, rx_w, rss_dbm, active, ul_tx_w, own_w in rows:
+            sinr_lin = rx_w / (max(interference_w - own_w, 0.0) + cfg.noise_w)
+            below[ue.mode] += sinr_lin < db_to_linear(cfg.snr_threshold_db)
+            counted[ue.mode] += 1
+            out.append(Sample(t, ue.id, ue.mode, ue.rrc_state, gain, rss_dbm,
+                              channel.linear_to_db(sinr_lin), active, ul_tx_w))
+    outage = [below[m] / counted[m] if counted[m] else None for m in (Mode.AM, Mode.TR)]
+    active_last = sum(1 for row in rows if row[4])
+    return out, moves, log, (*outage, total, active_last * (active_last - 1) / 2)
+
+
+class TestScalarReference:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n_users=st.integers(1, 7),
+        n_slots=st.integers(1, 40),
+        data=st.data(),
+    )
+    def test_columnar_engine_equals_scalar_steps(self, n_users, n_slots, data):
+        cfg = switching_config(
+            n_users=n_users,
+            n_tr=data.draw(st.integers(0, n_users)),
+            n_slots=n_slots,
+            seed=data.draw(st.integers(0, 10**6)),
+            placement=data.draw(st.sampled_from(["ring", "disk"])),
+            duplex=data.draw(st.sampled_from(["fdd", "tdd"])),
+            numerology_mu=data.draw(st.integers(0, 2)),
+            ul_demand_prob=data.draw(st.sampled_from([0.0, 0.5, 1.0])),
+            dl_demand_prob=data.draw(st.sampled_from([0.0, 0.5, 1.0])),
+            switch=SwitchConfig(
+                rss_threshold_dbm=data.draw(st.sampled_from([-60.0, -52.0, -45.0])),
+                hysteresis_db=data.draw(st.sampled_from([0.0, 1.0, 3.0])),
+            ),
+        )
+        result = run_scenario(cfg)
+        expected = scalar_run(cfg)
+        assert samples(result) == expected[0]
+        assert transitions(result) == expected[1]
+        assert rrc_log(result) == expected[2]
+        assert (
+            result.outage_am, result.outage_tr,
+            result.total_uplink_interference_w, result.complexity,
+        ) == expected[3]
 
 
 class TestBuildDevices:
