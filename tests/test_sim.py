@@ -450,6 +450,107 @@ class TestEngineOutageOracle:
             assert abs(measured - expected) <= 4.0 * sigma, (measured, expected, sigma)
 
 
+class TestEngineSwitchOracle:
+    """The engine's mode switch against the closed form. On a ring every
+    device has the same mean received power mu = P_bs / L, and fading is an
+    independent unit-mean exponential per slot, so each device's mode is a
+    two-state Markov chain: AM -> TR with p = 1 - exp(-w(theta - h) / mu),
+    TR -> AM with q = exp(-w(theta + h) / mu), where w is dBm to watts,
+    theta the threshold and h the hysteresis. Devices are independent, so
+    cohort totals have the chain's mean and variance times the cohort size."""
+
+    N_USERS, N_TR, N_SLOTS = 400, 200, 200
+    UL_DEMAND = 0.5
+
+    def config(self, duplex, mu, hysteresis_db, seed):
+        base = make_config()
+        loss = db_to_linear(free_space_path_loss(base.cell_radius_m, base.freq_hz))
+        return replace(
+            base,
+            n_users=self.N_USERS,
+            n_tr=self.N_TR,
+            n_slots=self.N_SLOTS,
+            seed=seed,
+            placement="ring",
+            duplex=duplex,
+            numerology_mu=mu,
+            ul_demand_prob=self.UL_DEMAND,
+            switch=SwitchConfig(
+                # 2 dB below the mean rss, so both transitions are common
+                rss_threshold_dbm=watts_to_dbm(base.bs_tx_power_w / loss) - 2.0,
+                hysteresis_db=hysteresis_db,
+            ),
+        )
+
+    @staticmethod
+    def chain(p, q, start_tr, n_slots):
+        """P(in TR after each slot), and the mean and variance of one device's
+        transition count, from the chain started in TR or in AM. The moments
+        are carried per state: P(s), E[N 1{s}] and E[N^2 1{s}]."""
+        moments = {False: [1.0, 0.0, 0.0], True: [0.0, 0.0, 0.0]}
+        if start_tr:
+            moments[False], moments[True] = moments[True], moments[False]
+        move = {(False, True): p, (False, False): 1.0 - p,
+                (True, False): q, (True, True): 1.0 - q}
+        occupancy = []
+        for _ in range(n_slots):
+            nxt = {}
+            for after in (False, True):
+                prob = mean = square = 0.0
+                for before, (pb, nb, sb) in moments.items():
+                    w, d = move[before, after], float(before != after)
+                    prob += w * pb
+                    mean += w * (nb + d * pb)
+                    square += w * (sb + 2.0 * d * nb + d * pb)
+                nxt[after] = [prob, mean, square]
+            moments = nxt
+            occupancy.append(moments[True][0])
+        mean = moments[False][1] + moments[True][1]
+        square = moments[False][2] + moments[True][2]
+        return occupancy, mean, square - mean * mean
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("hysteresis_db", [0.0, 1.5])
+    @pytest.mark.parametrize("duplex, mu", [("fdd", 0), ("tdd", 1)])
+    def test_switching_matches_markov_chain(self, duplex, mu, hysteresis_db, seed):
+        cfg = self.config(duplex, mu, hysteresis_db, seed)
+        result = run_scenario(cfg)
+        loss = db_to_linear(free_space_path_loss(cfg.cell_radius_m, cfg.freq_hz))
+        mean_w = cfg.bs_tx_power_w / loss
+        theta, h = cfg.switch.rss_threshold_dbm, cfg.switch.hysteresis_db
+        p = 1.0 - math.exp(-(10.0 ** ((theta - h - 30.0) / 10.0)) / mean_w)
+        q = math.exp(-(10.0 ** ((theta + h - 30.0) / 10.0)) / mean_w)
+
+        in_tr = result.mode == MODES.index(Mode.TR)
+        start_tr = np.arange(cfg.n_users) < cfg.n_tr  # ring: TR cohort by index
+        before = np.vstack([start_tr, in_tr[:-1]])
+        enters = np.count_nonzero(~before & in_tr)
+        exits = np.count_nonzero(before & ~in_tr)
+        expected_occupancy = np.zeros(cfg.n_slots)
+        occupancy_var = np.zeros(cfg.n_slots)
+        for cohort_tr, size in ((True, cfg.n_tr), (False, cfg.n_users - cfg.n_tr)):
+            occupancy, mean, variance = self.chain(p, q, cohort_tr, cfg.n_slots)
+            counts = np.count_nonzero((before != in_tr)[:, start_tr == cohort_tr])
+            z = (counts - size * mean) / math.sqrt(size * variance)
+            assert abs(z) <= 4.0, ("transitions", cohort_tr, counts, size * mean, z)
+            pi = np.array(occupancy)
+            expected_occupancy += size * pi
+            occupancy_var += size * pi * (1.0 - pi)
+        # TR occupancy per slot: a sum of two independent binomials
+        z = (np.count_nonzero(in_tr, axis=1) - expected_occupancy) / np.sqrt(occupancy_var)
+        assert np.abs(z).max() <= 4.0, ("occupancy", int(np.abs(z).argmax()), z.max(), z.min())
+
+        events = np.bincount(result.rrc_events.event, minlength=len(RRC_EVENTS))
+        assert events[RRC_EVENTS.index(RrcEvent.TR_MODE_ENTER)] == enters
+        assert events[RRC_EVENTS.index(RrcEvent.TR_MODE_EXIT)] == exits
+        # demand is drawn on its own stream, so given the AM device-slots the
+        # pending-uplink count is binomial
+        am_slots = in_tr.size - np.count_nonzero(in_tr)
+        pending = events[RRC_EVENTS.index(RrcEvent.UPLINK_DATA_PENDING)]
+        sigma = math.sqrt(am_slots * cfg.ul_demand_prob * (1.0 - cfg.ul_demand_prob))
+        assert abs(pending - am_slots * cfg.ul_demand_prob) <= 4.0 * sigma
+
+
 class TestOutageCurve:
     def interference_limited(self, n_users=6, n_tr=3):
         cfg = make_config(
