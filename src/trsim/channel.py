@@ -30,10 +30,6 @@ def watts_to_dbm(power_w: float) -> float:
     return linear_to_db(power_w) + 30.0
 
 
-def dbm_to_watts(power_dbm: float) -> float:
-    return db_to_linear(power_dbm - 30.0)
-
-
 def free_space_path_loss(distance_m: float, freq_hz: float) -> float:
     """Friis far-field loss in dB: 20 log10(d) + 20 log10(f) + 20 log10(4 pi / c)."""
     if distance_m <= 0.0:

@@ -6,7 +6,9 @@ accumulates SINR against the uplink interference of that slot. Exposure
 and complexity metrics are finalized at the end of the run. The engine
 computes each quantity for every slot and device at once, as an
 (n_slots, n) array, and steps along the slot axis only through array
-operations: the mode switch as a forward fill, the RRC machine as a scan.
+operations: the mode switch is a forward fill. The RRC machine needs no
+pass along the slots, since each slot starts in the state that the mode
+before it holds (MODE_STATES) and steps only through that slot's events.
 
 Modeling choices, at desk scale:
   * Uplink interference is aggregated at the cell center from every
@@ -152,6 +154,10 @@ class UserEquipment:
 # MODES, the rrc_state column and the RRC log's states index RRC_STATES, and
 # its events index RRC_EVENTS.
 MODES = (Mode.AM, Mode.TR)
+# The RRC state each mode holds, indexed like MODES: a device enters
+# EnergyEfficient as it enters TR and returns to Connected as it leaves, and
+# the engine's other events are self-loops in these two states.
+MODE_STATES = (rrc.RrcState.CONNECTED, rrc.RrcState.ENERGY_EFFICIENT)
 RRC_STATES = tuple(rrc.RrcState)
 RRC_EVENTS = tuple(rrc.RrcEvent)
 
@@ -239,8 +245,7 @@ def _rng(seed: int, *stream: int) -> np.random.Generator:
 def build_devices(cfg: ScenarioConfig) -> list[UserEquipment]:
     """Materialize the device population: explicit [devices] entries when
     given, otherwise seed-derived placement with the TR cohort assigned to
-    the weakest links. A TR device starts in Energy-efficient, an AM device
-    in Connected."""
+    the weakest links. Each device starts in the RRC state its mode holds."""
     if cfg.devices:
         rows = [
             (spec.device_id, spec.distance_m, spec.tx_power_w, spec.freq_hz, spec.mode)
@@ -261,11 +266,7 @@ def build_devices(cfg: ScenarioConfig) -> list[UserEquipment]:
              Mode.TR if i in tr_indices else Mode.AM)
             for i, distance in enumerate(distances.tolist())
         ]
-    return [
-        UserEquipment(*row, rrc.RrcState.ENERGY_EFFICIENT if row[-1] is Mode.TR
-                      else rrc.RrcState.CONNECTED)
-        for row in rows
-    ]
+    return [UserEquipment(*row, MODE_STATES[MODES.index(row[-1])]) for row in rows]
 
 
 def _am_uplink_mask(cfg: ScenarioConfig) -> list[bool]:
@@ -291,37 +292,19 @@ def _each(fn, values: np.ndarray) -> np.ndarray:
     return out.reshape(values.shape)
 
 
-def _rrc_states(step: np.ndarray, events: np.ndarray, start: np.ndarray) -> np.ndarray:
-    """The RRC state of each device after each slot, as an (n_slots, n) array.
-
-    `step[s, e]` is the state after event e in state s; `events[t, i]` lists
-    device i's events in slot t, in order, and `start[i]` is its state before
-    slot 0. A slot's events map every state before the slot to one after it;
-    these maps are composed along the slot axis by doubling, an inclusive
-    scan in log2(n_slots) array passes, so no Python loop runs per slot.
-    """
-    n_slots, n, _ = events.shape
-    maps = np.broadcast_to(np.arange(len(step), dtype=np.int8), (n_slots, n, len(step)))
-    for k in range(events.shape[2]):
-        maps = step[maps, events[..., k, None]]
-    width = 1
-    while width < n_slots:
-        # the map of slots t-2w+1..t: the one of slots t-w+1..t after the one up to t-w
-        maps[width:] = np.take_along_axis(maps[width:], maps[:-width], axis=2)
-        width *= 2
-    return maps[:, np.arange(n), start]
-
-
 def _drive_rrc(
-    start: np.ndarray, in_tr: np.ndarray, switched: np.ndarray,
-    ul_demand: np.ndarray, dl_demand: np.ndarray,
+    in_tr: np.ndarray, switched: np.ndarray, ul_demand: np.ndarray, dl_demand: np.ndarray,
 ) -> tuple[np.ndarray, RrcEvents]:
     """The RRC state of each device after each slot, and the log of every
     event. A device-slot's events, in order: TR enter or exit where the mode
     switched, uplink data pending where it has uplink demand in AM (TR gates
     uplink traffic generation entirely), downlink arrival where it has
     downlink demand. `step`, the transition table, comes from
-    rrc.transition; its last column, for no event, keeps the state."""
+    rrc.transition; its last column, for no event, keeps the state.
+
+    Each slot starts in MODE_STATES of the mode before it. That is exact
+    because every slot's events lead from the state of the mode before it
+    to the state of the mode after it, which the tests check case by case."""
     no_event = len(RRC_EVENTS)
     code = {event: np.int8(j) for j, event in enumerate(RRC_EVENTS)}
     events = np.stack([
@@ -334,14 +317,14 @@ def _drive_rrc(
         [RRC_STATES.index(rrc.transition(state, event)) for event in RRC_EVENTS] + [j]
         for j, state in enumerate(RRC_STATES)
     ], dtype=np.int8)
-    after = _rrc_states(step, events, start)
+    mode_state = np.array([RRC_STATES.index(s) for s in MODE_STATES], np.int8)
     # the state before each slot, then after each of its events
-    states = [np.vstack([start, after[:-1]])]
+    states = [mode_state[(in_tr ^ switched).view(np.int8)]]
     for k in range(events.shape[2]):
         states.append(step[states[-1], events[..., k]])
     logged = events != no_event
     slot, device, _ = np.nonzero(logged)
-    return after, RrcEvents(
+    return states[-1], RrcEvents(
         slot.astype(np.int32), device.astype(np.int32), events[logged],
         np.stack(states[:-1], axis=-1)[logged], np.stack(states[1:], axis=-1)[logged],
     )
@@ -386,8 +369,7 @@ def run_scenario(cfg: ScenarioConfig) -> SimResult:
         slot.astype(np.int32), device.astype(np.int32), rss_dbm[slot, device],
         1 - mode[slot, device], mode[slot, device],  # a transition flips the mode
     )
-    start_state = np.array([RRC_STATES.index(ue.rrc_state) for ue in devices], np.int8)
-    rrc_state, rrc_events = _drive_rrc(start_state, in_tr, switched, ul_demand, dl_demand)
+    rrc_state, rrc_events = _drive_rrc(in_tr, switched, ul_demand, dl_demand)
 
     grant_allowed = np.array([rrc.uplink_grant_allowed(s) for s in RRC_STATES])
     enabled = np.array([uplink_enabled(m) for m in MODES])

@@ -143,3 +143,23 @@ class TestUnitHelpers:
     def test_linear_to_db_rejects_negative(self):
         with pytest.raises(ValueError):
             linear_to_db(-1e-9)
+
+
+class TestHostLog10:
+    """glibc's log10 is not correctly rounded. On these inputs it returns the
+    double next to the correctly rounded one (given in the comments), and
+    the `run` goldens were written with glibc's digits."""
+
+    @pytest.mark.parametrize("x_hex, expected", [
+        ("0x1.763ee610ce0c3p-11", -3.1464131008131186),  # rounded: -3.146413100813119
+        ("0x1.3529373d52c60p-15", -4.433505198101708),  # rounded: -4.433505198101709
+        ("0x1.66ce1503ba644p-12", -3.465741417035564),  # rounded: -3.4657414170355643
+        ("0x1.1cb5f12cdb890p-9", -2.663106119950516),  # rounded: -2.6631061199505166
+    ])
+    def test_log10_is_the_one_the_run_goldens_were_made_with(self, x_hex, expected):
+        got = math.log10(float.fromhex(x_hex))
+        assert got == expected, (
+            f"math.log10({x_hex}) = {got!r}, glibc gives {expected!r}: this host's"
+            " libm log10 differs from glibc's, and the `run` goldens depend on the"
+            " host's log10, so their rss_dbm and sinr_db digits will differ too"
+        )

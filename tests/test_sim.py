@@ -1,3 +1,4 @@
+import itertools
 import math
 from collections import namedtuple
 from dataclasses import replace
@@ -13,6 +14,7 @@ from trsim.exposure import ExposureStandard, FrequencyBand
 from trsim.frames import SlotKind, build_fdd_pair, build_tdd_frame, make_numerology
 from trsim.rrc import RrcEvent, RrcState, uplink_grant_allowed
 from trsim.sim import (
+    MODE_STATES,
     MODES,
     RRC_EVENTS,
     RRC_STATES,
@@ -21,7 +23,6 @@ from trsim.sim import (
     GenerationScenario,
     _am_uplink_mask,
     _rng,
-    _rrc_states,
     build_devices,
     generation_power_density_series,
     outage_curve,
@@ -174,9 +175,10 @@ class TestRunScenario:
 
     def test_mode_and_rrc_state_stay_consistent(self):
         result = run_scenario(switching_config())
+        assert result.mode_transitions, "scenario never switched a device"
         for s in samples(result):
-            if s.mode is Mode.TR:
-                assert s.rrc_state in (RrcState.ENERGY_EFFICIENT, RrcState.IDLE)
+            assert s.rrc_state is MODE_STATES[MODES.index(s.mode)]
+            assert s.ul_active is (s.mode is Mode.AM)
 
     def test_tr_entries_are_caused_by_subthreshold_rss(self):
         cfg = switching_config()
@@ -234,21 +236,37 @@ class TestRunScenario:
         assert result.devices[1].rrc_state is RrcState.ENERGY_EFFICIENT
 
 
-class TestRrcStates:
-    @pytest.mark.parametrize("n_slots", [1, 2, 3, 7, 64, 100])
-    def test_scan_equals_stepping_slot_by_slot(self, n_slots):
-        rng = np.random.default_rng(n_slots)
-        n_states, n_events, n = 4, 10, 6
-        step = rng.integers(0, n_states, (n_states, n_events)).astype(np.int8)
-        events = rng.integers(0, n_events, (n_slots, n, 3)).astype(np.int8)
-        start = rng.integers(0, n_states, n).astype(np.int8)
-        states = _rrc_states(step, events, start)
-        for i in range(n):
-            state = start[i]
-            for t in range(n_slots):
-                for event in events[t, i]:
-                    state = step[state, event]
-                assert states[t, i] == state
+class TestModeStates:
+    @pytest.mark.parametrize(
+        "before, after, ul_demand, dl_demand",
+        list(itertools.product(MODES, MODES, [False, True], [False, True])),
+    )
+    def test_slot_events_lead_to_the_state_of_the_new_mode(
+        self, before, after, ul_demand, dl_demand
+    ):
+        """The engine starts each slot in MODE_STATES of the mode before it.
+        By induction over slots that is exact if every slot case, stepped
+        through rrc.transition in the engine's event order, ends in
+        MODE_STATES of the mode after it."""
+        events = []
+        if after is not before:
+            events.append(
+                RrcEvent.TR_MODE_ENTER if after is Mode.TR else RrcEvent.TR_MODE_EXIT
+            )
+        if after is Mode.AM and ul_demand:
+            events.append(RrcEvent.UPLINK_DATA_PENDING)
+        if dl_demand:
+            events.append(RrcEvent.DOWNLINK_DATA_ARRIVAL)
+        state = MODE_STATES[MODES.index(before)]
+        for event in events:
+            state = rrc.transition(state, event)
+        assert state is MODE_STATES[MODES.index(after)]
+
+    def test_population_starts_in_the_state_of_its_mode(self):
+        devices = build_devices(make_config(n_users=6, n_tr=2))
+        assert {ue.mode for ue in devices} == set(MODES)
+        for ue in devices:
+            assert ue.rrc_state is MODE_STATES[MODES.index(ue.mode)]
 
 
 def scalar_run(cfg):
@@ -487,9 +505,7 @@ class TestEngineSwitchOracle:
         """P(in TR after each slot), and the mean and variance of one device's
         transition count, from the chain started in TR or in AM. The moments
         are carried per state: P(s), E[N 1{s}] and E[N^2 1{s}]."""
-        moments = {False: [1.0, 0.0, 0.0], True: [0.0, 0.0, 0.0]}
-        if start_tr:
-            moments[False], moments[True] = moments[True], moments[False]
+        moments = {tr: [float(tr == start_tr), 0.0, 0.0] for tr in (False, True)}
         move = {(False, True): p, (False, False): 1.0 - p,
                 (True, False): q, (True, True): 1.0 - q}
         occupancy = []
