@@ -33,6 +33,8 @@ from .exposure import ExposureReport, UnmappedBandError, network_exposure
 from .frames import build_fdd_pair, build_tdd_frame, frame_dump, make_numerology
 from .schema import SNR_DB
 from .sim import (
+    MODE_STATES,
+    MODE_UPLINK,
     MODES,
     RRC_EVENTS,
     RRC_STATES,
@@ -103,27 +105,32 @@ def _run_chunks(result: SimResult) -> Chunks:
     modes = tuple(m._value_ for m in MODES)
     states = tuple(s._value_ for s in RRC_STATES)
     events = tuple(e._value_ for e in RRC_EVENTS)
+    # rrc_state and ul_active are labels of the mode codes
+    mode_states = tuple(s._value_ for s in MODE_STATES)
+    mode_uplink = tuple(map(int, MODE_UPLINK))
     per_chunk = max(1, CHUNK_ROWS // n)
     for t0 in range(0, n_slots, per_chunk):
         t1 = min(t0 + per_chunk, n_slots)
         rows = slice(t0, t1)
+        mode = result.mode[rows].ravel().tolist()
         yield "sample", (
             np.arange(t0, t1).repeat(n),
             Coded(ids, list(range(n)) * (t1 - t0)),
-            Coded(modes, result.mode[rows].ravel().tolist()),
-            Coded(states, result.rrc_state[rows].ravel().tolist()),
+            Coded(modes, mode),
+            Coded(mode_states, mode),
             result.fading_gain[rows].ravel(),
             result.rss_dbm[rows].ravel(),
             result.sinr_db[rows].ravel(),
-            result.ul_active[rows].ravel().view("i1"),
+            Coded(mode_uplink, mode),
             result.ul_tx_w[rows].ravel(),
         )
     transitions, rrc_events = result.mode_transitions, result.rrc_events
     for t0 in range(0, len(transitions), CHUNK_ROWS):
         tr = transitions[t0:t0 + CHUNK_ROWS]
+        new = tr.new.tolist()
         yield "mode_transition", (
             tr.slot, Coded(ids, tr.device.tolist()), tr.rss_dbm,
-            Coded(modes, tr.old.tolist()), Coded(modes, tr.new.tolist()),
+            Coded(modes[::-1], new), Coded(modes, new),  # a transition flips the mode
         )
     for t0 in range(0, len(rrc_events), CHUNK_ROWS):
         ev = rrc_events[t0:t0 + CHUNK_ROWS]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .schema import FREQ_HZ, check, key
-from .trmode import Mode
+from .trmode import uplink_enabled
 
 FREE_SPACE_IMPEDANCE_OHM = 376.73
 
@@ -148,7 +148,7 @@ def network_exposure(
     total_density = 0.0
     refs_seen: dict[str, list[float]] = {std.name: [] for std in standards}
     for ue in devices:
-        tx_w = 0.0 if ue.mode is Mode.TR else ue.tx_power_w
+        tx_w = ue.tx_power_w if uplink_enabled(ue.mode) else 0.0
         density = power_density(tx_w, 1.0, observer_distance_m)
         e_field = e_field_from_density(density)
         ers = {}

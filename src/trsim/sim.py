@@ -6,14 +6,14 @@ accumulates SINR against the uplink interference of that slot. Exposure
 and complexity metrics are finalized at the end of the run. The engine
 computes each quantity for every slot and device at once, as an
 (n_slots, n) array, and steps along the slot axis only through array
-operations: the mode switch is a forward fill. The RRC machine needs no
-pass along the slots, since each slot starts in the state that the mode
-before it holds (MODE_STATES) and steps only through that slot's events.
+operations: the mode switch is a forward fill. The mode is the one state
+kept per device-slot: the RRC state and the uplink activity are the mode's
+(MODE_STATES, MODE_UPLINK), and only the RRC log steps the RRC machine.
 
 Modeling choices, at desk scale:
-  * Uplink interference is aggregated at the cell center from every
-    grant-allowed, uplink-enabled transmitter at its mean received power;
-    fading applies to the desired downlink path only.
+  * Uplink interference is aggregated at the cell center from every AM
+    device (the one mode whose RRC state is granted uplink) at its mean
+    received power; fading applies to the desired downlink path only.
   * Active-mode devices emit a fixed "always-on" signaling power every
     slot even without uplink demand; data-rate power is emitted in uplink
     slots with demand. TR-mode devices emit nothing and generate no uplink
@@ -50,9 +50,9 @@ from .trmode import Mode, SwitchConfig, hold_modes, uplink_enabled
 
 
 # Upper bound on population x n_slots. The engine holds a run's columns in
-# memory and peaks at about 110 B per device-slot (tracemalloc, 10^5 and
-# 10^6 device-slots), so a run at the cap needs about 1.1 GB; a larger one
-# is refused as a configuration error before anything is allocated.
+# memory and peaks at 87-105 B per device-slot (tracemalloc, the benchmark's
+# workloads at 10^5 and 10^6 device-slots), so a run at the cap needs about
+# 1 GB; a larger one is refused as a configuration error before allocating.
 MAX_DEVICE_SLOTS = 10**7
 
 
@@ -151,13 +151,16 @@ class UserEquipment:
 
 
 # Codes of the columns: the mode column and the mode-transition log index
-# MODES, the rrc_state column and the RRC log's states index RRC_STATES, and
-# its events index RRC_EVENTS.
+# MODES, the RRC log's states index RRC_STATES, and its events index
+# RRC_EVENTS.
 MODES = (Mode.AM, Mode.TR)
 # The RRC state each mode holds, indexed like MODES: a device enters
 # EnergyEfficient as it enters TR and returns to Connected as it leaves, and
 # the engine's other events are self-loops in these two states.
 MODE_STATES = (rrc.RrcState.CONNECTED, rrc.RrcState.ENERGY_EFFICIENT)
+# Whether a device in each mode, in the state it holds, transmits uplink.
+MODE_UPLINK = tuple(uplink_enabled(mode) and rrc.uplink_grant_allowed(state)
+                    for mode, state in zip(MODES, MODE_STATES))
 RRC_STATES = tuple(rrc.RrcState)
 RRC_EVENTS = tuple(rrc.RrcEvent)
 
@@ -188,12 +191,12 @@ class _Log:
 @dataclass(frozen=True, eq=False)
 class ModeTransitions(_Log):
     """One row per mode transition, in slot, then device order. `device`
-    indexes SimResult.devices; `old` and `new` index MODES."""
+    indexes SimResult.devices and `new` indexes MODES; the mode before is
+    the other one, since a transition flips the mode."""
 
     slot: np.ndarray
     device: np.ndarray
     rss_dbm: np.ndarray
-    old: np.ndarray
     new: np.ndarray
 
 
@@ -218,12 +221,10 @@ class SimResult:
 
     config: ScenarioConfig
     devices: tuple[UserEquipment, ...]
-    mode: np.ndarray  # int8, indexes MODES
-    rrc_state: np.ndarray  # int8, indexes RRC_STATES
+    mode: np.ndarray  # int8, indexes MODES, MODE_STATES and MODE_UPLINK
     fading_gain: np.ndarray
     rss_dbm: np.ndarray
     sinr_db: np.ndarray
-    ul_active: np.ndarray  # bool
     ul_tx_w: np.ndarray
     mode_transitions: ModeTransitions
     rrc_events: RrcEvents
@@ -292,41 +293,38 @@ def _each(fn, values: np.ndarray) -> np.ndarray:
     return out.reshape(values.shape)
 
 
-def _drive_rrc(
+def _rrc_log(
     in_tr: np.ndarray, switched: np.ndarray, ul_demand: np.ndarray, dl_demand: np.ndarray,
-) -> tuple[np.ndarray, RrcEvents]:
-    """The RRC state of each device after each slot, and the log of every
-    event. A device-slot's events, in order: TR enter or exit where the mode
-    switched, uplink data pending where it has uplink demand in AM (TR gates
-    uplink traffic generation entirely), downlink arrival where it has
-    downlink demand. `step`, the transition table, comes from
-    rrc.transition; its last column, for no event, keeps the state.
+) -> RrcEvents:
+    """The log of every RRC event. A device-slot's events, in order: TR enter
+    or exit where the mode switched, uplink data pending where it has uplink
+    demand in AM (TR gates uplink traffic generation entirely), downlink
+    arrival where it has downlink demand.
 
-    Each slot starts in MODE_STATES of the mode before it. That is exact
-    because every slot's events lead from the state of the mode before it
-    to the state of the mode after it, which the tests check case by case."""
-    no_event = len(RRC_EVENTS)
-    code = {event: np.int8(j) for j, event in enumerate(RRC_EVENTS)}
-    events = np.stack([
-        np.where(switched, np.where(in_tr, code[rrc.RrcEvent.TR_MODE_ENTER],
-                                    code[rrc.RrcEvent.TR_MODE_EXIT]), no_event),
-        np.where(~in_tr & ul_demand, code[rrc.RrcEvent.UPLINK_DATA_PENDING], no_event),
-        np.where(dl_demand, code[rrc.RrcEvent.DOWNLINK_DATA_ARRIVAL], no_event),
-    ], axis=-1).astype(np.int8)
+    An event starts from MODE_STATES of a mode: the TR enter or exit from
+    that of the mode before the slot, the others from that of the mode
+    after it. That is exact because the switch event leads from the one
+    mode's state to the other's and the others are self-loops there, which
+    the tests check against a scalar run. `step` is rrc.transition's table."""
+    E = rrc.RrcEvent
+    # the event of each event column, for a device in AM and in TR
+    column_events = np.array([
+        [RRC_EVENTS.index(E.TR_MODE_EXIT), RRC_EVENTS.index(E.TR_MODE_ENTER)],
+        [RRC_EVENTS.index(E.UPLINK_DATA_PENDING)] * 2,
+        [RRC_EVENTS.index(E.DOWNLINK_DATA_ARRIVAL)] * 2,
+    ], np.int8)
     step = np.array([
-        [RRC_STATES.index(rrc.transition(state, event)) for event in RRC_EVENTS] + [j]
-        for j, state in enumerate(RRC_STATES)
+        [RRC_STATES.index(rrc.transition(state, event)) for event in RRC_EVENTS]
+        for state in RRC_STATES
     ], dtype=np.int8)
     mode_state = np.array([RRC_STATES.index(s) for s in MODE_STATES], np.int8)
-    # the state before each slot, then after each of its events
-    states = [mode_state[(in_tr ^ switched).view(np.int8)]]
-    for k in range(events.shape[2]):
-        states.append(step[states[-1], events[..., k]])
-    logged = events != no_event
-    slot, device, _ = np.nonzero(logged)
-    return states[-1], RrcEvents(
-        slot.astype(np.int32), device.astype(np.int32), events[logged],
-        np.stack(states[:-1], axis=-1)[logged], np.stack(states[1:], axis=-1)[logged],
+    happened = np.stack([switched, ~in_tr & ul_demand, dl_demand], axis=-1)
+    slot, device, column = np.nonzero(happened)
+    tr = in_tr[slot, device].view(np.int8)
+    event = column_events[column, tr]
+    old = mode_state[tr ^ (column == 0)]  # the TR enter or exit flips the mode
+    return RrcEvents(
+        slot.astype(np.int32), device.astype(np.int32), event, old, step[old, event]
     )
 
 
@@ -334,11 +332,11 @@ def run_scenario(cfg: ScenarioConfig) -> SimResult:
     """Run the scenario; the result is a pure function of the config.
 
     Each slot, for every device: draw fading, evaluate the mode switch on
-    the downlink received signal strength, drive the RRC events that follow
+    the downlink received signal strength, log the RRC events that follow
     (TR enter/exit, then pending uplink data, then downlink arrival), then
-    charge uplink interference from every transmitter that is both
-    uplink-enabled and grant-allowed. Each quantity is computed for all
-    slots and devices at once, as an (n_slots, n) array.
+    charge uplink interference from every device whose mode transmits
+    uplink (MODE_UPLINK). Each quantity is computed for all slots and
+    devices at once, as an (n_slots, n) array.
     """
     cfg.require_valid()
     devices = build_devices(cfg)
@@ -367,13 +365,11 @@ def run_scenario(cfg: ScenarioConfig) -> SimResult:
     slot, device = np.nonzero(switched)
     mode_transitions = ModeTransitions(
         slot.astype(np.int32), device.astype(np.int32), rss_dbm[slot, device],
-        1 - mode[slot, device], mode[slot, device],  # a transition flips the mode
+        mode[slot, device],
     )
-    rrc_state, rrc_events = _drive_rrc(in_tr, switched, ul_demand, dl_demand)
+    rrc_events = _rrc_log(in_tr, switched, ul_demand, dl_demand)
 
-    grant_allowed = np.array([rrc.uplink_grant_allowed(s) for s in RRC_STATES])
-    enabled = np.array([uplink_enabled(m) for m in MODES])
-    ul_active = enabled[mode] & grant_allowed[rrc_state]
+    ul_active = np.array(MODE_UPLINK)[mode]
     uplink_slot = np.resize(_am_uplink_mask(cfg), n_slots)[:, None]
     ul_tx_w = np.where(
         ul_active,
@@ -390,20 +386,16 @@ def run_scenario(cfg: ScenarioConfig) -> SimResult:
         counted = int(np.count_nonzero(members))
         return int(np.count_nonzero(in_outage & members)) / counted if counted else None
 
-    for ue, final_mode, final_state in zip(
-        devices, mode[-1].tolist(), rrc_state[-1].tolist()
-    ):
-        ue.mode, ue.rrc_state = MODES[final_mode], RRC_STATES[final_state]
+    for ue, final_mode in zip(devices, mode[-1].tolist()):
+        ue.mode, ue.rrc_state = MODES[final_mode], MODE_STATES[final_mode]
     report = network_exposure(devices, cfg.standards, cfg.observer_distance_m)
     return SimResult(
         config=cfg,
         devices=tuple(devices),
         mode=mode,
-        rrc_state=rrc_state,
         fading_gain=gain,
         rss_dbm=rss_dbm,
         sinr_db=_each(channel.linear_to_db, sinr_lin),
-        ul_active=ul_active,
         ul_tx_w=ul_tx_w,
         mode_transitions=mode_transitions,
         rrc_events=rrc_events,

@@ -10,11 +10,13 @@ from hypothesis import given, settings, strategies as st
 from conftest import make_config
 from trsim import channel, rrc
 from trsim.channel import db_to_linear, free_space_path_loss, outage_analytic, watts_to_dbm
+from trsim.cli import RUN_KINDS, Coded, _run_chunks
 from trsim.exposure import ExposureStandard, FrequencyBand
 from trsim.frames import SlotKind, build_fdd_pair, build_tdd_frame, make_numerology
 from trsim.rrc import RrcEvent, RrcState, uplink_grant_allowed
 from trsim.sim import (
     MODE_STATES,
+    MODE_UPLINK,
     MODES,
     RRC_EVENTS,
     RRC_STATES,
@@ -31,22 +33,26 @@ from trsim.sim import (
 from trsim.trmode import Mode, SwitchConfig, evaluate_switch, uplink_enabled
 
 
-SAMPLE_COLUMNS = (
-    "mode", "rrc_state", "fading_gain", "rss_dbm", "sinr_db", "ul_active", "ul_tx_w"
+# the result's per device-slot columns
+RESULT_COLUMNS = ("mode", "fading_gain", "rss_dbm", "sinr_db", "ul_tx_w")
+Sample = namedtuple(
+    "Sample",
+    "slot device_id mode rrc_state fading_gain rss_dbm sinr_db ul_active ul_tx_w",
 )
-Sample = namedtuple("Sample", ("slot", "device_id") + SAMPLE_COLUMNS)
 Transition = namedtuple("Transition", "slot device_id old_mode new_mode rss_dbm")
 RrcEntry = namedtuple("RrcEntry", "slot device_id event old_state new_state")
 
 
 def samples(result) -> list[Sample]:
     """The result's columns read back as one record per device-slot, in slot,
-    then device order, with enum members for the coded columns."""
+    then device order, with enum members for the coded columns. The RRC state
+    and uplink activity are the mode's, through MODE_STATES and MODE_UPLINK."""
     ids = [ue.id for ue in result.devices]
-    columns = [getattr(result, name).tolist() for name in SAMPLE_COLUMNS]
+    columns = [getattr(result, name).tolist() for name in RESULT_COLUMNS]
     return [
-        Sample(t, ids[i], MODES[mode[i]], RRC_STATES[state[i]], *(c[i] for c in rest))
-        for t, (mode, state, *rest) in enumerate(zip(*columns))
+        Sample(t, ids[i], MODES[mode[i]], MODE_STATES[mode[i]], gain[i], rss[i], sinr[i],
+               MODE_UPLINK[mode[i]], tx[i])
+        for t, (mode, gain, rss, sinr, tx) in enumerate(zip(*columns))
         for i in range(len(ids))
     ]
 
@@ -54,10 +60,9 @@ def samples(result) -> list[Sample]:
 def transitions(result) -> list[Transition]:
     log = result.mode_transitions
     return [
-        Transition(slot, result.devices[i].id, MODES[old], MODES[new], rss_dbm)
-        for slot, i, rss_dbm, old, new in zip(
-            log.slot.tolist(), log.device.tolist(), log.rss_dbm.tolist(),
-            log.old.tolist(), log.new.tolist(),
+        Transition(slot, result.devices[i].id, MODES[1 - new], MODES[new], rss_dbm)
+        for slot, i, rss_dbm, new in zip(
+            log.slot.tolist(), log.device.tolist(), log.rss_dbm.tolist(), log.new.tolist()
         )
     ]
 
@@ -71,6 +76,19 @@ def rrc_log(result) -> list[RrcEntry]:
             log.old.tolist(), log.new.tolist(),
         )
     ]
+
+
+def run_records(result):
+    """The records of `trsim run` as cli._run_chunks gives them, each as its
+    kind and a dict of its keys, with coded columns decoded to labels."""
+    for kind, columns in _run_chunks(result):
+        values = [
+            [c.labels[j] for j in c.codes] if isinstance(c, Coded)
+            else c.tolist() if isinstance(c, np.ndarray) else c
+            for c in columns
+        ]
+        for record in zip(*values):
+            yield kind, dict(zip(RUN_KINDS[kind], record))
 
 
 def switching_config(**overrides):
@@ -146,7 +164,7 @@ class TestRunScenario:
     def test_sample_shape_and_order(self, small_config):
         result = run_scenario(small_config)
         # one row per slot in slot order, one column per device
-        for column in SAMPLE_COLUMNS:
+        for column in RESULT_COLUMNS:
             assert getattr(result, column).shape == (
                 small_config.n_slots, small_config.n_users
             )
@@ -174,11 +192,25 @@ class TestRunScenario:
         assert saw_tr_sample, "scenario never exercised TR mode"
 
     def test_mode_and_rrc_state_stay_consistent(self):
+        """In the output, a sample's rrc_state is the state its device-slot's
+        last RRC event led to, and ul_active is 1 exactly where that state is
+        granted uplink."""
         result = run_scenario(switching_config())
         assert result.mode_transitions, "scenario never switched a device"
-        for s in samples(result):
-            assert s.rrc_state is MODE_STATES[MODES.index(s.mode)]
-            assert s.ul_active is (s.mode is Mode.AM)
+        records = list(run_records(result))
+        last_to = {
+            (r["slot"], r["device_id"]): r["to"] for kind, r in records if kind == "rrc_event"
+        }
+        checked = set()
+        for kind, r in records:
+            if kind != "sample":
+                continue
+            state = r["rrc_state"]
+            if (r["slot"], r["device_id"]) in last_to:
+                assert state == last_to[r["slot"], r["device_id"]]
+                checked.add(state)
+            assert r["ul_active"] == int(uplink_grant_allowed(RrcState(state)))
+        assert checked == {s.value for s in MODE_STATES}
 
     def test_tr_entries_are_caused_by_subthreshold_rss(self):
         cfg = switching_config()
