@@ -6,8 +6,10 @@ records, in chunks of records of one kind held as one column per key of the
 kind, and either encoder writes that stream: csv puts each record's kind and
 keys under the columns of the same names in a frozen column order (see the
 README) and leaves the other columns empty; json-lines writes each record
-as one object of its kind and keys. frames and rrc-check emit fixed text
-layouts used as golden files.
+as one object of its kind and keys. Both write a chunk's records at once,
+as rows of a byte matrix (_write_chunks), with the text of the numbers
+computed a whole column at a time (textcols). frames and rrc-check emit
+fixed text layouts used as golden files.
 
 Exit codes: 0 success; 2 configuration or usage error; 3 domain error
 (invalid operation input); 4 frequency outside every configured band;
@@ -27,7 +29,7 @@ from typing import IO, Iterable, NamedTuple
 
 import numpy as np
 
-from . import __version__, rrc
+from . import __version__, rrc, textcols
 from .configfile import parse_config
 from .exposure import ExposureReport, UnmappedBandError, network_exposure
 from .frames import build_fdd_pair, build_tdd_frame, frame_dump, make_numerology
@@ -62,19 +64,19 @@ RUN_CSV_COLUMNS = (
 
 Kinds = dict[str, tuple[str, ...]]  # record kind -> its keys, in column order
 # (kind, columns): a run of records of one kind, one column per key in the
-# order of the kind's keys, all of one length. A column is a list or tuple of
-# values, a numeric numpy array, or Coded.
+# order of the kind's keys, all of one length. A column is Coded, a numpy
+# array of non-negative ints or a numpy array of floats.
 Chunks = Iterable[tuple[str, tuple]]
 
-CHUNK_ROWS = 4096  # records per chunk of samples or of a log
+CHUNK_ROWS = 2048  # records per chunk of samples or of a log
 
 
 class Coded(NamedTuple):
-    """A column of labels given as codes into a table, so that an encoder
-    escapes each distinct label once rather than once per record."""
+    """A column of labels given as an array of codes into a table, so that
+    an encoder escapes each distinct label once rather than once per record."""
 
     labels: tuple
-    codes: list[int]
+    codes: np.ndarray
 
 
 RUN_KINDS: Kinds = {
@@ -94,49 +96,49 @@ def exposure_kinds(standards: tuple) -> Kinds:
 
 
 def _chunk(kind: str, records: list[tuple]) -> tuple[str, tuple]:
-    """A chunk of records given as value tuples."""
-    return kind, tuple(zip(*records))
+    """A chunk of records given as value tuples: each column codes its own
+    values."""
+    codes = np.arange(len(records))
+    return kind, tuple(Coded(column, codes) for column in zip(*records))
 
 
 def _run_chunks(result: SimResult) -> Chunks:
-    n, n_slots = len(result.devices), result.config.n_slots
+    n = len(result.devices)
     ids = tuple(ue.id for ue in result.devices)
     # `_value_` is `.value` without its property call
     modes = tuple(m._value_ for m in MODES)
+    flipped = modes[::-1]  # a transition's from, coded by its to
     states = tuple(s._value_ for s in RRC_STATES)
     events = tuple(e._value_ for e in RRC_EVENTS)
     # rrc_state and ul_active are labels of the mode codes
     mode_states = tuple(s._value_ for s in MODE_STATES)
     mode_uplink = tuple(map(int, MODE_UPLINK))
-    per_chunk = max(1, CHUNK_ROWS // n)
-    for t0 in range(0, n_slots, per_chunk):
-        t1 = min(t0 + per_chunk, n_slots)
-        rows = slice(t0, t1)
-        mode = result.mode[rows].ravel().tolist()
+    # the sample columns in record order, slot by slot, then device by device
+    mode = result.mode.ravel()
+    gain, rss, sinr, tx = (
+        a.ravel() for a in (result.fading_gain, result.rss_dbm, result.sinr_db, result.ul_tx_w)
+    )
+    for r0 in range(0, mode.size, CHUNK_ROWS):
+        rows = slice(r0, r0 + CHUNK_ROWS)
+        index = np.arange(r0, min(r0 + CHUNK_ROWS, mode.size))
+        slot = index // n
         yield "sample", (
-            np.arange(t0, t1).repeat(n),
-            Coded(ids, list(range(n)) * (t1 - t0)),
-            Coded(modes, mode),
-            Coded(mode_states, mode),
-            result.fading_gain[rows].ravel(),
-            result.rss_dbm[rows].ravel(),
-            result.sinr_db[rows].ravel(),
-            Coded(mode_uplink, mode),
-            result.ul_tx_w[rows].ravel(),
+            slot, Coded(ids, index - slot * n), Coded(modes, mode[rows]),
+            Coded(mode_states, mode[rows]), gain[rows], rss[rows], sinr[rows],
+            Coded(mode_uplink, mode[rows]), tx[rows],
         )
     transitions, rrc_events = result.mode_transitions, result.rrc_events
     for t0 in range(0, len(transitions), CHUNK_ROWS):
         tr = transitions[t0:t0 + CHUNK_ROWS]
-        new = tr.new.tolist()
         yield "mode_transition", (
-            tr.slot, Coded(ids, tr.device.tolist()), tr.rss_dbm,
-            Coded(modes[::-1], new), Coded(modes, new),  # a transition flips the mode
+            tr.slot, Coded(ids, tr.device), tr.rss_dbm, Coded(flipped, tr.new),
+            Coded(modes, tr.new),
         )
     for t0 in range(0, len(rrc_events), CHUNK_ROWS):
         ev = rrc_events[t0:t0 + CHUNK_ROWS]
         yield "rrc_event", (
-            ev.slot, Coded(ids, ev.device.tolist()), Coded(events, ev.event.tolist()),
-            Coded(states, ev.old.tolist()), Coded(states, ev.new.tolist()),
+            ev.slot, Coded(ids, ev.device), Coded(events, ev.event),
+            Coded(states, ev.old), Coded(states, ev.new),
         )
     report = result.exposure
     metrics = {
@@ -164,40 +166,52 @@ def _exposure_chunks(report: ExposureReport, standards: tuple) -> Chunks:
     yield _chunk("network-exposure", [("network-total", *total, *ers)])
 
 
-def _write_chunks(fh: IO[str], layouts: dict, chunks: Chunks, escape, plain) -> None:
-    """Write each chunk through its kind's layout: a %-template of one record
-    and the positions of the chunk's columns in the template's fields. (No
-    kind or key name holds a `%`: they are the program's own names and
-    standard names, which the config parser limits to [A-Za-z0-9_-].)
+def _write_chunks(fh: IO[str], layouts: dict, chunks: Chunks, escape) -> None:
+    """Write each chunk as one text, built as a matrix of bytes with one row
+    per record. A kind's layout is its record's text as literal pieces with,
+    between each two, the index of the chunk's column whose value goes
+    there. In a row, each
+    value is a fixed-width block padded with textcols.PAD, which the text
+    leaves out.
 
-    Every value goes through `escape`, which writes one value as the format
-    does, except the numbers of an array that `plain` accepts: those are
-    written as `str` writes them. A Coded column's labels are escaped once
-    per run.
+    Every value is written as `escape` writes it. textcols writes the ints
+    and the floats of an array as str and repr do, which is what both
+    escapes write for them, and leaves the floats that repr writes in
+    exponent form, and non-finite ones, to `escape`. A Coded column's labels
+    are escaped once per run.
     """
-    escaped: dict[tuple, list[str]] = {}
+    # id of a label tuple -> (the tuple, kept so that its id stays its own,
+    # and its labels' padded text)
+    tables: dict[int, tuple] = {}
+    pieces = {
+        kind: [np.frombuffer(item.encode(), np.uint8) if isinstance(item, str) else item
+               for item in layout]
+        for kind, layout in layouts.items()
+    }
     for kind, columns in chunks:
-        template, order = layouts[kind]
-        texts = []
-        for column in (columns[j] for j in order):
+        blocks = {}
+        floats = [j for j, c in enumerate(columns)
+                  if not isinstance(c, Coded) and c.dtype.kind == "f"]
+        if floats:
+            text = textcols.floats(np.stack([columns[j] for j in floats]), escape)
+            blocks.update(zip(floats, text))
+        for j, column in enumerate(columns):
             if isinstance(column, Coded):
-                table = escaped.get(column.labels)
-                if table is None:
-                    table = escaped[column.labels] = list(map(escape, column.labels))
-                texts.append(list(map(table.__getitem__, column.codes)))
-            elif isinstance(column, (list, tuple)):
-                texts.append(list(map(escape, column)))
-            elif plain(column):
-                texts.append(column.tolist())
-            else:
-                texts.append(list(map(escape, column.tolist())))
-        # one %-format of the template repeated once per record, its fields
-        # filled from the columns interleaved record by record
-        n_records, width = len(texts[0]), len(texts)
-        flat = [None] * (n_records * width)
-        for j, text in enumerate(texts):
-            flat[j::width] = text
-        fh.write((template * n_records) % tuple(flat))
+                key = id(column.labels)
+                if key not in tables:
+                    texts = [escape(label) for label in column.labels]
+                    tables[key] = column.labels, textcols.labels(texts)
+                table = tables[key][1]
+                blocks[j] = table.take(column.codes).view(np.uint8).reshape(len(column.codes), -1)
+            elif j not in blocks:
+                blocks[j] = textcols.ints(column)
+        parts = [blocks[p] if isinstance(p, int) else p for p in pieces[kind]]
+        matrix = np.empty((len(blocks[0]), sum(p.shape[-1] for p in parts)), np.uint8)
+        at = 0
+        for part in parts:
+            matrix[:, at:at + part.shape[-1]] = part
+            at += part.shape[-1]
+        fh.write(matrix.tobytes().translate(None, bytes([textcols.PAD])).decode())
 
 
 class _Echo:
@@ -222,26 +236,32 @@ def _write_csv(fh: IO[str], columns: tuple[str, ...], kinds: Kinds, chunks: Chun
 
     layouts = {}
     for kind, keys in kinds.items():
-        cells = [cell(kind) if c == "kind" else "%s" if c in keys else "" for c in columns]
-        layouts[kind] = ",".join(cells) + "\n", [keys.index(c) for c in columns if c in keys]
+        layout = [""]
+        for i, c in enumerate(columns):
+            if i:
+                layout[-1] += ","
+            if c in keys:
+                layout += [keys.index(c), ""]
+            elif c == "kind":
+                layout[-1] += cell(kind)
+        layout[-1] += "\n"
+        layouts[kind] = layout
     fh.write(",".join(map(cell, columns)) + "\n")
-    # str of an int or float is the text csv.writer writes for it
-    _write_chunks(fh, layouts, chunks, cell, lambda array: True)
+    _write_chunks(fh, layouts, chunks, cell)
 
 
 def _write_jsonl(fh: IO[str], kinds: Kinds, chunks: Chunks) -> None:
     """One JSON object per record, as json.dumps writes it: its `kind`, then
     its keys in order."""
-    layouts = {
-        kind: (
-            "{" + ", ".join([f'"kind": {json.dumps(kind)}']
-                            + [f"{json.dumps(key)}: %s" for key in keys]) + "}\n",
-            range(len(keys)),
-        )
-        for kind, keys in kinds.items()
-    }
-    # str of an int or finite float is the text json.dumps writes for it
-    _write_chunks(fh, layouts, chunks, json.dumps, lambda array: np.isfinite(array).all())
+    layouts = {}
+    for kind, keys in kinds.items():
+        layout = [f'{{"kind": {json.dumps(kind)}']
+        for j, key in enumerate(keys):
+            layout[-1] += f", {json.dumps(key)}: "
+            layout += [j, ""]
+        layout[-1] += "}\n"
+        layouts[kind] = layout
+    _write_chunks(fh, layouts, chunks, json.dumps)
 
 
 def _emit(args: argparse.Namespace, columns, kinds: Kinds, chunks: Chunks) -> int:

@@ -25,6 +25,7 @@ Modeling choices, at desk scale:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import Sequence
 
@@ -281,16 +282,20 @@ def _am_uplink_mask(cfg: ScenarioConfig) -> list[bool]:
     return [slot is SlotKind.UPLINK for sf in frame.subframes for slot in sf]
 
 
-def _each(fn, values: np.ndarray) -> np.ndarray:
-    """`fn` applied to each value as a Python float. The dB columns go
-    through channel's math.log10: numpy's log10 differs from it in the last
-    bit on some inputs, which would change the printed digits."""
-    out = np.empty(values.size)
+def _db(values: np.ndarray) -> np.ndarray:
+    """10 log10 of each value, -inf where it is 0: channel.linear_to_db of
+    each, bit for bit. The logarithms are math.log10's, one call per nonzero
+    value: numpy's log10 differs from it in the last bit on some inputs,
+    which would change the printed digits."""
     flat = values.ravel()
+    logs = np.full(flat.size, -np.inf)
     block = 4096  # values held as Python floats at once
     for i in range(0, flat.size, block):
-        out[i:i + block] = list(map(fn, flat[i:i + block].tolist()))
-    return out.reshape(values.shape)
+        part = flat[i:i + block]
+        nonzero = np.flatnonzero(part)
+        logs[i + nonzero] = list(map(math.log10, part[nonzero].tolist()))
+    logs *= 10.0
+    return logs.reshape(values.shape)
 
 
 def _rrc_log(
@@ -356,7 +361,8 @@ def run_scenario(cfg: ScenarioConfig) -> SimResult:
     for i in range(n):
         gain[:, i] = channel.draw_fading_gain(_rng(cfg.seed, 2, i), n_slots)
     rx_w = cfg.bs_tx_power_w / path_loss_lin * gain
-    rss_dbm = _each(channel.watts_to_dbm, rx_w)
+    rss_dbm = _db(rx_w)
+    rss_dbm += 30.0  # channel.watts_to_dbm
 
     start_tr = np.array([ue.mode is Mode.TR for ue in devices])
     in_tr = hold_modes(rss_dbm, cfg.switch, start_tr)
@@ -395,7 +401,7 @@ def run_scenario(cfg: ScenarioConfig) -> SimResult:
         mode=mode,
         fading_gain=gain,
         rss_dbm=rss_dbm,
-        sinr_db=_each(channel.linear_to_db, sinr_lin),
+        sinr_db=_db(sinr_lin),
         ul_tx_w=ul_tx_w,
         mode_transitions=mode_transitions,
         rrc_events=rrc_events,

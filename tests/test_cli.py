@@ -3,10 +3,16 @@ import json
 import math
 import re
 
+from dataclasses import astuple
+from io import StringIO
+
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import ER_TABLE_FIXTURE, GOLDEN_DIR, REPO_ROOT, SCENARIO_TR50
-from trsim import channel
+from trsim import cli, sim
 from trsim.cli import (
     EXIT_BAND,
     EXIT_CONFIG,
@@ -16,10 +22,12 @@ from trsim.cli import (
     OUTPUT_FORMATS,
     RUN_CSV_COLUMNS,
     RUN_KINDS,
+    Coded,
     exposure_kinds,
     main,
 )
 from trsim.configfile import parse_config
+from trsim.exposure import network_exposure
 
 DATA_DIR = REPO_ROOT / "tests" / "data"
 OUTAGE_DEMO = DATA_DIR / "outage_demo.cfg"
@@ -226,17 +234,19 @@ class TestEncoders:
     ):
         """Every row is what csv.writer writes, and every line what json.dumps
         writes, for the same values, with nan, +-inf and None among them."""
-        real_linear_to_db = channel.linear_to_db
-        specials = (math.nan, math.inf, -math.inf)
+        real_db = sim._db
+        specials = np.array([math.nan, math.inf, -math.inf])
 
-        def linear_to_db(value):
+        def db(values):
             # received powers in W stay far below 1e-3 and keep their value;
             # three in four SINR ratios become nan, inf or -inf
-            if value < 1e-3 or int(value) % 4 == 3:
-                return real_linear_to_db(value)
-            return specials[int(value) % 4]
+            out = real_db(values)
+            which = values.astype(int) % 4
+            special = (values >= 1e-3) & (which != 3)
+            out[special] = specials[which[special]]
+            return out
 
-        monkeypatch.setattr(channel, "linear_to_db", linear_to_db)
+        monkeypatch.setattr(sim, "_db", db)
         config = tmp_path / "all_tr.cfg"
         text = re.sub(r"(?m)^n_slots = .*$", "n_slots = 8", SCENARIO_TR50.read_text())
         config.write_text(re.sub(r"(?m)^n_tr = .*$", "n_tr = 50", text))
@@ -402,3 +412,126 @@ class TestJsonLinesMatchesCsv:
         readme = (REPO_ROOT / "README.md").read_text()
         for kind, keys in {**RUN_KINDS, **OUTAGE_KINDS}.items():
             assert f"{kind}: {','.join(keys)}\n" in readme
+
+
+# The reference encoder: one %-template of a record per kind, filled with
+# each value as the format's escape writes it, except the numbers of an
+# array that `plain` accepts, written as str writes them. (No kind or key
+# name holds a `%`.) cli's byte-matrix encoder must write the same text.
+
+
+def reference_write_chunks(fh, layouts, chunks, escape, plain):
+    for kind, columns in chunks:
+        template, order = layouts[kind]
+        texts = []
+        for column in (columns[j] for j in order):
+            if isinstance(column, Coded):
+                table = list(map(escape, column.labels))
+                texts.append(list(map(table.__getitem__, column.codes)))
+            elif plain(column):
+                texts.append(column.tolist())
+            else:
+                texts.append(list(map(escape, column.tolist())))
+        n_records, width = len(texts[0]), len(texts)
+        flat = [None] * (n_records * width)
+        for j, text in enumerate(texts):
+            flat[j::width] = text
+        fh.write((template * n_records) % tuple(flat))
+
+
+def reference_write_csv(fh, columns, kinds, chunks):
+    writerow = csv.writer(cli._Echo(), lineterminator="\n").writerow
+
+    def cell(value):
+        return writerow((value, ""))[:-2]
+
+    layouts = {}
+    for kind, keys in kinds.items():
+        cells = [cell(kind) if c == "kind" else "%s" if c in keys else "" for c in columns]
+        layouts[kind] = ",".join(cells) + "\n", [keys.index(c) for c in columns if c in keys]
+    fh.write(",".join(map(cell, columns)) + "\n")
+    reference_write_chunks(fh, layouts, chunks, cell, lambda array: True)
+
+
+def reference_write_jsonl(fh, kinds, chunks):
+    layouts = {
+        kind: (
+            "{" + ", ".join([f'"kind": {json.dumps(kind)}']
+                            + [f"{json.dumps(key)}: %s" for key in keys]) + "}\n",
+            range(len(keys)),
+        )
+        for kind, keys in kinds.items()
+    }
+    reference_write_chunks(
+        fh, layouts, chunks, json.dumps, lambda array: np.isfinite(array).all()
+    )
+
+
+ESCAPED_IDS = ("a,b", 'q"x', "ü-1", "back\\slash", "nul\x00id", "ue-7")
+ANY_FLOAT = st.floats(width=64)  # nan, +-inf, subnormals and exponent form too
+
+
+def id_config(seed: int, n_slots: int, hysteresis_db: float):
+    """The TDD switching scenario with explicit devices whose ids need
+    escaping in one format or the other."""
+    devices = "".join(
+        f"device = {device_id} {300.0 + 17 * i} 0.2 3.5e9 {('am', 'tr')[i % 2]}\n"
+        for i, device_id in enumerate(ESCAPED_IDS)
+    )
+    text = re.sub(r"(?m)^n_slots = .*$", f"n_slots = {n_slots}", SWITCH_TDD.read_text())
+    text = re.sub(r"(?m)^seed = .*$", f"seed = {seed}", text)
+    text = re.sub(r"(?m)^hysteresis_db = .*$", f"hysteresis_db = {hysteresis_db}", text)
+    return parse_config(text + "\n[devices]\n" + devices)
+
+
+class TestEncoderEqualsReference:
+    def check(self, columns, kinds, chunks):
+        chunks = list(chunks)
+        for fmt in OUTPUT_FORMATS:
+            got, want = StringIO(), StringIO()
+            if fmt == "csv":
+                cli._write_csv(got, columns, kinds, chunks)
+                reference_write_csv(want, columns, kinds, chunks)
+            else:
+                cli._write_jsonl(got, kinds, chunks)
+                reference_write_jsonl(want, kinds, chunks)
+            assert got.getvalue() == want.getvalue(), fmt
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        n_slots=st.integers(1, 30),
+        hysteresis_db=st.sampled_from([0.0, 3.0]),
+        data=st.data(),
+    )
+    def test_run(self, seed, n_slots, hysteresis_db, data):
+        """Run chunks with any floats in the first sample chunk's float
+        columns, and metrics of every type."""
+        chunks = list(cli._run_chunks(sim.run_scenario(id_config(seed, n_slots, hysteresis_db))))
+        kind, columns = chunks[0]
+        n = len(columns[0])
+        columns = list(columns)
+        for j in (4, 5, 6, 8):  # fading_gain, rss_dbm, sinr_db, ul_tx_w
+            columns[j] = data.draw(arrays(np.float64, n, elements=ANY_FLOAT))
+        chunks[0] = kind, tuple(columns)
+        chunks.append(cli._chunk("metric", [
+            ("none", None), ("nan", math.nan), ("inf", -math.inf), ("int", 3),
+            ("float", data.draw(ANY_FLOAT)), ("id", data.draw(st.sampled_from(ESCAPED_IDS))),
+        ]))
+        self.check(RUN_CSV_COLUMNS, RUN_KINDS, chunks)
+
+    @settings(max_examples=15, deadline=None)
+    @given(points=st.lists(st.tuples(ANY_FLOAT, ANY_FLOAT, ANY_FLOAT), min_size=1, max_size=9))
+    def test_outage(self, points):
+        real = sim.outage_curve(parse_config(OUTAGE_DEMO.read_text()), (-5.0, 0.0, 12.5))
+        chunks = [cli._chunk("outage_point", [astuple(p) for p in real] + points)]
+        self.check(OUTAGE_KINDS["outage_point"], OUTAGE_KINDS, chunks)
+
+    @settings(max_examples=5, deadline=None)
+    @given(observer_distance_m=st.floats(0.1, 10.0))
+    def test_exposure(self, observer_distance_m):
+        cfg = id_config(1, 1, 0.0)
+        report = network_exposure(sim.build_devices(cfg), cfg.standards, observer_distance_m)
+        kinds = exposure_kinds(cfg.standards)
+        chunks = cli._exposure_chunks(report, cfg.standards)
+        self.check(kinds["device-exposure"], kinds, chunks)

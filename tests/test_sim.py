@@ -24,6 +24,7 @@ from trsim.sim import (
     DeviceSpec,
     GenerationScenario,
     _am_uplink_mask,
+    _db,
     _rng,
     build_devices,
     generation_power_density_series,
@@ -391,6 +392,21 @@ class TestScalarReference:
             result.outage_am, result.outage_tr,
             result.total_uplink_interference_w, result.complexity,
         ) == expected[3]
+
+
+class TestDbColumns:
+    def test_equal_channel_per_value_bit_for_bit(self):
+        """The engine's dB columns are channel.linear_to_db (sinr_db) and
+        channel.watts_to_dbm (rss_dbm) of each value, bit for bit, 0 as -inf."""
+        rng = np.random.default_rng(20261018)
+        bits = rng.integers(1, 0x7FF0000000000000, 20_000, dtype=np.uint64)
+        values = np.concatenate([bits.view(np.float64), 10 ** rng.uniform(-20, 3, 20_000)])
+        values[::997] = 0.0
+        db = _db(values.reshape(200, 200))
+        assert db.shape == (200, 200)
+        for got, scalar in ((db, channel.linear_to_db), (db + 30.0, watts_to_dbm)):
+            expected = np.array([scalar(v) for v in values.tolist()])
+            assert (got.ravel().view(np.uint64) == expected.view(np.uint64)).all()
 
 
 class TestBuildDevices:
