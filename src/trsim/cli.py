@@ -170,9 +170,8 @@ def _write_chunks(fh: IO[str], layouts: dict, chunks: Chunks, escape) -> None:
     """Write each chunk as one text, built as a matrix of bytes with one row
     per record. A kind's layout is its record's text as literal pieces with,
     between each two, the index of the chunk's column whose value goes
-    there. In a row, each
-    value is a fixed-width block padded with textcols.PAD, which the text
-    leaves out.
+    there. In a row, each value is a fixed-width block padded with
+    textcols.PAD, which the text leaves out.
 
     Every value is written as `escape` writes it. textcols writes the ints
     and the floats of an array as str and repr do, which is what both
@@ -180,8 +179,8 @@ def _write_chunks(fh: IO[str], layouts: dict, chunks: Chunks, escape) -> None:
     exponent form, and non-finite ones, to `escape`. A Coded column's labels
     are escaped once per run.
     """
-    # id of a label tuple -> (the tuple, kept so that its id stays its own,
-    # and its labels' padded text)
+    # id of a label tuple -> the tuple (held, so that the id stays its own)
+    # and its labels' padded text
     tables: dict[int, tuple] = {}
     pieces = {
         kind: [np.frombuffer(item.encode(), np.uint8) if isinstance(item, str) else item
@@ -189,20 +188,19 @@ def _write_chunks(fh: IO[str], layouts: dict, chunks: Chunks, escape) -> None:
         for kind, layout in layouts.items()
     }
     for kind, columns in chunks:
-        blocks = {}
         floats = [j for j, c in enumerate(columns)
                   if not isinstance(c, Coded) and c.dtype.kind == "f"]
+        blocks = {}
         if floats:
             text = textcols.floats(np.stack([columns[j] for j in floats]), escape)
             blocks.update(zip(floats, text))
         for j, column in enumerate(columns):
             if isinstance(column, Coded):
-                key = id(column.labels)
-                if key not in tables:
-                    texts = [escape(label) for label in column.labels]
-                    tables[key] = column.labels, textcols.labels(texts)
-                table = tables[key][1]
-                blocks[j] = table.take(column.codes).view(np.uint8).reshape(len(column.codes), -1)
+                if id(column.labels) not in tables:
+                    texts = textcols.labels([escape(label) for label in column.labels])
+                    tables[id(column.labels)] = column.labels, texts
+                rows = tables[id(column.labels)][1].take(column.codes)
+                blocks[j] = rows.view(np.uint8).reshape(len(rows), -1)
             elif j not in blocks:
                 blocks[j] = textcols.ints(column)
         parts = [blocks[p] if isinstance(p, int) else p for p in pieces[kind]]

@@ -58,9 +58,8 @@ _POW5 = 5.0 ** (-_K).clip(0, 20)  # exact in float64
 # by e + 20, for digits d and exponent e, -20 <= e <= 1, of a value d 10^e:
 # the divisors and factors that split it into its integer part and its 20
 # fraction digits, as 12 and then 8
-_SPLIT = np.array(
-    [[10 ** min(max(n, 0), 18) for n in (-e, e, -e - 12, e + 12, e + 20)] for e in range(-20, 2)]
-).T.copy()
+_SPLIT = np.array([[10 ** min(max(n, 0), 18) for n in (-e, e, -e - 12, e + 12, e + 20)]
+                   for e in range(-20, 2)]).T.copy()
 
 
 def _rop(high: np.ndarray, low: np.ndarray, shift: np.ndarray, back: np.ndarray) -> np.ndarray:
@@ -77,8 +76,10 @@ def shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     irregular = fraction == 0  # the next double down is nearer than the next up
     row = (bits >> 52).astype(np.intp) + irregular * 2048
     k, shift, pow5 = _K[row], _SHIFT[row], _POW5[row]
-    # 2 cb 5^-k exactly, in two words: the low one wraps, and the float
-    # product is within 2^51 of the whole, so the high one is an exact rint
+    # The paper's vb is cb 2^q 10^-k rounded to odd, cb = 4c. Here 10^-k is
+    # 2^-k 5^-k, so vb is 2 cb 5^-k / 2^shift, shift = 1 - q + k <= 47. The
+    # product 2 cb 5^-k < 2^103 is exact in two words: the low one wraps,
+    # and the float product is within 2^51 of it, so the high one is a rint.
     cp = (fraction | _U64(2**52)) << 3
     f = pow5.astype(_U64)
     low = cp * f
@@ -99,7 +100,8 @@ def shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     shorter = (lower <= sp * 40) != (sp * 40 + 40 <= upper)
     u_in, w_in = lower <= u, u + 4 <= upper
     near = (vb > u + 2) | ((vb == u + 2) & ((vb & 4) != 0))
-    d = np.where(shorter, sp + (sp * 40 + 40 <= upper), (vb >> 2) + np.where(u_in != w_in, w_in, near))
+    d = np.where(shorter, sp + (sp * 40 + 40 <= upper),
+                 (vb >> 2) + np.where(u_in != w_in, w_in, near))
     return d, k + shorter
 
 
@@ -114,24 +116,15 @@ def _groups(values: np.ndarray, n: int) -> list[np.ndarray]:
     return out[::-1]
 
 
-def _lead(groups: list) -> list:
-    """Codes of groups written without the zeros before the first nonzero
-    digit; all zero, as 0."""
+def _trim(groups: list, form: int, form0: int) -> list:
+    """Codes of groups taken from the side whose zeros are left out: a group
+    with only zero groups before it in `form` (_LEAD or _TRAIL), the last in
+    `form0`, which writes all zeros as 0."""
     codes, zero = [], True
     for j, group in enumerate(groups):
-        codes.append(group + zero * (_LEAD0 if j == len(groups) - 1 else _LEAD))
+        codes.append(group + zero * (form0 if j == len(groups) - 1 else form))
         zero = zero & (group == 0)
     return codes
-
-
-def _trail(groups: list) -> list:
-    """Codes of groups written without the zeros after the last nonzero
-    digit; all zero, as 0."""
-    codes, zero = [], True
-    for j in range(len(groups) - 1, -1, -1):
-        codes.append(groups[j] + zero * (_TRAIL0 if j == 0 else _TRAIL))
-        zero = zero & (groups[j] == 0)
-    return codes[::-1]
 
 
 def _gather(columns: list) -> np.ndarray:
@@ -145,7 +138,7 @@ def _gather(columns: list) -> np.ndarray:
 def _digits(values: np.ndarray) -> list:
     """Codes of non-negative int64 values as str writes them, as many
     groups each as the largest needs."""
-    return _lead(_groups(values, (len(str(int(values.max()))) + 3) // 4))
+    return _trim(_groups(values, (len(str(int(values.max()))) + 3) // 4), _LEAD, _LEAD0)
 
 
 def ints(values: np.ndarray) -> np.ndarray:
@@ -166,13 +159,13 @@ def floats(values: np.ndarray, escape) -> np.ndarray:
     rest = d - head * scale  # the fraction's digits, the last -e of d
     top = rest // part
     bottom = (rest - top * part) * bottom_up
-    codes = [_PLUS + (x.view(_U64) >> 63), *_digits(head * whole_up), _POINT,
-             *_trail(_groups(top * top_up, 3) + _groups(bottom, 2))]
-    text = _gather(codes)
+    fraction = _groups(top * top_up, 3) + _groups(bottom, 2)  # its first 20 digits
+    text = _gather([_PLUS + (x.view(_U64) >> 63), *_digits(head * whole_up), _POINT,
+                    *_trim(fraction[::-1], _TRAIL, _TRAIL0)[::-1]])
     width, others = text.shape[-1], np.flatnonzero(~fast & (magnitude != 0))
     if others.size:
-        raw = b"".join(escape(v).encode().ljust(width, b"\xff") for v in x[others].tolist())
-        text[others] = np.frombuffer(raw, np.uint8).reshape(others.size, width)
+        raw = [escape(v).encode().ljust(width, b"\xff") for v in x[others].tolist()]
+        text[others] = np.frombuffer(b"".join(raw), np.uint8).reshape(others.size, width)
     return text.reshape(*values.shape, width)
 
 

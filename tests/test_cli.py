@@ -2,7 +2,6 @@ import csv
 import json
 import math
 import re
-
 from dataclasses import astuple
 from io import StringIO
 
