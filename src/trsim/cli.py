@@ -33,7 +33,7 @@ from . import __version__, rrc, textcols
 from .configfile import parse_config
 from .exposure import ExposureReport, UnmappedBandError, network_exposure
 from .frames import build_fdd_pair, build_tdd_frame, frame_dump, make_numerology
-from .schema import SNR_DB
+from .schema import MU, SNR_DB
 from .sim import (
     MODE_STATES,
     MODE_UPLINK,
@@ -388,7 +388,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated mean SNR points in dB",
     )
     p_frames = add("frames", _cmd_frames, "dump frame structures", records=False)
-    p_frames.add_argument("--mu", type=int, required=True, help="numerology in [0, 4]")
+    p_frames.add_argument(
+        "--mu", type=int, required=True, help=f"numerology in [{MU[0]}, {MU[1]}]"
+    )
     p_frames.add_argument("--duplex", choices=("fdd", "tdd"), required=True)
     p_frames.add_argument("--tr", choices=("on", "off"), required=True)
     p_frames.add_argument(

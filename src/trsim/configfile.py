@@ -7,11 +7,13 @@ comment anywhere; blank lines are ignored.
                          `key = value` lines; each key is declared once,
                          with its type, default and bounds, on a field of
                          ScenarioConfig or SwitchConfig (see trsim.schema)
-    [standards.<NAME>]   one `band = f_low_hz f_high_hz e_ref_v_per_m note...`
-                         line per band; the note is free text recording the
-                         value's provenance (whitespace normalized)
-    [devices]            optional explicit population, one line each:
-                         `device = id distance_m tx_power_w freq_hz am|tr`
+    [standards.<NAME>]   one `band = ...` line per band
+    [devices]            optional explicit population, one `device = ...` line each
+
+A `band` or `device` line holds one token per field of FrequencyBand or
+DeviceSpec, in declaration order, parsed by the field's type (a mode is `am`
+or `tr`) and checked against its bounds. A band's last field, `note`, is
+optional free text on the value's provenance; it takes the rest of the line.
 
 Parsing either returns a fully validated ScenarioConfig or raises
 ConfigError listing every finding, each with its line number where one
@@ -22,7 +24,7 @@ reproduces an equal ScenarioConfig.
 from __future__ import annotations
 
 import re
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, Field, fields
 
 from .exposure import ExposureStandard, FrequencyBand
 from .schema import problem
@@ -30,7 +32,7 @@ from .sim import ConfigError, DeviceSpec, ScenarioConfig
 from .trmode import Mode, SwitchConfig
 
 _SECTION_RE = re.compile(r"^\[(?P<name>[A-Za-z0-9_.-]+)\]$")
-_STANDARD_RE = re.compile(r"^standards\.(?P<name>[A-Za-z0-9_-]+)$")
+_STANDARD_RE = re.compile(r"^standards\.[A-Za-z0-9_-]+$")
 
 # (section, key) -> (dataclass that owns the key, its field)
 _KEYS = {
@@ -40,60 +42,52 @@ _KEYS = {
     if "section" in f.metadata
 }
 _SECTIONS = tuple(dict.fromkeys(section for section, _ in _KEYS))
-# annotation -> (parser, what a finding says the value should be)
-_TYPES = {"int": (int, "an integer"), "float": (float, "a number"), "str": (str, "")}
+# row key -> the dataclass whose fields, in order, are the row's tokens
+_ROWS = {"band": FrequencyBand, "device": DeviceSpec}
+# annotation -> (parser, what a finding says the value should be, emitter)
+_TYPES = {
+    "int": (int, "an integer", str),
+    "float": (float, "a number", str),
+    "str": (str, "", str),
+    "Mode": ({"am": Mode.AM, "tr": Mode.TR}.__getitem__, "'am' or 'tr'", lambda m: m.value.lower()),
+}
 
 
 def parse_config(text: str) -> ScenarioConfig:
     errors: list[str] = []
     scalars: dict[tuple[str, str], tuple[int, str]] = {}
-    bands: dict[str, list[tuple[int, FrequencyBand]]] = {}
-    devices: list[DeviceSpec] = []
+    # row section name -> (line number, parsed row) per row line
+    rows: dict[str, list[tuple[int, object]]] = {}
     section: str | None = None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        header = _SECTION_RE.match(line)
-        if header:
-            name = header.group("name")
-            std = _STANDARD_RE.match(name)
-            if std:
-                section = name
-                bands.setdefault(std.group("name"), [])
-            elif name in _SECTIONS or name == "devices":
-                section = name
-            else:
-                errors.append(f"line {lineno}: unknown section [{name}]")
+        if header := _SECTION_RE.match(line):
+            section = header.group("name")
+            if section == "devices" or _STANDARD_RE.match(section):
+                rows.setdefault(section, [])
+            elif section not in _SECTIONS:
+                errors.append(f"line {lineno}: unknown section [{section}]")
                 section = None
             continue
         if "=" not in line:
             errors.append(f"line {lineno}: expected 'key = value', got {line!r}")
             continue
         key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
+        key, value = key.strip(), value.strip()
         if section is None:
             errors.append(f"line {lineno}: key {key!r} outside any section")
-            continue
-
-        std = _STANDARD_RE.match(section)
-        if std or section == "devices":
-            expected = "band" if std else "device"
-            if key != expected:
+        elif section in rows:
+            kind = "device" if section == "devices" else "band"
+            if key != kind:
                 errors.append(
                     f"line {lineno}: unknown key {key!r} in [{section}]"
-                    f" (only {expected!r} lines are allowed)"
+                    f" (only {kind!r} lines are allowed)"
                 )
-            elif std:
-                band = _parse_band(lineno, value, errors)
-                if band is not None:
-                    bands[std.group("name")].append((lineno, band))
             else:
-                spec = _parse_device(lineno, value, errors)
-                if spec is not None:
-                    devices.append(spec)
+                _parse_row(kind, lineno, value, errors, rows[section])
         elif (section, key) not in _KEYS:
             errors.append(f"line {lineno}: unknown key {key!r} in [{section}]")
         elif (section, key) in scalars:
@@ -112,30 +106,25 @@ def parse_config(text: str) -> ScenarioConfig:
                 errors.append(f"missing required key {key!r} in [{sec}]")
             continue
         lineno, raw_value = scalars[(sec, key)]
-        parse, kind = _TYPES[f.type]
-        try:
-            value = parse(raw_value)
-        except ValueError:
-            errors.append(
-                f"line {lineno}: key {key!r} in [{sec}] expects {kind}, got {raw_value!r}"
-            )
+        value = _parse_token(f, raw_value, f"line {lineno}: key {key!r} in [{sec}]", errors)
+        if value is None:
             continue
         finding = problem(f, value)
         if finding:
             errors.append(f"line {lineno}: {key} {finding}")
         values[owner][key] = value
 
+    devices = tuple(spec for _, spec in rows.pop("devices", ()))
     standards: list[ExposureStandard] = []
-    for name, band_list in bands.items():
-        if not band_list:
+    for section, band_rows in rows.items():
+        name = section.partition(".")[2]
+        if not band_rows:
             errors.append(f"standard {name!r} declares no band lines")
             continue
         try:
-            standards.append(
-                ExposureStandard(name=name, bands=tuple(b for _, b in band_list))
-            )
+            standards.append(ExposureStandard(name, tuple(band for _, band in band_rows)))
         except ValueError as exc:
-            errors.append(f"line {band_list[0][0]}: {exc}")
+            errors.append(f"line {band_rows[0][0]}: {exc}")
 
     if errors:
         raise ConfigError(errors)
@@ -143,51 +132,37 @@ def parse_config(text: str) -> ScenarioConfig:
         **values[ScenarioConfig],
         switch=SwitchConfig(**values[SwitchConfig]),
         standards=tuple(standards),
-        devices=tuple(devices),
+        devices=devices,
     ).require_valid()
 
 
-def _parse_band(lineno: int, value: str, errors: list[str]) -> FrequencyBand | None:
+def _parse_row(kind: str, lineno: int, value: str, errors: list[str], rows: list) -> None:
+    """Append `(lineno, row)` for the `kind` row `value` spells, or its findings."""
+    row_fields = fields(_ROWS[kind])
+    rest = row_fields[-1].default is not MISSING
+    n = len(row_fields) - rest
     tokens = value.split()
-    if len(tokens) < 3:
-        errors.append(
-            f"line {lineno}: band line expects"
-            f" 'f_low_hz f_high_hz e_ref_v_per_m note...', got {value!r}"
-        )
-        return None
-    try:
-        numbers = [float(t) for t in tokens[:3]]
-    except ValueError:
-        errors.append(f"line {lineno}: band numbers must parse as floats, got {value!r}")
-        return None
-    try:
-        return FrequencyBand(*numbers, note=" ".join(tokens[3:]))
-    except ValueError as exc:
-        errors.append(f"line {lineno}: {exc}")
-        return None
+    if len(tokens) < n or (len(tokens) > n and not rest):
+        names = " ".join(f.name for f in row_fields) + "..." * rest
+        errors.append(f"line {lineno}: {kind} line expects '{names}', got {value!r}")
+        return
+    tokens[n:] = [" ".join(tokens[n:])] * rest
+    where = f"line {lineno}: {kind}"
+    args = [_parse_token(f, t, f"{where} {f.name}", errors) for f, t in zip(row_fields, tokens)]
+    if None not in args:
+        try:
+            rows.append((lineno, _ROWS[kind](*args)))
+        except ValueError as exc:
+            errors.append(f"line {lineno}: {exc}")
 
 
-def _parse_device(lineno: int, value: str, errors: list[str]) -> DeviceSpec | None:
-    tokens = value.split()
-    if len(tokens) != 5:
-        errors.append(
-            f"line {lineno}: device line expects"
-            f" 'id distance_m tx_power_w freq_hz am|tr', got {value!r}"
-        )
-        return None
-    ident, mode_s = tokens[0], tokens[4]
+def _parse_token(f: Field, token: str, where: str, errors: list[str]):
+    """`token` parsed by the type of field `f`, or None after a finding in `errors`."""
+    parse, what, _ = _TYPES[f.type]
     try:
-        numbers = [float(t) for t in tokens[1:4]]
-    except ValueError:
-        errors.append(f"line {lineno}: device numbers must parse as floats, got {value!r}")
-        return None
-    if mode_s not in ("am", "tr"):
-        errors.append(f"line {lineno}: device mode must be 'am' or 'tr', got {mode_s!r}")
-        return None
-    try:
-        return DeviceSpec(ident, *numbers, Mode.TR if mode_s == "tr" else Mode.AM)
-    except ValueError as exc:
-        errors.append(f"line {lineno}: device {ident!r}: {exc}")
+        return parse(token)
+    except (KeyError, ValueError):
+        errors.append(f"{where} expects {what}, got {token!r}")
         return None
 
 
@@ -200,15 +175,11 @@ def format_config(cfg: ScenarioConfig) -> str:
             if sec == section:
                 value = getattr(cfg if owner is ScenarioConfig else cfg.switch, key)
                 lines.append(f"{key} = {value}")
-    for std in cfg.standards:
-        lines += ["", f"[standards.{std.name}]"]
-        for b in std.bands:
-            lines.append(f"band = {b.low_hz} {b.high_hz} {b.e_ref_v_per_m} {b.note}".rstrip())
-    if cfg.devices:
-        lines += ["", "[devices]"]
-        for d in cfg.devices:
-            mode_s = "tr" if d.mode is Mode.TR else "am"
-            lines.append(
-                f"device = {d.device_id} {d.distance_m} {d.tx_power_w} {d.freq_hz} {mode_s}"
-            )
+    tables = [("band", f"standards.{std.name}", std.bands) for std in cfg.standards]
+    tables += [("device", "devices", cfg.devices)] if cfg.devices else []
+    for kind, section, table in tables:
+        lines += ["", f"[{section}]"]
+        for row in table:
+            tokens = (_TYPES[f.type][2](getattr(row, f.name)) for f in fields(row))
+            lines.append(f"{kind} = {' '.join(tokens)}".rstrip())
     return "\n".join(lines[1:]) + "\n"

@@ -22,6 +22,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
+from .schema import MU
+
 SUBFRAMES_PER_FRAME = 10
 
 
@@ -50,9 +52,9 @@ class Numerology:
 
 
 def make_numerology(mu: int) -> Numerology:
-    """Numerology mu in [0, 4]: spacing 15 * 2^mu kHz, 2^mu slots/subframe."""
-    if not 0 <= mu <= 4:
-        raise ValueError(f"mu must be in [0, 4], got {mu}")
+    """Numerology mu in schema.MU: spacing 15 * 2^mu kHz, 2^mu slots/subframe."""
+    if not MU[0] <= mu <= MU[1]:
+        raise ValueError(f"mu must be in [{MU[0]}, {MU[1]}], got {mu}")
     return Numerology(
         mu=mu,
         subcarrier_spacing_khz=15.0 * 2**mu,
@@ -67,13 +69,17 @@ class RadioFrame:
     tr_active: bool
 
 
-def _fill(kind: SlotKind, n_slots: int) -> tuple[SlotKind, ...]:
-    return (kind,) * n_slots
-
-
-def _toggle_subframe(state_slot: SlotKind, n_slots: int) -> tuple[SlotKind, ...]:
-    # the state slot occupies the first slot; the rest of the subframe is guard
-    return (state_slot,) + _fill(SlotKind.GUARD, n_slots - 1)
+def _frame(
+    duplex: Duplex, entries: Sequence[str], toggle: SlotKind, tr_active: bool, n: int
+) -> RadioFrame:
+    """One subframe of `n` slots per 'D'/'U'/'S' entry. 'U' is guard with TR
+    active; 'S' is the `toggle` state slot followed by guard."""
+    subframe = {
+        "D": (SlotKind.DOWNLINK,) * n,
+        "U": (SlotKind.GUARD if tr_active else SlotKind.UPLINK,) * n,
+        "S": (toggle,) + (SlotKind.GUARD,) * (n - 1),
+    }
+    return RadioFrame(duplex, tuple(subframe[e] for e in entries), tr_active)
 
 
 def build_fdd_pair(
@@ -95,19 +101,13 @@ def build_fdd_pair(
             f" got {switch_subframe}"
         )
     n = num.slots_per_subframe
-    dl = RadioFrame(
-        duplex=Duplex.FDD_DOWNLINK,
-        subframes=tuple(_fill(SlotKind.DOWNLINK, n) for _ in range(SUBFRAMES_PER_FRAME)),
-        tr_active=tr_active,
-    )
     state = SlotKind.FREQ_SWITCH1 if tr_active else SlotKind.FREQ_SWITCH0
-    carried = SlotKind.GUARD if tr_active else SlotKind.UPLINK
-    ul_subframes = tuple(
-        _toggle_subframe(state, n) if i == switch_subframe else _fill(carried, n)
-        for i in range(SUBFRAMES_PER_FRAME)
+    ul_entries = ["U"] * SUBFRAMES_PER_FRAME
+    ul_entries[switch_subframe] = "S"
+    return (
+        _frame(Duplex.FDD_DOWNLINK, "D" * SUBFRAMES_PER_FRAME, state, tr_active, n),
+        _frame(Duplex.FDD_UPLINK, ul_entries, state, tr_active, n),
     )
-    ul = RadioFrame(duplex=Duplex.FDD_UPLINK, subframes=ul_subframes, tr_active=tr_active)
-    return dl, ul
 
 
 def parse_pattern(dl_ul_pattern: Sequence[str] | str) -> tuple[str, ...]:
@@ -138,18 +138,10 @@ def build_tdd_frame(
     subframe is silenced to guard; otherwise the toggle slot is Release
     and the pattern is emitted as given.
     """
-    entries = parse_pattern(dl_ul_pattern)
-    n = num.slots_per_subframe
     toggle = SlotKind.HOLD if tr_active else SlotKind.RELEASE
-    subframes = []
-    for entry in entries:
-        if entry == "D":
-            subframes.append(_fill(SlotKind.DOWNLINK, n))
-        elif entry == "U":
-            subframes.append(_fill(SlotKind.GUARD if tr_active else SlotKind.UPLINK, n))
-        else:
-            subframes.append(_toggle_subframe(toggle, n))
-    return RadioFrame(duplex=Duplex.TDD, subframes=tuple(subframes), tr_active=tr_active)
+    return _frame(
+        Duplex.TDD, parse_pattern(dl_ul_pattern), toggle, tr_active, num.slots_per_subframe
+    )
 
 
 def validate_frame(frame: RadioFrame) -> list[str]:

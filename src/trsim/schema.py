@@ -19,6 +19,8 @@ POWER_W = (1e-12, 1e6)
 FREQ_HZ = (1e3, 1e15)
 # SNR threshold and mean SNR points, in dB.
 SNR_DB = (-200.0, 200.0)
+# NR numerology index mu: 15 * 2^mu kHz subcarrier spacing.
+MU = (0, 4)
 
 
 def key(section: str, lo=None, hi=None, *, default=MISSING, choices=None) -> Field:

@@ -46,7 +46,7 @@ from .frames import (
     build_tdd_frame,
     make_numerology,
 )
-from .schema import DISTANCE_M, FREQ_HZ, POWER_W, SNR_DB, check, key, problems
+from .schema import DISTANCE_M, FREQ_HZ, MU, POWER_W, SNR_DB, check, key, problems
 from .trmode import Mode, SwitchConfig, hold_modes, uplink_enabled
 
 
@@ -96,7 +96,7 @@ class ScenarioConfig:
     n_slots: int = key("scenario", 1)
     seed: int = key("scenario", 0)
     switch: SwitchConfig
-    numerology_mu: int = key("scenario", 0, 4, default=0)
+    numerology_mu: int = key("scenario", *MU, default=0)
     duplex: str = key("scenario", default="fdd", choices=("fdd", "tdd"))
     tdd_pattern: str = key("scenario", default="DSUUUUUUUU")
     placement: str = key("scenario", default="disk", choices=("disk", "ring"))

@@ -1,8 +1,13 @@
+import string
+from dataclasses import fields, replace
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import ER_TABLE_FIXTURE, SCENARIO_TR50
 from trsim.configfile import format_config, parse_config
-from trsim.sim import ConfigError
+from trsim.exposure import ExposureStandard, FrequencyBand
+from trsim.sim import ConfigError, DeviceSpec
 from trsim.trmode import Mode
 
 MINIMAL = """\
@@ -157,6 +162,34 @@ class TestParseErrors:
             parse_config("n_users = 4\n" + MINIMAL)
         assert any("outside any section" in e for e in err.value.errors)
 
+    @pytest.mark.parametrize(
+        "rows, named",
+        [
+            ("[devices]\ndevice = a 1.0 0.1 1e9", "device_id distance_m tx_power_w freq_hz mode"),
+            (
+                "[devices]\ndevice = a 1.0 0.1 1e9 am extra",
+                "device_id distance_m tx_power_w freq_hz mode",
+            ),
+            ("[devices]\ndevice = a 1.0 far 1e9 am", "tx_power_w"),
+            ("[devices]\ndevice = a 1.0 0.1 1e9 AM", "mode"),
+            ("[devices]\ndevice = a 0.0 0.1 1e9 am", "distance_m"),
+            ("[standards.X]\nband = 1e9 2e9 40.0\nband = 3e9 4e9", "low_hz high_hz e_ref_v_per_m"),
+            ("[standards.X]\nband = 1e9 2e9 40.0\nband = 3e9 4e9 x", "e_ref_v_per_m"),
+            ("[standards.X]\nband = 1e9 2e9 40.0\nband = 3e9 4e9 0.0 note", "e_ref_v_per_m"),
+        ],
+        ids=[
+            "device-too-few", "device-too-many", "device-not-a-number", "device-mode-AM",
+            "device-out-of-range", "band-too-few", "band-not-a-number", "band-out-of-range",
+        ],
+    )
+    def test_malformed_row_is_one_finding_naming_line_and_field(self, rows, named):
+        text = MINIMAL + "\n" + rows + "\n"
+        last_line = text.count("\n")
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        [finding] = err.value.errors
+        assert finding.startswith(f"line {last_line}: ") and named in finding
+
     def test_multiple_findings_collected_together(self):
         broken = MINIMAL.replace("n_users = 4", "n_users = four") + "wibble = 1\n"
         with pytest.raises(ConfigError) as err:
@@ -175,3 +208,73 @@ class TestRoundTrip:
             "seed = 2", "seed = 2   # inline comment"
         )
         assert parse_config(noisy) == parse_config(MINIMAL)
+
+
+def bounded(cls, name):
+    """A field's declared bounds and the floats between them."""
+    f = next(f for f in fields(cls) if f.name == name)
+    lo, hi = f.metadata["lo"], f.metadata["hi"]
+    return st.one_of(st.sampled_from([lo, hi]), st.floats(lo, hi))
+
+
+# one token: any characters but whitespace (token and line breaks) and '#'
+WORDS = st.text(
+    st.characters(exclude_characters="#").filter(lambda c: not c.isspace()),
+    min_size=1,
+    max_size=6,
+)
+DEVICES = st.lists(
+    st.builds(
+        DeviceSpec,
+        device_id=WORDS,
+        distance_m=bounded(DeviceSpec, "distance_m"),
+        tx_power_w=bounded(DeviceSpec, "tx_power_w"),
+        freq_hz=bounded(DeviceSpec, "freq_hz"),
+        mode=st.sampled_from(Mode),
+    ),
+    max_size=4,
+    unique_by=lambda spec: spec.device_id,
+)
+
+
+@st.composite
+def standards(draw):
+    names = draw(
+        st.lists(
+            st.text(string.ascii_letters + string.digits + "_-", min_size=1, max_size=6),
+            max_size=3,
+            unique=True,
+        )
+    )
+    found = []
+    for name in names:
+        n_bands = draw(st.integers(1, 4))
+        edges = sorted(
+            draw(
+                st.lists(
+                    bounded(FrequencyBand, "low_hz"),
+                    min_size=2 * n_bands,
+                    max_size=2 * n_bands,
+                    unique=True,
+                )
+            )
+        )
+        bands = [
+            FrequencyBand(
+                low,
+                high,
+                draw(bounded(FrequencyBand, "e_ref_v_per_m")),
+                draw(st.lists(WORDS, max_size=3).map(" ".join)),
+            )
+            for low, high in zip(edges[::2], edges[1::2])
+        ]
+        found.append(ExposureStandard(name, tuple(draw(st.permutations(bands)))))
+    return tuple(found)
+
+
+class TestRowRoundTrip:
+    @settings(max_examples=200, deadline=None)
+    @given(standards=standards(), devices=DEVICES)
+    def test_parse_of_format_is_identity(self, standards, devices):
+        cfg = replace(parse_config(MINIMAL), standards=standards, devices=tuple(devices))
+        assert parse_config(format_config(cfg)) == cfg

@@ -347,7 +347,11 @@ def scalar_run(cfg):
             else:
                 ul_tx_w = cfg.always_on_fraction * ue.tx_power_w
             rows.append((ue, gain, rx_w, rss_dbm, active, ul_tx_w, ul_tx_w / loss[i]))
-        interference_w = sum(row[-1] for row in rows)
+        # add in device order, as the engine's running sum does: sum() of
+        # floats is compensated since Python 3.12 and can differ in the last bit
+        interference_w = 0.0
+        for row in rows:
+            interference_w += row[-1]
         total += interference_w
         for ue, gain, rx_w, rss_dbm, active, ul_tx_w, own_w in rows:
             sinr_lin = rx_w / (max(interference_w - own_w, 0.0) + cfg.noise_w)
