@@ -49,6 +49,7 @@ from .sim import (
     SimResult,
     UserEquipment,
     generation_power_density_series,
+    iter_run,
     outage_curve,
     run_scenario,
 )
@@ -86,6 +87,7 @@ __all__ = [
     "frame_dump",
     "free_space_path_loss",
     "generation_power_density_series",
+    "iter_run",
     "make_numerology",
     "network_exposure",
     "outage_analytic",

@@ -25,7 +25,7 @@ import json
 import sys
 from contextlib import nullcontext
 from dataclasses import astuple, fields, replace
-from typing import IO, Iterable, NamedTuple
+from typing import IO, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -41,12 +41,14 @@ from .sim import (
     RRC_EVENTS,
     RRC_STATES,
     ConfigError,
+    ModeTransitions,
     OutagePoint,
+    RrcEvents,
+    Samples,
     ScenarioConfig,
-    SimResult,
     build_devices,
+    iter_run,
     outage_curve,
-    run_scenario,
 )
 
 EXIT_OK = 0
@@ -102,9 +104,11 @@ def _chunk(kind: str, records: list[tuple]) -> tuple[str, tuple]:
     return kind, tuple(Coded(column, codes) for column in zip(*records))
 
 
-def _run_chunks(result: SimResult) -> Chunks:
-    n = len(result.devices)
-    ids = tuple(ue.id for ue in result.devices)
+def _run_chunks(devices: tuple, run: Iterator) -> Chunks:
+    """The records of sim.iter_run's stream, its columns labelled: `devices`
+    is its first item and `run` the rest."""
+    ids = tuple(ue.id for ue in devices)
+    n = len(ids)
     # `_value_` is `.value` without its property call
     modes = tuple(m._value_ for m in MODES)
     flipped = modes[::-1]  # a transition's from, coded by its to
@@ -113,45 +117,48 @@ def _run_chunks(result: SimResult) -> Chunks:
     # rrc_state and ul_active are labels of the mode codes
     mode_states = tuple(s._value_ for s in MODE_STATES)
     mode_uplink = tuple(map(int, MODE_UPLINK))
-    # the sample columns in record order, slot by slot, then device by device
-    mode = result.mode.ravel()
-    gain, rss, sinr, tx = (
-        a.ravel() for a in (result.fading_gain, result.rss_dbm, result.sinr_db, result.ul_tx_w)
-    )
-    for r0 in range(0, mode.size, CHUNK_ROWS):
-        rows = slice(r0, r0 + CHUNK_ROWS)
-        index = np.arange(r0, min(r0 + CHUNK_ROWS, mode.size))
-        slot = index // n
-        yield "sample", (
-            slot, Coded(ids, index - slot * n), Coded(modes, mode[rows]),
-            Coded(mode_states, mode[rows]), gain[rows], rss[rows], sinr[rows],
-            Coded(mode_uplink, mode[rows]), tx[rows],
-        )
-    transitions, rrc_events = result.mode_transitions, result.rrc_events
-    for t0 in range(0, len(transitions), CHUNK_ROWS):
-        tr = transitions[t0:t0 + CHUNK_ROWS]
-        yield "mode_transition", (
-            tr.slot, Coded(ids, tr.device), tr.rss_dbm, Coded(flipped, tr.new),
-            Coded(modes, tr.new),
-        )
-    for t0 in range(0, len(rrc_events), CHUNK_ROWS):
-        ev = rrc_events[t0:t0 + CHUNK_ROWS]
-        yield "rrc_event", (
-            ev.slot, Coded(ids, ev.device), Coded(events, ev.event),
-            Coded(states, ev.old), Coded(states, ev.new),
-        )
-    report = result.exposure
-    metrics = {
-        "outage_am": result.outage_am,
-        "outage_tr": result.outage_tr,
-        "total_uplink_interference_w": result.total_uplink_interference_w,
-        "complexity": result.complexity,
-        "network_total_power_density_w_m2": report.network_total_power_density_w_m2,
-        "network_e_field_v_per_m": report.network_e_field_v_per_m,
-    }
-    for std in result.config.standards:
-        metrics[f"network_er_{std.name}"] = report.network_er_per_standard[std.name]
-    yield _chunk("metric", list(metrics.items()))
+    done = 0  # sample records before the part
+    for part in run:
+        if isinstance(part, Samples):
+            # in record order, slot by slot, then device by device
+            mode, gain, rss, sinr, tx = (getattr(part, f.name).ravel() for f in fields(part))
+            for r0 in range(0, mode.size, CHUNK_ROWS):
+                rows = slice(r0, r0 + CHUNK_ROWS)
+                index = np.arange(done + r0, done + min(r0 + CHUNK_ROWS, mode.size))
+                slot = index // n
+                yield "sample", (
+                    slot, Coded(ids, index - slot * n), Coded(modes, mode[rows]),
+                    Coded(mode_states, mode[rows]), gain[rows], rss[rows], sinr[rows],
+                    Coded(mode_uplink, mode[rows]), tx[rows],
+                )
+            done += mode.size
+        elif isinstance(part, ModeTransitions):
+            for t0 in range(0, len(part), CHUNK_ROWS):
+                tr = part[t0:t0 + CHUNK_ROWS]
+                yield "mode_transition", (
+                    tr.slot, Coded(ids, tr.device), tr.rss_dbm, Coded(flipped, tr.new),
+                    Coded(modes, tr.new),
+                )
+        elif isinstance(part, RrcEvents):
+            for t0 in range(0, len(part), CHUNK_ROWS):
+                ev = part[t0:t0 + CHUNK_ROWS]
+                yield "rrc_event", (
+                    ev.slot, Coded(ids, ev.device), Coded(events, ev.event),
+                    Coded(states, ev.old), Coded(states, ev.new),
+                )
+        else:
+            report = part.exposure
+            metrics = {
+                "outage_am": part.outage_am,
+                "outage_tr": part.outage_tr,
+                "total_uplink_interference_w": part.total_uplink_interference_w,
+                "complexity": part.complexity,
+                "network_total_power_density_w_m2": report.network_total_power_density_w_m2,
+                "network_e_field_v_per_m": report.network_e_field_v_per_m,
+            }
+            for name, er in report.network_er_per_standard.items():
+                metrics[f"network_er_{name}"] = er
+            yield _chunk("metric", list(metrics.items()))
 
 
 def _exposure_chunks(report: ExposureReport, standards: tuple) -> Chunks:
@@ -290,8 +297,9 @@ def _load_config(args: argparse.Namespace) -> ScenarioConfig:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    result = run_scenario(_load_config(args))
-    return _emit(args, RUN_CSV_COLUMNS, RUN_KINDS, _run_chunks(result))
+    run = iter_run(_load_config(args))
+    devices = next(run)  # the config is checked by now, before the output is opened
+    return _emit(args, RUN_CSV_COLUMNS, RUN_KINDS, _run_chunks(devices, run))
 
 
 def _cmd_outage(args: argparse.Namespace) -> int:

@@ -87,7 +87,7 @@ def parse_config(text: str) -> ScenarioConfig:
                     f" (only {kind!r} lines are allowed)"
                 )
             else:
-                _parse_row(kind, lineno, value, errors, rows[section])
+                rows[section].append((lineno, _parse_row(kind, lineno, value, errors)))
         elif (section, key) not in _KEYS:
             errors.append(f"line {lineno}: unknown key {key!r} in [{section}]")
         elif (section, key) in scalars:
@@ -114,17 +114,19 @@ def parse_config(text: str) -> ScenarioConfig:
             errors.append(f"line {lineno}: {key} {finding}")
         values[owner][key] = value
 
-    devices = tuple(spec for _, spec in rows.pop("devices", ()))
+    # a malformed row is None here, and has its finding already
+    devices = tuple(spec for _, spec in rows.pop("devices", ()) if spec is not None)
     standards: list[ExposureStandard] = []
     for section, band_rows in rows.items():
         name = section.partition(".")[2]
+        bands = tuple(band for _, band in band_rows if band is not None)
         if not band_rows:
             errors.append(f"standard {name!r} declares no band lines")
-            continue
-        try:
-            standards.append(ExposureStandard(name, tuple(band for _, band in band_rows)))
-        except ValueError as exc:
-            errors.append(f"line {band_rows[0][0]}: {exc}")
+        elif bands:
+            try:
+                standards.append(ExposureStandard(name, bands))
+            except ValueError as exc:
+                errors.append(f"line {band_rows[0][0]}: {exc}")
 
     if errors:
         raise ConfigError(errors)
@@ -136,8 +138,8 @@ def parse_config(text: str) -> ScenarioConfig:
     ).require_valid()
 
 
-def _parse_row(kind: str, lineno: int, value: str, errors: list[str], rows: list) -> None:
-    """Append `(lineno, row)` for the `kind` row `value` spells, or its findings."""
+def _parse_row(kind: str, lineno: int, value: str, errors: list[str]):
+    """The `kind` row `value` spells, or None after its findings in `errors`."""
     row_fields = fields(_ROWS[kind])
     rest = row_fields[-1].default is not MISSING
     n = len(row_fields) - rest
@@ -145,15 +147,16 @@ def _parse_row(kind: str, lineno: int, value: str, errors: list[str], rows: list
     if len(tokens) < n or (len(tokens) > n and not rest):
         names = " ".join(f.name for f in row_fields) + "..." * rest
         errors.append(f"line {lineno}: {kind} line expects '{names}', got {value!r}")
-        return
+        return None
     tokens[n:] = [" ".join(tokens[n:])] * rest
     where = f"line {lineno}: {kind}"
     args = [_parse_token(f, t, f"{where} {f.name}", errors) for f, t in zip(row_fields, tokens)]
     if None not in args:
         try:
-            rows.append((lineno, _ROWS[kind](*args)))
+            return _ROWS[kind](*args)
         except ValueError as exc:
             errors.append(f"line {lineno}: {exc}")
+    return None
 
 
 def _parse_token(f: Field, token: str, where: str, errors: list[str]):

@@ -4,11 +4,14 @@ A fixed-step run over slots: each slot redraws per-device fading, feeds
 the received signal strength to the mode switch, drives RRC events, and
 accumulates SINR against the uplink interference of that slot. Exposure
 and complexity metrics are finalized at the end of the run. The engine
-computes each quantity for every slot and device at once, as an
-(n_slots, n) array, and steps along the slot axis only through array
-operations: the mode switch is a forward fill. The mode is the one state
-kept per device-slot: the RRC state and the uplink activity are the mode's
-(MODE_STATES, MODE_UPLINK), and only the RRC log steps the RRC machine.
+(iter_run) computes a chunk of slots at a time, each quantity for every
+slot and device of the chunk at once, as a (slots, n) array, and steps
+along the slot axis only through array operations: the mode switch is a
+forward fill. A chunk hands on only the last slot's modes, the open
+random streams and running totals, so a run's memory does not grow with
+n_slots. The mode is the one state kept per device-slot: the RRC state and
+the uplink activity are the mode's (MODE_STATES, MODE_UPLINK), and only
+the RRC log steps the RRC machine.
 
 Modeling choices, at desk scale:
   * Uplink interference is aggregated at the cell center from every AM
@@ -27,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -50,11 +53,18 @@ from .schema import DISTANCE_M, FREQ_HZ, MU, POWER_W, SNR_DB, check, key, proble
 from .trmode import Mode, SwitchConfig, hold_modes, uplink_enabled
 
 
-# Upper bound on population x n_slots. The engine holds a run's columns in
-# memory and peaks at 87-105 B per device-slot (tracemalloc, the benchmark's
-# workloads at 10^5 and 10^6 device-slots), so a run at the cap needs about
-# 1 GB; a larger one is refused as a configuration error before allocating.
+# Upper bound on population x n_slots, refused as a configuration error
+# before any work. Memory does not set it: a run holds one chunk of slots
+# (ENGINE_ROWS), one bit per device-slot and its mode-transition log, and
+# `trsim run` at the cap peaked at 45 MiB RSS on a 1000-device ring and 58 MiB
+# on a switching disk. Run time and output do: there it took 32-43 s and
+# wrote 2.2 GB (CSV) to 3.8 GB (JSON-lines) on a 2-CPU x86 host.
 MAX_DEVICE_SLOTS = 10**7
+
+# Device-slots per engine chunk: iter_run computes ceil(ENGINE_ROWS / n)
+# slots at a time, one slot of a wider population. Each chunk draws fading
+# once per device, which is what a smaller chunk costs.
+ENGINE_ROWS = 16384
 
 
 class ConfigError(ValueError):
@@ -215,10 +225,37 @@ class RrcEvents(_Log):
 
 
 @dataclass(frozen=True, eq=False)
+class Samples:
+    """The per-device-slot columns of a chunk of consecutive slots, each a
+    (slots, n) array: row t is the chunk's slot t and column i is
+    devices[i]."""
+
+    mode: np.ndarray  # int8, indexes MODES, MODE_STATES and MODE_UPLINK
+    fading_gain: np.ndarray
+    rss_dbm: np.ndarray
+    sinr_db: np.ndarray
+    ul_tx_w: np.ndarray
+
+    __eq__ = _equal_fields
+
+
+@dataclass(frozen=True)
+class RunTotals:
+    """What a run finalizes after its last slot."""
+
+    outage_am: float | None
+    outage_tr: float | None
+    total_uplink_interference_w: float
+    exposure: ExposureReport
+    complexity: float
+
+
+@dataclass(frozen=True, eq=False)
 class SimResult:
-    """A run. Each per device-slot column is an (n_slots, n) array: row t is
-    slot t and column i is devices[i]. `devices` carry each device's mode and
-    RRC state after the last slot."""
+    """A whole run, collected from iter_run's stream. Each per-device-slot
+    column is an (n_slots, n) array: row t is slot t and column i is
+    devices[i]. `devices` carry each device's mode and RRC state after the
+    last slot."""
 
     config: ScenarioConfig
     devices: tuple[UserEquipment, ...]
@@ -301,10 +338,11 @@ def _db(values: np.ndarray) -> np.ndarray:
 def _rrc_log(
     in_tr: np.ndarray, switched: np.ndarray, ul_demand: np.ndarray, dl_demand: np.ndarray,
 ) -> RrcEvents:
-    """The log of every RRC event. A device-slot's events, in order: TR enter
-    or exit where the mode switched, uplink data pending where it has uplink
-    demand in AM (TR gates uplink traffic generation entirely), downlink
-    arrival where it has downlink demand.
+    """The log of every RRC event of the given slots, `slot` counted from
+    their first row. A device-slot's events, in order: TR enter or exit
+    where the mode switched, uplink data pending where it has uplink demand
+    in AM (TR gates uplink traffic generation entirely), downlink arrival
+    where it has downlink demand.
 
     An event starts from MODE_STATES of a mode: the TR enter or exit from
     that of the mode before the slot, the others from that of the mode
@@ -333,83 +371,142 @@ def _rrc_log(
     )
 
 
-def run_scenario(cfg: ScenarioConfig) -> SimResult:
-    """Run the scenario; the result is a pure function of the config.
+def _traffic(cfg: ScenarioConfig, n: int) -> tuple[np.random.Generator, np.random.Generator]:
+    """The uplink and the downlink demand draws: the traffic stream's first
+    n_slots x n draws are the uplink's, [slot, device] in row-major order,
+    and the rest the downlink's, as two generators to draw from in step."""
+    uplink, downlink = _rng(cfg.seed, 1), _rng(cfg.seed, 1)
+    downlink.bit_generator.advance(cfg.n_slots * n)  # one draw per flag
+    return uplink, downlink
+
+
+def _switched(before: np.ndarray, in_tr: np.ndarray) -> np.ndarray:
+    """Where a device's mode after a slot differs from its mode before it;
+    `before` is the mode after the slot before the chunk."""
+    return in_tr != np.vstack([before, in_tr[:-1]])
+
+
+def iter_run(cfg: ScenarioConfig) -> Iterator:
+    """Run the scenario as a stream, in the order of its records: first the
+    devices, once the config is checked; then the Samples of each chunk of
+    ceil(ENGINE_ROWS / n) slots; then the ModeTransitions of each chunk;
+    then its RrcEvents, their `slot` counted from the run's start; last the
+    RunTotals. After the last Samples the devices carry their modes after
+    the last slot. The run is a pure function of the config.
 
     Each slot, for every device: draw fading, evaluate the mode switch on
     the downlink received signal strength, log the RRC events that follow
     (TR enter/exit, then pending uplink data, then downlink arrival), then
     charge uplink interference from every device whose mode transmits
-    uplink (MODE_UPLINK). Each quantity is computed for all slots and
-    devices at once, as an (n_slots, n) array.
+    uplink (MODE_UPLINK). A chunk hands on each device's fading stream, the
+    traffic streams, the last slot's modes and the running totals. The RRC
+    log is rebuilt after the last sample from the modes, kept as one bit per
+    device-slot, and the traffic drawn again.
     """
     cfg.require_valid()
-    devices = build_devices(cfg)
+    devices = tuple(build_devices(cfg))
+    # an unmapped band fails here, before any record is out
+    for freq in {ue.freq_hz for ue in devices}:
+        for std in cfg.standards:
+            std.band_for(freq)
+    yield devices
     n, n_slots = len(devices), cfg.n_slots
-    # demand flags, indexed [slot, device]; uplink drawn first
-    traffic = _rng(cfg.seed, 1)
-    ul_demand = traffic.random((n_slots, n)) < cfg.ul_demand_prob
-    dl_demand = traffic.random((n_slots, n)) < cfg.dl_demand_prob
+    slots = -(-ENGINE_ROWS // n)  # per chunk
+    chunks = [(t0, min(t0 + slots, n_slots)) for t0 in range(0, n_slots, slots)]
     path_loss_lin = np.array([
         channel.db_to_linear(channel.free_space_path_loss(ue.distance_m, ue.freq_hz))
         for ue in devices
     ])
     tx_power_w = np.array([ue.tx_power_w for ue in devices])
+    always_on_w = cfg.always_on_fraction * tx_power_w
+    uplink_frame = np.array(_am_uplink_mask(cfg))
+    mode_uplink = np.array(MODE_UPLINK)
+    outage_lin = channel.db_to_linear(cfg.snr_threshold_db)
+    fading = [_rng(cfg.seed, 2, i) for i in range(n)]  # each device's own stream
+    uplink_traffic = _traffic(cfg, n)[0]
+    start_tr = before = np.array([ue.mode is Mode.TR for ue in devices])
+    in_tr_bits, transitions = [], []
+    outages, members = [0, 0], [0, 0]  # device-slots in outage and in all, per mode
+    interference_total = 0.0
 
-    # each device's own stream, drawn for the whole run at once
-    gain = np.empty((n_slots, n))
-    for i in range(n):
-        gain[:, i] = channel.draw_fading_gain(_rng(cfg.seed, 2, i), n_slots)
-    rx_w = cfg.bs_tx_power_w / path_loss_lin * gain
-    rss_dbm = _db(rx_w)
-    rss_dbm += 30.0  # channel.watts_to_dbm
+    for t0, t1 in chunks:
+        gain = np.empty((t1 - t0, n))
+        for i, rng in enumerate(fading):
+            gain[:, i] = channel.draw_fading_gain(rng, t1 - t0)
+        rx_w = cfg.bs_tx_power_w / path_loss_lin * gain
+        rss_dbm = _db(rx_w)
+        rss_dbm += 30.0  # channel.watts_to_dbm
 
-    start_tr = np.array([ue.mode is Mode.TR for ue in devices])
-    in_tr = hold_modes(rss_dbm, cfg.switch, start_tr)
-    mode = in_tr.view(np.int8)  # indexes MODES
-    switched = in_tr != np.vstack([start_tr, in_tr[:-1]])
-    slot, device = np.nonzero(switched)
-    mode_transitions = ModeTransitions(
-        slot.astype(np.int32), device.astype(np.int32), rss_dbm[slot, device],
-        mode[slot, device],
-    )
-    rrc_events = _rrc_log(in_tr, switched, ul_demand, dl_demand)
+        in_tr = hold_modes(rss_dbm, cfg.switch, before)
+        mode = in_tr.view(np.int8)  # indexes MODES
+        slot, device = np.nonzero(_switched(before, in_tr))
+        transitions.append(ModeTransitions(
+            (slot + t0).astype(np.int32), device.astype(np.int32), rss_dbm[slot, device],
+            mode[slot, device],
+        ))
+        in_tr_bits.append(np.packbits(in_tr))
+        before = in_tr[-1]
 
-    ul_active = np.array(MODE_UPLINK)[mode]
-    uplink_slot = np.resize(_am_uplink_mask(cfg), n_slots)[:, None]
-    ul_tx_w = np.where(
-        ul_active,
-        np.where(ul_demand & uplink_slot, tx_power_w, cfg.always_on_fraction * tx_power_w),
-        0.0,
-    )
-    own_w = ul_tx_w / path_loss_lin
-    # a running sum in device order: a pairwise sum would reorder the additions
-    interference_w = np.cumsum(own_w, axis=1)[:, -1]
-    sinr_lin = rx_w / (np.maximum(interference_w[:, None] - own_w, 0.0) + cfg.noise_w)
-    in_outage = sinr_lin < channel.db_to_linear(cfg.snr_threshold_db)
-
-    def cohort_outage(members: np.ndarray) -> float | None:
-        counted = int(np.count_nonzero(members))
-        return int(np.count_nonzero(in_outage & members)) / counted if counted else None
+        ul_active = mode_uplink[mode]
+        ul_demand = uplink_traffic.random((t1 - t0, n)) < cfg.ul_demand_prob
+        uplink_slot = uplink_frame[np.arange(t0, t1) % len(uplink_frame), None]
+        ul_tx_w = np.where(
+            ul_active, np.where(ul_demand & uplink_slot, tx_power_w, always_on_w), 0.0
+        )
+        own_w = ul_tx_w / path_loss_lin
+        # a running sum in device order: a pairwise sum would reorder the additions
+        interference_w = np.cumsum(own_w, axis=1)[:, -1]
+        sinr_lin = rx_w / (np.maximum(interference_w[:, None] - own_w, 0.0) + cfg.noise_w)
+        in_outage = sinr_lin < outage_lin
+        for m, cohort in enumerate((~in_tr, in_tr)):
+            outages[m] += int(np.count_nonzero(in_outage & cohort))
+            members[m] += int(np.count_nonzero(cohort))
+        # the total so far is the running sum's first term, as if not chunked
+        interference_total = float(np.cumsum(np.r_[interference_total, interference_w])[-1])
+        yield Samples(mode, gain, rss_dbm, _db(sinr_lin), ul_tx_w)
 
     for ue, final_mode in zip(devices, mode[-1].tolist()):
         ue.mode, ue.rrc_state = MODES[final_mode], MODE_STATES[final_mode]
-    report = network_exposure(devices, cfg.standards, cfg.observer_distance_m)
+    totals = RunTotals(
+        *(outages[m] / members[m] if members[m] else None for m in (0, 1)),
+        interference_total,
+        network_exposure(devices, cfg.standards, cfg.observer_distance_m),
+        complexity_metric(int(np.count_nonzero(ul_active[-1]))),
+    )
+    yield from transitions
+    uplink_traffic, downlink_traffic = _traffic(cfg, n)  # drawn again from the start
+    before = start_tr
+    for (t0, t1), bits in zip(chunks, in_tr_bits):
+        in_tr = np.unpackbits(bits, count=(t1 - t0) * n).view(bool).reshape(t1 - t0, n)
+        ul_demand = uplink_traffic.random((t1 - t0, n)) < cfg.ul_demand_prob
+        dl_demand = downlink_traffic.random((t1 - t0, n)) < cfg.dl_demand_prob
+        events = _rrc_log(in_tr, _switched(before, in_tr), ul_demand, dl_demand)
+        events.slot[:] += t0  # in place: the log is frozen, its columns are not
+        yield events
+        before = in_tr[-1]
+    yield totals
+
+
+def run_scenario(cfg: ScenarioConfig) -> SimResult:
+    """The whole run of iter_run(cfg), its chunks joined end to end."""
+    run = iter_run(cfg)
+    devices = next(run)
+    *parts, totals = run
+
+    def joined(kind) -> dict:
+        """The columns of the parts of `kind`, each joined end to end."""
+        return {
+            f.name: np.concatenate([getattr(p, f.name) for p in parts if type(p) is kind])
+            for f in fields(kind)
+        }
+
     return SimResult(
         config=cfg,
-        devices=tuple(devices),
-        mode=mode,
-        fading_gain=gain,
-        rss_dbm=rss_dbm,
-        sinr_db=_db(sinr_lin),
-        ul_tx_w=ul_tx_w,
-        mode_transitions=mode_transitions,
-        rrc_events=rrc_events,
-        outage_am=cohort_outage(~in_tr),
-        outage_tr=cohort_outage(in_tr),
-        total_uplink_interference_w=float(np.cumsum(interference_w)[-1]),
-        exposure=report,
-        complexity=complexity_metric(int(np.count_nonzero(ul_active[-1]))),
+        devices=devices,
+        **joined(Samples),
+        mode_transitions=ModeTransitions(**joined(ModeTransitions)),
+        rrc_events=RrcEvents(**joined(RrcEvents)),
+        **vars(totals),
     )
 
 

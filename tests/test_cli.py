@@ -314,6 +314,11 @@ class TestErrorPaths:
         cfg.write_text(text)
         assert run_cli(["exposure", "--config", str(cfg)]) == EXIT_BAND
         assert "outside every band" in capsys.readouterr().err
+        # run streams its records, yet finds the band before the first one
+        assert run_cli(["run", "--config", str(cfg)]) == EXIT_BAND
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "outside every band" in err
 
     def test_unknown_format_rejected_by_parser(self):
         with pytest.raises(SystemExit):
@@ -506,7 +511,8 @@ class TestEncoderEqualsReference:
     def test_run(self, seed, n_slots, hysteresis_db, data):
         """Run chunks with any floats in the first sample chunk's float
         columns, and metrics of every type."""
-        chunks = list(cli._run_chunks(sim.run_scenario(id_config(seed, n_slots, hysteresis_db))))
+        run = sim.iter_run(id_config(seed, n_slots, hysteresis_db))
+        chunks = list(cli._run_chunks(next(run), run))
         kind, columns = chunks[0]
         n = len(columns[0])
         columns = list(columns)

@@ -176,10 +176,14 @@ class TestParseErrors:
             ("[standards.X]\nband = 1e9 2e9 40.0\nband = 3e9 4e9", "low_hz high_hz e_ref_v_per_m"),
             ("[standards.X]\nband = 1e9 2e9 40.0\nband = 3e9 4e9 x", "e_ref_v_per_m"),
             ("[standards.X]\nband = 1e9 2e9 40.0\nband = 3e9 4e9 0.0 note", "e_ref_v_per_m"),
+            # the standard's only band line: it still declares one
+            ("[standards.X]\nband = 3e9 4e9", "low_hz high_hz e_ref_v_per_m"),
+            ("[standards.X]\nband = 3e9 4e9 x", "e_ref_v_per_m"),
         ],
         ids=[
             "device-too-few", "device-too-many", "device-not-a-number", "device-mode-AM",
             "device-out-of-range", "band-too-few", "band-not-a-number", "band-out-of-range",
+            "only-band-too-few", "only-band-not-a-number",
         ],
     )
     def test_malformed_row_is_one_finding_naming_line_and_field(self, rows, named):
