@@ -43,11 +43,11 @@ from .rrc import (
 )
 from .sim import (
     ConfigError,
+    Devices,
     DeviceSpec,
     GenerationScenario,
     ScenarioConfig,
     SimResult,
-    UserEquipment,
     generation_power_density_series,
     iter_run,
     outage_curve,
@@ -58,6 +58,7 @@ from .trmode import Mode, ServiceClass, SwitchConfig, evaluate_switch, service_a
 __all__ = [
     "ConfigError",
     "DeviceSpec",
+    "Devices",
     "Duplex",
     "ExposureReport",
     "ExposureStandard",
@@ -75,7 +76,6 @@ __all__ = [
     "SlotKind",
     "SwitchConfig",
     "UnmappedBandError",
-    "UserEquipment",
     "build_fdd_pair",
     "build_tdd_frame",
     "check_reachability",

@@ -41,6 +41,7 @@ from .sim import (
     RRC_EVENTS,
     RRC_STATES,
     ConfigError,
+    Devices,
     ModeTransitions,
     OutagePoint,
     RrcEvents,
@@ -70,7 +71,10 @@ Kinds = dict[str, tuple[str, ...]]  # record kind -> its keys, in column order
 # array of non-negative ints or a numpy array of floats.
 Chunks = Iterable[tuple[str, tuple]]
 
-CHUNK_ROWS = 2048  # records per chunk of samples or of a log
+CHUNK_ROWS = 2048  # records per chunk of samples, of a log or of devices' exposure
+
+# the device_id of the network-exposure record, which no device may take
+NETWORK_TOTAL = "network-total"
 
 
 class Coded(NamedTuple):
@@ -104,10 +108,10 @@ def _chunk(kind: str, records: list[tuple]) -> tuple[str, tuple]:
     return kind, tuple(Coded(column, codes) for column in zip(*records))
 
 
-def _run_chunks(devices: tuple, run: Iterator) -> Chunks:
+def _run_chunks(devices: Devices, run: Iterator) -> Chunks:
     """The records of sim.iter_run's stream, its columns labelled: `devices`
     is its first item and `run` the rest."""
-    ids = tuple(ue.id for ue in devices)
+    ids = devices.device_id
     n = len(ids)
     # `_value_` is `.value` without its property call
     modes = tuple(m._value_ for m in MODES)
@@ -161,16 +165,19 @@ def _run_chunks(devices: tuple, run: Iterator) -> Chunks:
             yield _chunk("metric", list(metrics.items()))
 
 
-def _exposure_chunks(report: ExposureReport, standards: tuple) -> Chunks:
+def _exposure_chunks(ids: tuple, report: ExposureReport, standards: tuple) -> Chunks:
+    """A device-exposure record per device, `ids` naming them, then the
+    network-exposure record."""
     names = [std.name for std in standards]
-    yield _chunk("device-exposure", [
-        (dev.device_id, dev.power_density_w_m2, dev.e_field_v_per_m,
-         *(dev.er_per_standard[name] for name in names))
-        for dev in report.per_device
-    ])
+    columns = (report.power_density_w_m2, report.e_field_v_per_m,
+               *(report.er_per_standard[name] for name in names))
+    codes = np.arange(len(ids))
+    for r0 in range(0, len(ids), CHUNK_ROWS):
+        rows = slice(r0, r0 + CHUNK_ROWS)
+        yield "device-exposure", (Coded(ids, codes[rows]), *(c[rows] for c in columns))
     total = (report.network_total_power_density_w_m2, report.network_e_field_v_per_m)
     ers = (report.network_er_per_standard[name] for name in names)
-    yield _chunk("network-exposure", [("network-total", *total, *ers)])
+    yield _chunk("network-exposure", [(NETWORK_TOTAL, *total, *ers)])
 
 
 def _write_chunks(fh: IO[str], layouts: dict, chunks: Chunks, escape) -> None:
@@ -312,10 +319,14 @@ def _cmd_exposure(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     if not cfg.standards:
         raise ConfigError(["exposure requires at least one [standards.<name>] section"])
+    if any(spec.device_id == NETWORK_TOTAL for spec in cfg.devices):
+        raise ConfigError([f"[devices]: device id {NETWORK_TOTAL!r} is reserved"])
     devices = build_devices(cfg)
-    report = network_exposure(devices, cfg.standards, cfg.observer_distance_m)
+    report = network_exposure(
+        devices.freq_hz, devices.uplink_w(devices.mode), cfg.standards, cfg.observer_distance_m
+    )
     kinds = exposure_kinds(cfg.standards)
-    chunks = _exposure_chunks(report, cfg.standards)
+    chunks = _exposure_chunks(devices.device_id, report, cfg.standards)
     return _emit(args, kinds["device-exposure"], kinds, chunks)
 
 

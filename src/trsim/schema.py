@@ -1,4 +1,4 @@
-"""Declared bounds of configuration values.
+"""Declared bounds of configuration values, and field-wise equality.
 
 A dataclass field made with `key` carries the config-file section it is
 read from and the closed range, or the choices, its value must lie in.
@@ -10,6 +10,8 @@ a finite range, which also rules out NaN and infinities.
 from __future__ import annotations
 
 from dataclasses import MISSING, Field, field, fields
+
+import numpy as np
 
 # Ranges shared by several fields. Inside them the Friis path loss,
 # received power, SINR, power density and exposure ratio stay finite and
@@ -55,3 +57,17 @@ def check(obj) -> None:
     found = problems(obj)
     if found:
         raise ValueError("; ".join(found))
+
+
+def equal_fields(a, b) -> bool:
+    """Field-by-field equality of two dataclasses of one type: numpy array
+    fields, and arrays held as the values of a dict field, compared by value."""
+
+    def same(x, y) -> bool:
+        if isinstance(x, dict):
+            return x.keys() == y.keys() and all(same(x[k], y[k]) for k in x)
+        return np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
+
+    return type(a) is type(b) and all(
+        same(getattr(a, f.name), getattr(b, f.name)) for f in fields(a)
+    )

@@ -29,7 +29,7 @@ Modeling choices, at desk scale:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -49,7 +49,7 @@ from .frames import (
     build_tdd_frame,
     make_numerology,
 )
-from .schema import DISTANCE_M, FREQ_HZ, MU, POWER_W, SNR_DB, check, key, problems
+from .schema import DISTANCE_M, FREQ_HZ, MU, POWER_W, SNR_DB, check, equal_fields, key, problems
 from .trmode import Mode, SwitchConfig, hold_modes, uplink_enabled
 
 
@@ -151,16 +151,6 @@ class ScenarioConfig:
         return self
 
 
-@dataclass
-class UserEquipment:
-    id: str
-    distance_m: float
-    tx_power_w: float
-    freq_hz: float
-    mode: Mode
-    rrc_state: rrc.RrcState
-
-
 # Codes of the columns: the mode column and the mode-transition log index
 # MODES, the RRC log's states index RRC_STATES, and its events index
 # RRC_EVENTS.
@@ -176,13 +166,28 @@ RRC_STATES = tuple(rrc.RrcState)
 RRC_EVENTS = tuple(rrc.RrcEvent)
 
 
-def _equal_fields(a, b) -> bool:
-    """Field-by-field equality of two dataclasses of one type, numpy array
-    fields compared by value."""
-    return type(a) is type(b) and all(
-        np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
-        for x, y in ((getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
-    )
+@dataclass(frozen=True, eq=False)
+class Devices:
+    """The device population as read-only columns, one row per device,
+    named after the fields of DeviceSpec. `mode` is each device's starting
+    mode; a run's modes after a slot are in its Samples."""
+
+    device_id: tuple[str, ...]
+    distance_m: np.ndarray
+    tx_power_w: np.ndarray
+    freq_hz: np.ndarray
+    mode: np.ndarray  # int8, indexes MODES
+
+    __eq__ = equal_fields
+
+    def __post_init__(self) -> None:
+        for f in fields(self)[1:]:
+            getattr(self, f.name).flags.writeable = False
+
+    def uplink_w(self, mode: np.ndarray) -> np.ndarray:
+        """Each device's emitted uplink power in `mode` (indexes MODES): its
+        tx_power_w where the mode transmits uplink (MODE_UPLINK), else 0."""
+        return np.where(np.array(MODE_UPLINK)[mode], self.tx_power_w, 0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,7 +195,7 @@ class _Log:
     """Columns of one length, one row per logged event; `log[a:b]` slices
     every column."""
 
-    __eq__ = _equal_fields
+    __eq__ = equal_fields
 
     def __len__(self) -> int:
         return len(self.slot)
@@ -202,7 +207,7 @@ class _Log:
 @dataclass(frozen=True, eq=False)
 class ModeTransitions(_Log):
     """One row per mode transition, in slot, then device order. `device`
-    indexes SimResult.devices and `new` indexes MODES; the mode before is
+    indexes the rows of Devices and `new` indexes MODES; the mode before is
     the other one, since a transition flips the mode."""
 
     slot: np.ndarray
@@ -214,7 +219,7 @@ class ModeTransitions(_Log):
 @dataclass(frozen=True, eq=False)
 class RrcEvents(_Log):
     """One row per RRC event, in slot, then device, then event order.
-    `device` indexes SimResult.devices, `event` indexes RRC_EVENTS, and `old`
+    `device` indexes the rows of Devices, `event` indexes RRC_EVENTS, and `old`
     and `new` index RRC_STATES."""
 
     slot: np.ndarray
@@ -227,8 +232,8 @@ class RrcEvents(_Log):
 @dataclass(frozen=True, eq=False)
 class Samples:
     """The per-device-slot columns of a chunk of consecutive slots, each a
-    (slots, n) array: row t is the chunk's slot t and column i is
-    devices[i]."""
+    (slots, n) array: row t is the chunk's slot t and column i is row i
+    of Devices."""
 
     mode: np.ndarray  # int8, indexes MODES, MODE_STATES and MODE_UPLINK
     fading_gain: np.ndarray
@@ -236,7 +241,7 @@ class Samples:
     sinr_db: np.ndarray
     ul_tx_w: np.ndarray
 
-    __eq__ = _equal_fields
+    __eq__ = equal_fields
 
 
 @dataclass(frozen=True)
@@ -251,28 +256,18 @@ class RunTotals:
 
 
 @dataclass(frozen=True, eq=False)
-class SimResult:
-    """A whole run, collected from iter_run's stream. Each per-device-slot
-    column is an (n_slots, n) array: row t is slot t and column i is
-    devices[i]. `devices` carry each device's mode and RRC state after the
-    last slot."""
+class SimResult(RunTotals, Samples):
+    """A whole run, collected from iter_run's stream: the Samples of all its
+    slots, each column an (n_slots, n) array, and its RunTotals, with the
+    config, the devices as built and the two logs. The modes after the last
+    slot are mode[-1]."""
 
     config: ScenarioConfig
-    devices: tuple[UserEquipment, ...]
-    mode: np.ndarray  # int8, indexes MODES, MODE_STATES and MODE_UPLINK
-    fading_gain: np.ndarray
-    rss_dbm: np.ndarray
-    sinr_db: np.ndarray
-    ul_tx_w: np.ndarray
+    devices: Devices
     mode_transitions: ModeTransitions
     rrc_events: RrcEvents
-    outage_am: float | None
-    outage_tr: float | None
-    total_uplink_interference_w: float
-    exposure: ExposureReport
-    complexity: float
 
-    __eq__ = _equal_fields
+    __eq__ = equal_fields
 
 
 def _rng(seed: int, *stream: int) -> np.random.Generator:
@@ -281,31 +276,26 @@ def _rng(seed: int, *stream: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, *stream]))
 
 
-def build_devices(cfg: ScenarioConfig) -> list[UserEquipment]:
+def build_devices(cfg: ScenarioConfig) -> Devices:
     """Materialize the device population: explicit [devices] entries when
     given, otherwise seed-derived placement with the TR cohort assigned to
-    the weakest links. Each device starts in the RRC state its mode holds."""
+    the weakest links."""
     if cfg.devices:
-        rows = [
-            (spec.device_id, spec.distance_m, spec.tx_power_w, spec.freq_hz, spec.mode)
-            for spec in cfg.devices
-        ]
+        ids, distances, tx_power, freq, modes = zip(*(astuple(s) for s in cfg.devices))
+        return Devices(ids, np.array(distances), np.array(tx_power), np.array(freq),
+                       np.array([MODES.index(m) for m in modes], np.int8))
+    n = cfg.n_users
+    if cfg.placement == "ring":
+        distances = np.full(n, cfg.cell_radius_m)
     else:
-        if cfg.placement == "ring":
-            distances = np.full(cfg.n_users, cfg.cell_radius_m)
-        else:
-            # uniform over the disk: radius grows with sqrt of the uniform draw
-            uniform = _rng(cfg.seed, 0).random(cfg.n_users)
-            distances = cfg.cell_radius_m * np.sqrt(uniform)
-        # TR cohort = the weakest links (largest distance), ties by device index
-        tr_indices = set(np.argsort(-distances, kind="stable")[: cfg.n_tr].tolist())
-        width = len(str(cfg.n_users - 1))
-        rows = [
-            (f"ue-{i:0{width}d}", distance, cfg.ue_tx_power_w, cfg.freq_hz,
-             Mode.TR if i in tr_indices else Mode.AM)
-            for i, distance in enumerate(distances.tolist())
-        ]
-    return [UserEquipment(*row, MODE_STATES[MODES.index(row[-1])]) for row in rows]
+        # uniform over the disk: radius grows with sqrt of the uniform draw
+        distances = cfg.cell_radius_m * np.sqrt(_rng(cfg.seed, 0).random(n))
+    mode = np.full(n, MODES.index(Mode.AM), np.int8)
+    # TR cohort = the weakest links (largest distance), ties by device index
+    mode[np.argsort(-distances, kind="stable")[: cfg.n_tr]] = MODES.index(Mode.TR)
+    width = len(str(n - 1))
+    ids = tuple(f"ue-{i:0{width}d}" for i in range(n))
+    return Devices(ids, distances, np.full(n, cfg.ue_tx_power_w), np.full(n, cfg.freq_hz), mode)
 
 
 def _am_uplink_mask(cfg: ScenarioConfig) -> list[bool]:
@@ -388,11 +378,11 @@ def _switched(before: np.ndarray, in_tr: np.ndarray) -> np.ndarray:
 
 def iter_run(cfg: ScenarioConfig) -> Iterator:
     """Run the scenario as a stream, in the order of its records: first the
-    devices, once the config is checked; then the Samples of each chunk of
+    Devices, once the config is checked; then the Samples of each chunk of
     ceil(ENGINE_ROWS / n) slots; then the ModeTransitions of each chunk;
     then its RrcEvents, their `slot` counted from the run's start; last the
-    RunTotals. After the last Samples the devices carry their modes after
-    the last slot. The run is a pure function of the config.
+    RunTotals. The Devices are not changed: the modes after the last slot
+    are the last Samples' mode[-1]. The run is a pure function of the config.
 
     Each slot, for every device: draw fading, evaluate the mode switch on
     the downlink received signal strength, log the RRC events that follow
@@ -404,27 +394,26 @@ def iter_run(cfg: ScenarioConfig) -> Iterator:
     device-slot, and the traffic drawn again.
     """
     cfg.require_valid()
-    devices = tuple(build_devices(cfg))
+    devices = build_devices(cfg)
     # an unmapped band fails here, before any record is out
-    for freq in {ue.freq_hz for ue in devices}:
+    for freq in set(devices.freq_hz.tolist()):
         for std in cfg.standards:
             std.band_for(freq)
     yield devices
-    n, n_slots = len(devices), cfg.n_slots
+    n, n_slots = len(devices.device_id), cfg.n_slots
     slots = -(-ENGINE_ROWS // n)  # per chunk
     chunks = [(t0, min(t0 + slots, n_slots)) for t0 in range(0, n_slots, slots)]
     path_loss_lin = np.array([
-        channel.db_to_linear(channel.free_space_path_loss(ue.distance_m, ue.freq_hz))
-        for ue in devices
+        channel.db_to_linear(channel.free_space_path_loss(d, f))
+        for d, f in zip(devices.distance_m.tolist(), devices.freq_hz.tolist())
     ])
-    tx_power_w = np.array([ue.tx_power_w for ue in devices])
-    always_on_w = cfg.always_on_fraction * tx_power_w
+    always_on_w = cfg.always_on_fraction * devices.tx_power_w
     uplink_frame = np.array(_am_uplink_mask(cfg))
     mode_uplink = np.array(MODE_UPLINK)
     outage_lin = channel.db_to_linear(cfg.snr_threshold_db)
     fading = [_rng(cfg.seed, 2, i) for i in range(n)]  # each device's own stream
     uplink_traffic = _traffic(cfg, n)[0]
-    start_tr = before = np.array([ue.mode is Mode.TR for ue in devices])
+    start_tr = before = devices.mode == MODES.index(Mode.TR)
     in_tr_bits, transitions = [], []
     outages, members = [0, 0], [0, 0]  # device-slots in outage and in all, per mode
     interference_total = 0.0
@@ -451,7 +440,7 @@ def iter_run(cfg: ScenarioConfig) -> Iterator:
         ul_demand = uplink_traffic.random((t1 - t0, n)) < cfg.ul_demand_prob
         uplink_slot = uplink_frame[np.arange(t0, t1) % len(uplink_frame), None]
         ul_tx_w = np.where(
-            ul_active, np.where(ul_demand & uplink_slot, tx_power_w, always_on_w), 0.0
+            ul_active, np.where(ul_demand & uplink_slot, devices.tx_power_w, always_on_w), 0.0
         )
         own_w = ul_tx_w / path_loss_lin
         # a running sum in device order: a pairwise sum would reorder the additions
@@ -465,12 +454,12 @@ def iter_run(cfg: ScenarioConfig) -> Iterator:
         interference_total = float(np.cumsum(np.r_[interference_total, interference_w])[-1])
         yield Samples(mode, gain, rss_dbm, _db(sinr_lin), ul_tx_w)
 
-    for ue, final_mode in zip(devices, mode[-1].tolist()):
-        ue.mode, ue.rrc_state = MODES[final_mode], MODE_STATES[final_mode]
     totals = RunTotals(
         *(outages[m] / members[m] if members[m] else None for m in (0, 1)),
         interference_total,
-        network_exposure(devices, cfg.standards, cfg.observer_distance_m),
+        network_exposure(
+            devices.freq_hz, devices.uplink_w(mode[-1]), cfg.standards, cfg.observer_distance_m
+        ),
         complexity_metric(int(np.count_nonzero(ul_active[-1]))),
     )
     yield from transitions

@@ -163,3 +163,23 @@ class TestHostLog10:
             " libm log10 differs from glibc's, and the `run` goldens depend on the"
             " host's log10, so their rss_dbm and sinr_db digits will differ too"
         )
+
+    # glibc's log runs an FMA kernel on a CPU with FMA and another kernel
+    # without it. They differ in the last digit on about 4 in 10^6 inputs
+    # log-uniform over 1e-20..1e3, all found near 1 (sinr_db near 0 dB).
+    # These are the FMA kernel's values; the other kernel's are commented.
+    @pytest.mark.parametrize("x_hex, expected", [
+        ("0x1.3ec85faa90c28p+1", 0.3962847882983845),  # other: 0.3962847882983844
+        ("0x1.4dd5e35def5b3p-2", -0.4867674382800722),  # other: -0.48676743828007224
+        ("0x1.0d9e9f999ae2bp-1", -0.27851846419209986),  # other: -0.2785184641920999
+        ("0x1.0eed09ce552dbp+0", 0.024610608927854844),  # other: 0.02461060892785484
+        ("0x1.ec4a2aadb920fp-1", -0.017049199587887642),  # other: -0.017049199587887646
+        ("0x1.6c19b816b5f49p+0", 0.15298126853206642),  # other: 0.1529812685320664
+    ])
+    def test_log10_is_the_fma_kernels(self, x_hex, expected):
+        got = math.log10(float.fromhex(x_hex))
+        assert got == expected, (
+            f"math.log10({x_hex}) = {got!r}, glibc's FMA log kernel gives {expected!r}:"
+            " the `run` goldens need glibc's FMA `log` kernel, which glibc picks only"
+            " on a CPU with FMA, so their rss_dbm and sinr_db digits will differ here"
+        )

@@ -346,6 +346,18 @@ class TestExposureCommand:
         zero_rows = [line for line in lines[1:-1] if ",0.0,0.0," in line]
         assert len(zero_rows) == 20  # the TR cohort emits nothing
 
+    def test_device_id_of_the_network_total_is_refused(self, tmp_path, capsys):
+        """A device named network-total would make its row and the network's
+        last row alike."""
+        cfg = tmp_path / "reserved.cfg"
+        text = ER_TABLE_FIXTURE.read_text()
+        cfg.write_text(re.sub(r"(?m)^device = \S+", "device = network-total", text, count=1))
+        out = tmp_path / "exposure.csv"
+        assert run_cli(["exposure", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "[devices]" in err and "'network-total'" in err
+
 
 class TestOutageCommand:
     def test_custom_points_and_jsonl(self, capsys):
@@ -536,7 +548,10 @@ class TestEncoderEqualsReference:
     @given(observer_distance_m=st.floats(0.1, 10.0))
     def test_exposure(self, observer_distance_m):
         cfg = id_config(1, 1, 0.0)
-        report = network_exposure(sim.build_devices(cfg), cfg.standards, observer_distance_m)
+        devices = sim.build_devices(cfg)
+        report = network_exposure(
+            devices.freq_hz, devices.uplink_w(devices.mode), cfg.standards, observer_distance_m
+        )
         kinds = exposure_kinds(cfg.standards)
-        chunks = cli._exposure_chunks(report, cfg.standards)
+        chunks = cli._exposure_chunks(devices.device_id, report, cfg.standards)
         self.check(kinds["device-exposure"], kinds, chunks)

@@ -1,6 +1,6 @@
 import math
-from dataclasses import dataclass
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -15,15 +15,8 @@ from trsim.exposure import (
     network_exposure,
     power_density,
 )
+from trsim.sim import MODES, Devices
 from trsim.trmode import Mode
-
-
-@dataclass(frozen=True)
-class Emitter:
-    id: str
-    tx_power_w: float
-    freq_hz: float
-    mode: Mode
 
 
 STANDARD = ExposureStandard(
@@ -130,23 +123,36 @@ class TestStandardValidation:
         assert STANDARD.band_for(2e9 - 1.0).e_ref_v_per_m == 40.0
 
 
-def _fleet(n_am: int, n_tr: int, power: float = 0.2, freq: float = 3.5e9) -> list[Emitter]:
-    fleet = [Emitter(f"am-{i}", power, freq, Mode.AM) for i in range(n_am)]
-    fleet += [Emitter(f"tr-{i}", power, freq, Mode.TR) for i in range(n_tr)]
+def _fleet(n_am: int, n_tr: int, power: float = 0.2, freq: float = 3.5e9) -> list[tuple]:
+    """Rows of device id, tx power, carrier and mode."""
+    fleet = [(f"am-{i}", power, freq, Mode.AM) for i in range(n_am)]
+    fleet += [(f"tr-{i}", power, freq, Mode.TR) for i in range(n_tr)]
     return fleet
+
+
+def _exposure(fleet: list[tuple], observer_distance_m: float):
+    """The devices of the rows, all 1 m out, and their exposure in their
+    modes, as `trsim exposure` reports a population in its starting modes."""
+    ids, power, freq, modes = zip(*fleet)
+    devices = Devices(ids, np.ones(len(ids)), np.array(power), np.array(freq),
+                      np.array([MODES.index(m) for m in modes], np.int8))
+    report = network_exposure(
+        devices.freq_hz, devices.uplink_w(devices.mode), (STANDARD,), observer_distance_m
+    )
+    return devices, report
 
 
 class TestNetworkExposure:
     def test_all_tr_fleet_reports_zero(self):
-        report = network_exposure(_fleet(0, 5), (STANDARD,), observer_distance_m=1.0)
+        _, report = _exposure(_fleet(0, 5), observer_distance_m=1.0)
         assert report.network_total_power_density_w_m2 == 0.0
         assert report.network_e_field_v_per_m == 0.0
         assert report.network_er_per_standard["ICNIRP"] == 0.0
-        assert all(d.power_density_w_m2 == 0.0 for d in report.per_device)
+        assert report.power_density_w_m2.tolist() == [0.0] * 5
 
     def test_cohort_split_scales_density_linearly(self):
-        baseline = network_exposure(_fleet(50, 0), (STANDARD,), 1.0)
-        variant = network_exposure(_fleet(30, 20), (STANDARD,), 1.0)
+        _, baseline = _exposure(_fleet(50, 0), 1.0)
+        _, variant = _exposure(_fleet(30, 20), 1.0)
         ratio = (
             variant.network_total_power_density_w_m2
             / baseline.network_total_power_density_w_m2
@@ -154,54 +160,66 @@ class TestNetworkExposure:
         assert ratio == pytest.approx(0.6, rel=1e-12)
 
     def test_singleton_matches_power_density(self):
-        report = network_exposure(_fleet(1, 0, power=0.5), (STANDARD,), 2.0)
+        _, report = _exposure(_fleet(1, 0, power=0.5), 2.0)
         assert report.network_total_power_density_w_m2 == pytest.approx(
             power_density(0.5, 1.0, 2.0), rel=1e-12
         )
-        assert report.per_device[0].power_density_w_m2 == pytest.approx(
+        assert report.power_density_w_m2[0] == pytest.approx(
             power_density(0.5, 1.0, 2.0), rel=1e-12
         )
 
     def test_totals_permutation_invariant(self):
-        fleet = _fleet(7, 3) + [Emitter("odd", 0.05, 1e9, Mode.AM)]
-        fwd = network_exposure(fleet, (STANDARD,), 1.0)
-        rev = network_exposure(list(reversed(fleet)), (STANDARD,), 1.0)
+        fleet = _fleet(7, 3) + [("odd", 0.05, 1e9, Mode.AM)]
+        fwd_devices, fwd = _exposure(fleet, 1.0)
+        rev_devices, rev = _exposure(list(reversed(fleet)), 1.0)
         assert fwd.network_total_power_density_w_m2 == pytest.approx(
             rev.network_total_power_density_w_m2, rel=1e-12
         )
-        assert {d.device_id: d.power_density_w_m2 for d in fwd.per_device} == {
-            d.device_id: d.power_density_w_m2 for d in rev.per_device
-        }
+        assert dict(zip(fwd_devices.device_id, fwd.power_density_w_m2.tolist())) == dict(
+            zip(rev_devices.device_id, rev.power_density_w_m2.tolist())
+        )
 
     def test_switching_one_device_to_tr_never_increases_total(self):
         fleet = _fleet(6, 2)
-        total_before = network_exposure(fleet, (STANDARD,), 1.0).network_total_power_density_w_m2
+        total_before = _exposure(fleet, 1.0)[1].network_total_power_density_w_m2
         for i in range(len(fleet)):
             flipped = list(fleet)
-            flipped[i] = Emitter(fleet[i].id, fleet[i].tx_power_w, fleet[i].freq_hz, Mode.TR)
-            total_after = network_exposure(
-                flipped, (STANDARD,), 1.0
-            ).network_total_power_density_w_m2
+            flipped[i] = (*fleet[i][:3], Mode.TR)
+            total_after = _exposure(flipped, 1.0)[1].network_total_power_density_w_m2
             assert total_after <= total_before
 
     def test_network_er_uses_most_restrictive_band(self):
         fleet = [
-            Emitter("low-band", 0.2, 1e9, Mode.AM),
-            Emitter("high-band", 0.2, 3.5e9, Mode.AM),
+            ("low-band", 0.2, 1e9, Mode.AM),
+            ("high-band", 0.2, 3.5e9, Mode.AM),
         ]
-        report = network_exposure(fleet, (STANDARD,), 1.0)
+        _, report = _exposure(fleet, 1.0)
         expected = report.network_e_field_v_per_m / 40.0
         assert report.network_er_per_standard["ICNIRP"] == pytest.approx(expected, rel=1e-12)
 
     def test_empty_fleet_rejected(self):
         with pytest.raises(ValueError):
-            network_exposure([], (STANDARD,), 1.0)
+            network_exposure(np.array([]), np.array([]), (STANDARD,), 1.0)
 
     def test_report_totals_match_sum_of_devices(self):
-        report = network_exposure(_fleet(9, 4), (STANDARD,), 1.5)
+        _, report = _exposure(_fleet(9, 4), 1.5)
         assert report.network_total_power_density_w_m2 == pytest.approx(
-            sum(d.power_density_w_m2 for d in report.per_device), rel=1e-12
+            sum(report.power_density_w_m2.tolist()), rel=1e-12
         )
+
+    def test_total_adds_in_device_order(self):
+        """The network density is the running sum in device order, as a scalar
+        loop adds it. With these powers the reverse order and numpy's
+        pairwise sum each give another last digit."""
+        powers = (10 ** np.random.default_rng(1).uniform(-3, 0, 40)).tolist()
+        _, report = _exposure([(f"d{i}", p, 3.5e9, Mode.AM) for i, p in enumerate(powers)], 1.0)
+        densities = report.power_density_w_m2.tolist()
+        forward = reverse = 0.0
+        for a, b in zip(densities, densities[::-1]):
+            forward += a
+            reverse += b
+        assert report.network_total_power_density_w_m2 == forward
+        assert forward != reverse and forward != float(report.power_density_w_m2.sum())
 
 
 class TestComplexityMetric:

@@ -2,7 +2,7 @@ import itertools
 import math
 import tracemalloc
 from collections import namedtuple
-from dataclasses import replace
+from dataclasses import fields, replace
 from io import StringIO
 from unittest import mock
 
@@ -14,7 +14,12 @@ from conftest import make_config
 from trsim import channel, rrc, sim
 from trsim.channel import db_to_linear, free_space_path_loss, outage_analytic, watts_to_dbm
 from trsim.cli import RUN_CSV_COLUMNS, RUN_KINDS, Coded, _run_chunks, _write_csv
-from trsim.exposure import ExposureStandard, FrequencyBand
+from trsim.exposure import (
+    ExposureStandard,
+    FrequencyBand,
+    e_field_from_density,
+    power_density,
+)
 from trsim.frames import SlotKind, build_fdd_pair, build_tdd_frame, make_numerology
 from trsim.rrc import RrcEvent, RrcState, uplink_grant_allowed
 from trsim.sim import (
@@ -52,7 +57,7 @@ def samples(result) -> list[Sample]:
     """The result's columns read back as one record per device-slot, in slot,
     then device order, with enum members for the coded columns. The RRC state
     and uplink activity are the mode's, through MODE_STATES and MODE_UPLINK."""
-    ids = [ue.id for ue in result.devices]
+    ids = result.devices.device_id
     columns = [getattr(result, name).tolist() for name in RESULT_COLUMNS]
     return [
         Sample(t, ids[i], MODES[mode[i]], MODE_STATES[mode[i]], gain[i], rss[i], sinr[i],
@@ -65,7 +70,7 @@ def samples(result) -> list[Sample]:
 def transitions(result) -> list[Transition]:
     log = result.mode_transitions
     return [
-        Transition(slot, result.devices[i].id, MODES[1 - new], MODES[new], rss_dbm)
+        Transition(slot, result.devices.device_id[i], MODES[1 - new], MODES[new], rss_dbm)
         for slot, i, rss_dbm, new in zip(
             log.slot.tolist(), log.device.tolist(), log.rss_dbm.tolist(), log.new.tolist()
         )
@@ -75,7 +80,8 @@ def transitions(result) -> list[Transition]:
 def rrc_log(result) -> list[RrcEntry]:
     log = result.rrc_events
     return [
-        RrcEntry(slot, result.devices[i].id, RRC_EVENTS[e], RRC_STATES[old], RRC_STATES[new])
+        RrcEntry(slot, result.devices.device_id[i], RRC_EVENTS[e], RRC_STATES[old],
+                 RRC_STATES[new])
         for slot, i, e, old, new in zip(
             log.slot.tolist(), log.device.tolist(), log.event.tolist(),
             log.old.tolist(), log.new.tolist(),
@@ -95,6 +101,14 @@ def run_records(cfg):
         ]
         for record in zip(*values):
             yield kind, dict(zip(RUN_KINDS[kind], record))
+
+
+def path_losses(devices) -> list[float]:
+    """Each device's linear path loss, from the scalar channel functions."""
+    return [
+        db_to_linear(free_space_path_loss(distance, freq))
+        for distance, freq in zip(devices.distance_m.tolist(), devices.freq_hz.tolist())
+    ]
 
 
 def switching_config(**overrides):
@@ -139,8 +153,7 @@ class TestRunScenario:
         numpy's own log10 would differ in the last bit on some inputs."""
         cfg = switching_config(placement="disk", n_users=9, n_tr=3)
         result = run_scenario(cfg)
-        for i, ue in enumerate(result.devices):
-            loss = db_to_linear(free_space_path_loss(ue.distance_m, ue.freq_hz))
+        for i, loss in enumerate(path_losses(result.devices)):
             expected = [
                 watts_to_dbm(cfg.bs_tx_power_w / loss * g)
                 for g in result.fading_gain[:, i].tolist()
@@ -247,10 +260,7 @@ class TestRunScenario:
     def test_interference_total_matches_samples(self):
         cfg = switching_config()
         result = run_scenario(cfg)
-        loss = {
-            ue.id: db_to_linear(free_space_path_loss(ue.distance_m, ue.freq_hz))
-            for ue in result.devices
-        }
+        loss = dict(zip(result.devices.device_id, path_losses(result.devices)))
         total = sum(s.ul_tx_w / loss[s.device_id] for s in samples(result))
         assert total == pytest.approx(result.total_uplink_interference_w, rel=1e-12)
 
@@ -269,9 +279,14 @@ class TestRunScenario:
             )
         )
         result = run_scenario(cfg)
-        assert [ue.id for ue in result.devices] == ["near", "far"]
-        assert result.devices[1].mode is Mode.TR
-        assert result.devices[1].rrc_state is RrcState.ENERGY_EFFICIENT
+        assert result.devices.device_id == ("near", "far")
+        assert result.devices.distance_m.tolist() == [50.0, 450.0]
+        assert [MODES[m] for m in result.devices.mode.tolist()] == [Mode.AM, Mode.TR]
+        # "far" is the last device of the last slot
+        last = samples(result)[-1]
+        assert (last.device_id, last.mode, last.rrc_state) == (
+            "far", Mode.TR, RrcState.ENERGY_EFFICIENT
+        )
 
 
 class TestModeStates:
@@ -301,72 +316,115 @@ class TestModeStates:
         assert state is MODE_STATES[MODES.index(after)]
 
     def test_population_starts_in_the_state_of_its_mode(self):
-        devices = build_devices(make_config(n_users=6, n_tr=2))
-        assert {ue.mode for ue in devices} == set(MODES)
-        for ue in devices:
-            assert ue.rrc_state is MODE_STATES[MODES.index(ue.mode)]
+        """A device starts Connected, and one that starts in TR has entered TR
+        from there: that is MODE_STATES of its starting mode, and each
+        device's first RRC event (one per slot, on downlink demand 1) starts
+        from it."""
+        result = run_scenario(make_config(n_users=6, n_tr=2, dl_demand_prob=1.0))
+        start = {
+            Mode.AM: RrcState.CONNECTED,
+            Mode.TR: rrc.transition(RrcState.CONNECTED, RrcEvent.TR_MODE_ENTER),
+        }
+        assert all(start[mode] is MODE_STATES[MODES.index(mode)] for mode in MODES)
+        modes = [MODES[m] for m in result.devices.mode.tolist()]
+        assert set(modes) == set(MODES)
+        first = {}
+        for entry in rrc_log(result):
+            first.setdefault(entry.device_id, entry.old_state)
+        assert first == {i: start[mode] for i, mode in zip(result.devices.device_id, modes)}
 
 
 def scalar_run(cfg):
     """The engine as one scalar step per device-slot, in slot, then device
     order: the reference the columnar engine must equal exactly. Returns
     the samples, transitions and RRC log as the helpers above read them,
-    and the four metrics."""
+    and the metrics: the four of the run, then the network exposure from
+    each device's final mode."""
     devices = build_devices(cfg)
-    n = len(devices)
+    ids, n = devices.device_id, len(devices.device_id)
+    tx_power = devices.tx_power_w.tolist()
+    mode = [MODES[m] for m in devices.mode.tolist()]
+    # every device starts Connected, and one that starts in TR has entered TR
+    state = [
+        rrc.transition(RrcState.CONNECTED, RrcEvent.TR_MODE_ENTER) if m is Mode.TR
+        else RrcState.CONNECTED
+        for m in mode
+    ]
     traffic = _rng(cfg.seed, 1)
     ul_demand = (traffic.random((cfg.n_slots, n)) < cfg.ul_demand_prob).tolist()
     dl_demand = (traffic.random((cfg.n_slots, n)) < cfg.dl_demand_prob).tolist()
     am_uplink = _am_uplink_mask(cfg)
     fading = [_rng(cfg.seed, 2, i) for i in range(n)]
-    loss = [db_to_linear(free_space_path_loss(ue.distance_m, ue.freq_hz)) for ue in devices]
+    loss = path_losses(devices)
     out, moves, log = [], [], []
     below = {Mode.AM: 0, Mode.TR: 0}
     counted = {Mode.AM: 0, Mode.TR: 0}
     total = 0.0
     for t in range(cfg.n_slots):
         rows = []
-        for i, ue in enumerate(devices):
+        for i in range(n):
             gain = channel.draw_fading_gain(fading[i])
             rx_w = cfg.bs_tx_power_w / loss[i] * gain
             rss_dbm = watts_to_dbm(rx_w)
             events = []
-            new_mode = evaluate_switch(rss_dbm, cfg.switch, ue.mode)
-            if new_mode is not ue.mode:
-                moves.append(Transition(t, ue.id, ue.mode, new_mode, rss_dbm))
-                ue.mode = new_mode
+            new_mode = evaluate_switch(rss_dbm, cfg.switch, mode[i])
+            if new_mode is not mode[i]:
+                moves.append(Transition(t, ids[i], mode[i], new_mode, rss_dbm))
+                mode[i] = new_mode
                 events.append(RrcEvent.TR_MODE_ENTER if new_mode is Mode.TR
                               else RrcEvent.TR_MODE_EXIT)
-            if ue.mode is Mode.AM and ul_demand[t][i]:
+            if mode[i] is Mode.AM and ul_demand[t][i]:
                 events.append(RrcEvent.UPLINK_DATA_PENDING)
             if dl_demand[t][i]:
                 events.append(RrcEvent.DOWNLINK_DATA_ARRIVAL)
             for event in events:
-                old, ue.rrc_state = ue.rrc_state, rrc.transition(ue.rrc_state, event)
-                log.append(RrcEntry(t, ue.id, event, old, ue.rrc_state))
-            active = uplink_enabled(ue.mode) and uplink_grant_allowed(ue.rrc_state)
+                old, state[i] = state[i], rrc.transition(state[i], event)
+                log.append(RrcEntry(t, ids[i], event, old, state[i]))
+            active = uplink_enabled(mode[i]) and uplink_grant_allowed(state[i])
             if not active:
                 ul_tx_w = 0.0
             elif ul_demand[t][i] and am_uplink[t % len(am_uplink)]:
-                ul_tx_w = ue.tx_power_w
+                ul_tx_w = tx_power[i]
             else:
-                ul_tx_w = cfg.always_on_fraction * ue.tx_power_w
-            rows.append((ue, gain, rx_w, rss_dbm, active, ul_tx_w, ul_tx_w / loss[i]))
+                ul_tx_w = cfg.always_on_fraction * tx_power[i]
+            rows.append((i, gain, rx_w, rss_dbm, active, ul_tx_w, ul_tx_w / loss[i]))
         # add in device order, as the engine's running sum does: sum() of
         # floats is compensated since Python 3.12 and can differ in the last bit
         interference_w = 0.0
         for row in rows:
             interference_w += row[-1]
         total += interference_w
-        for ue, gain, rx_w, rss_dbm, active, ul_tx_w, own_w in rows:
+        for i, gain, rx_w, rss_dbm, active, ul_tx_w, own_w in rows:
             sinr_lin = rx_w / (max(interference_w - own_w, 0.0) + cfg.noise_w)
-            below[ue.mode] += sinr_lin < db_to_linear(cfg.snr_threshold_db)
-            counted[ue.mode] += 1
-            out.append(Sample(t, ue.id, ue.mode, ue.rrc_state, gain, rss_dbm,
+            below[mode[i]] += sinr_lin < db_to_linear(cfg.snr_threshold_db)
+            counted[mode[i]] += 1
+            out.append(Sample(t, ids[i], mode[i], state[i], gain, rss_dbm,
                               channel.linear_to_db(sinr_lin), active, ul_tx_w))
     outage = [below[m] / counted[m] if counted[m] else None for m in (Mode.AM, Mode.TR)]
     active_last = sum(1 for row in rows if row[4])
-    return out, moves, log, (*outage, total, active_last * (active_last - 1) / 2)
+    # exposure: a device in TR after the last slot emits nothing; densities
+    # add in device order
+    density = 0.0
+    for i in range(n):
+        emitted_w = tx_power[i] if uplink_enabled(mode[i]) else 0.0
+        density += power_density(emitted_w, 1.0, cfg.observer_distance_m)
+    e_field = e_field_from_density(density)
+    freqs = devices.freq_hz.tolist()
+    ers = {
+        std.name: e_field / min(std.band_for(f).e_ref_v_per_m for f in freqs)
+        for std in cfg.standards
+    }
+    return out, moves, log, (
+        *outage, total, active_last * (active_last - 1) / 2, density, e_field, ers
+    )
+
+
+# Standards for the scalar reference: one band at the configs' carrier, and
+# a second standard whose band there has another reference level
+ICNIRP = ExposureStandard("ICNIRP", (FrequencyBand(1e9, 1e10, 61.0),))
+IEEE = ExposureStandard(
+    "IEEE-C95", (FrequencyBand(1e8, 3e9, 40.0), FrequencyBand(3e9, 6e9, 61.4))
+)
 
 
 class TestScalarReference:
@@ -391,15 +449,20 @@ class TestScalarReference:
                 rss_threshold_dbm=data.draw(st.sampled_from([-60.0, -52.0, -45.0])),
                 hysteresis_db=data.draw(st.sampled_from([0.0, 1.0, 3.0])),
             ),
+            observer_distance_m=data.draw(st.sampled_from([0.5, 1.0, 3.0])),
+            standards=data.draw(st.sampled_from([(ICNIRP,), (IEEE, ICNIRP)])),
         )
         result = run_scenario(cfg)
         expected = scalar_run(cfg)
         assert samples(result) == expected[0]
         assert transitions(result) == expected[1]
         assert rrc_log(result) == expected[2]
+        report = result.exposure
         assert (
             result.outage_am, result.outage_tr,
             result.total_uplink_interference_w, result.complexity,
+            report.network_total_power_density_w_m2, report.network_e_field_v_per_m,
+            report.network_er_per_standard,
         ) == expected[3]
 
 
@@ -476,30 +539,46 @@ class TestBuildDevices:
     def test_tr_cohort_assigned_to_weakest_links(self):
         cfg = make_config(n_users=8, n_tr=3, placement="disk")
         devices = build_devices(cfg)
-        by_distance = sorted(devices, key=lambda ue: ue.distance_m, reverse=True)
-        assert all(ue.mode is Mode.TR for ue in by_distance[:3])
-        assert all(ue.mode is Mode.AM for ue in by_distance[3:])
+        by_distance = np.argsort(-devices.distance_m)
+        modes = [MODES[m] for m in devices.mode[by_distance].tolist()]
+        assert modes == [Mode.TR] * 3 + [Mode.AM] * 5
+
+    def test_run_leaves_the_table_as_built(self):
+        """The table's columns are DeviceSpec's fields, read-only, and a run
+        that switches devices leaves it as built: the modes after the last
+        slot are the run's mode[-1]."""
+        assert [f.name for f in fields(sim.Devices)] == [f.name for f in fields(DeviceSpec)]
+        cfg = switching_config()
+        result = run_scenario(cfg)
+        assert (result.mode[-1] != result.devices.mode).any()
+        assert result.devices == build_devices(cfg)
+        assert not any(getattr(result.devices, f.name).flags.writeable
+                       for f in fields(sim.Devices)[1:])
 
     def test_ring_places_everyone_at_cell_radius(self):
         cfg = make_config(placement="ring")
-        assert all(ue.distance_m == cfg.cell_radius_m for ue in build_devices(cfg))
+        assert (build_devices(cfg).distance_m == cfg.cell_radius_m).all()
 
     def test_disk_placement_deterministic_per_seed(self):
         cfg = make_config(placement="disk")
-        first = [ue.distance_m for ue in build_devices(cfg)]
-        second = [ue.distance_m for ue in build_devices(cfg)]
+        first, second = build_devices(cfg), build_devices(cfg)
         assert first == second
-        assert all(0.0 <= d <= cfg.cell_radius_m for d in first)
+        assert first.distance_m.tolist() == second.distance_m.tolist()
+        assert all(0.0 <= d <= cfg.cell_radius_m for d in first.distance_m.tolist())
 
     def test_explicit_copy_of_synthesized_population_runs_the_same(self):
         std = ExposureStandard("ICNIRP", (FrequencyBand(1e9, 1e10, 61.0),))
         cfg = switching_config(
             placement="disk", n_tr=2, cell_radius_m=500.0, standards=(std,)
         )
+        devices = build_devices(cfg)
         specs = tuple(
-            DeviceSpec(ue.id, ue.distance_m, cfg.ue_tx_power_w, cfg.freq_hz, ue.mode)
-            for ue in build_devices(cfg)
+            DeviceSpec(device_id, distance, cfg.ue_tx_power_w, cfg.freq_hz, MODES[m])
+            for device_id, distance, m in zip(
+                devices.device_id, devices.distance_m.tolist(), devices.mode.tolist()
+            )
         )
+        assert build_devices(replace(cfg, devices=specs)) == devices
         synthesized = run_scenario(cfg)
         explicit = run_scenario(replace(cfg, devices=specs))
         assert synthesized.mode_transitions, "scenario never switched a device"
@@ -779,12 +858,11 @@ class TestExposureIntegration:
         cfg = make_config(standards=(std,), placement="ring")
         result = run_scenario(cfg)
         assert "ICNIRP" in result.exposure.network_er_per_standard
-        n_am = sum(1 for ue in result.devices if ue.mode is Mode.AM)
+        n_am = int(np.count_nonzero(result.mode[-1] == MODES.index(Mode.AM)))
         # all AM devices identical on the ring; TR rows contribute zero
-        am_rows = [
-            d for d in result.exposure.per_device if d.power_density_w_m2 > 0.0
-        ]
+        density = result.exposure.power_density_w_m2
+        am_rows = density[density > 0.0].tolist()
         assert len(am_rows) == n_am
         assert result.exposure.network_total_power_density_w_m2 == pytest.approx(
-            n_am * am_rows[0].power_density_w_m2, rel=1e-12
+            n_am * am_rows[0], rel=1e-12
         )
