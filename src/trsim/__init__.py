@@ -17,7 +17,6 @@ from .exposure import (
     UnmappedBandError,
     complexity_metric,
     e_field_from_density,
-    exposure_ratio,
     network_exposure,
     power_density,
 )
@@ -83,7 +82,6 @@ __all__ = [
     "draw_fading_gain",
     "e_field_from_density",
     "evaluate_switch",
-    "exposure_ratio",
     "frame_dump",
     "free_space_path_loss",
     "generation_power_density_series",

@@ -87,15 +87,6 @@ def e_field_from_density(s_w_m2: float) -> float:
     return math.sqrt(s_w_m2 * FREE_SPACE_IMPEDANCE_OHM)
 
 
-def exposure_ratio(
-    e_field_v_per_m: float, standard: ExposureStandard, freq_hz: float
-) -> float:
-    """E-field divided by the reference level of the band containing freq_hz."""
-    if e_field_v_per_m < 0.0:
-        raise ValueError(f"e_field_v_per_m must be >= 0, got {e_field_v_per_m}")
-    return e_field_v_per_m / standard.band_for(freq_hz).e_ref_v_per_m
-
-
 def complexity_metric(n_active_ul: int, unit_cost: float = 1.0) -> float:
     """Pairwise interference-cancellation work among active uplink
     transmitters: unit_cost * n * (n - 1) / 2."""

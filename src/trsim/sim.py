@@ -23,7 +23,8 @@ Modeling choices, at desk scale:
     demand.
   * Every random quantity derives from the scenario seed through split
     streams (placement, traffic, one fading stream per device), so a run
-    is a pure function of its configuration.
+    is a pure function of its configuration. The streams are numpy's, as
+    computed by trsim.streams.
 """
 
 from __future__ import annotations
@@ -50,21 +51,27 @@ from .frames import (
     make_numerology,
 )
 from .schema import DISTANCE_M, FREQ_HZ, MU, POWER_W, SNR_DB, check, equal_fields, key, problems
+from .streams import Streams
 from .trmode import Mode, SwitchConfig, hold_modes, uplink_enabled
 
 
-# Upper bound on population x n_slots, refused as a configuration error
-# before any work. Memory does not set it: a run holds one chunk of slots
-# (ENGINE_ROWS), one bit per device-slot and its mode-transition log, and
-# `trsim run` at the cap peaked at 45 MiB RSS on a 1000-device ring and 58 MiB
-# on a switching disk. Run time and output do: there it took 32-43 s and
-# wrote 2.2 GB (CSV) to 3.8 GB (JSON-lines) on a 2-CPU x86 host.
+# Upper bound on a run's population x n_slots, refused by iter_run as a
+# configuration error before any work. Memory does not set it: a run holds
+# one chunk of slots (ENGINE_ROWS), two bits per device-slot and its
+# mode-transition log, and `trsim run` at the cap peaked at 40 MiB RSS on a
+# 1000-device ring and 54 MiB on a switching disk. Run time and output do:
+# there it took 29-44 s and wrote 2.2 GB (CSV) to 3.8 GB (JSON-lines) on a
+# 2-CPU x86 host.
 MAX_DEVICE_SLOTS = 10**7
 
 # Device-slots per engine chunk: iter_run computes ceil(ENGINE_ROWS / n)
-# slots at a time, one slot of a wider population. Each chunk draws fading
-# once per device, which is what a smaller chunk costs.
+# slots at a time, one slot of a wider population.
 ENGINE_ROWS = 16384
+
+# Fading is drawn for at least this many slots at a time, and buffered for
+# the chunks that follow, so that a population wider than ENGINE_ROWS does
+# not draw once per slot.
+FADING_ROWS = 16
 
 
 class ConfigError(ValueError):
@@ -95,7 +102,7 @@ class ScenarioConfig:
     here once with its section, type, default and bounds; the parser, the
     emitter and `validate` are derived from these declarations."""
 
-    n_users: int = key("scenario", 1)
+    n_users: int = key("scenario", 1, MAX_DEVICE_SLOTS)  # no run holds more
     n_tr: int = key("scenario")  # in [0, n_users], checked in validate()
     cell_radius_m: float = key("scenario", *DISTANCE_M)
     bs_tx_power_w: float = key("scenario", *POWER_W)
@@ -124,12 +131,6 @@ class ScenarioConfig:
         if not 0 <= self.n_tr <= self.n_users:
             errors.append(
                 f"n_tr ({self.n_tr}) must lie in [0, n_users] (n_users={self.n_users})"
-            )
-        population = len(self.devices) or self.n_users
-        if population * self.n_slots > MAX_DEVICE_SLOTS:
-            errors.append(
-                f"n_users x n_slots must be <= {MAX_DEVICE_SLOTS} device-slots,"
-                f" got {population} x {self.n_slots}"
             )
         if self.duplex == "tdd":
             try:
@@ -270,12 +271,6 @@ class SimResult(RunTotals, Samples):
     __eq__ = equal_fields
 
 
-def _rng(seed: int, *stream: int) -> np.random.Generator:
-    """One split stream of the seed: (0,) placement, (1,) traffic, (2, i)
-    fading of device i."""
-    return np.random.default_rng(np.random.SeedSequence([seed, *stream]))
-
-
 def build_devices(cfg: ScenarioConfig) -> Devices:
     """Materialize the device population: explicit [devices] entries when
     given, otherwise seed-derived placement with the TR cohort assigned to
@@ -289,7 +284,7 @@ def build_devices(cfg: ScenarioConfig) -> Devices:
         distances = np.full(n, cfg.cell_radius_m)
     else:
         # uniform over the disk: radius grows with sqrt of the uniform draw
-        distances = cfg.cell_radius_m * np.sqrt(_rng(cfg.seed, 0).random(n))
+        distances = cfg.cell_radius_m * np.sqrt(Streams(cfg.seed, 0).random(n)[:, 0])
     mode = np.full(n, MODES.index(Mode.AM), np.int8)
     # TR cohort = the weakest links (largest distance), ties by device index
     mode[np.argsort(-distances, kind="stable")[: cfg.n_tr]] = MODES.index(Mode.TR)
@@ -361,13 +356,13 @@ def _rrc_log(
     )
 
 
-def _traffic(cfg: ScenarioConfig, n: int) -> tuple[np.random.Generator, np.random.Generator]:
-    """The uplink and the downlink demand draws: the traffic stream's first
-    n_slots x n draws are the uplink's, [slot, device] in row-major order,
-    and the rest the downlink's, as two generators to draw from in step."""
-    uplink, downlink = _rng(cfg.seed, 1), _rng(cfg.seed, 1)
-    downlink.bit_generator.advance(cfg.n_slots * n)  # one draw per flag
-    return uplink, downlink
+def _demand(traffic: Streams, slots: int, n: int, prob: float) -> np.ndarray:
+    """The next slots x n demand flags of the traffic stream, one draw each,
+    [slot, device] in row-major order: random() < prob. The stream's first
+    n_slots x n draws are the uplink's, and the rest the downlink's. The
+    flags are decided on the outputs: random() is r 2**-53 for r = output
+    >> 11, and r 2**-53 < prob iff r < ceil(prob 2**53)."""
+    return (traffic.raw(slots * n).reshape(slots, n) >> 11) < math.ceil(prob * 2.0**53)
 
 
 def _switched(before: np.ndarray, in_tr: np.ndarray) -> np.ndarray:
@@ -378,7 +373,8 @@ def _switched(before: np.ndarray, in_tr: np.ndarray) -> np.ndarray:
 
 def iter_run(cfg: ScenarioConfig) -> Iterator:
     """Run the scenario as a stream, in the order of its records: first the
-    Devices, once the config is checked; then the Samples of each chunk of
+    Devices, once the config and the run's size (MAX_DEVICE_SLOTS) are
+    checked; then the Samples of each chunk of
     ceil(ENGINE_ROWS / n) slots; then the ModeTransitions of each chunk;
     then its RrcEvents, their `slot` counted from the run's start; last the
     RunTotals. The Devices are not changed: the modes after the last slot
@@ -388,12 +384,19 @@ def iter_run(cfg: ScenarioConfig) -> Iterator:
     the downlink received signal strength, log the RRC events that follow
     (TR enter/exit, then pending uplink data, then downlink arrival), then
     charge uplink interference from every device whose mode transmits
-    uplink (MODE_UPLINK). A chunk hands on each device's fading stream, the
-    traffic streams, the last slot's modes and the running totals. The RRC
-    log is rebuilt after the last sample from the modes, kept as one bit per
-    device-slot, and the traffic drawn again.
+    uplink (MODE_UPLINK). A chunk hands on the fading streams and the fading
+    drawn ahead (FADING_ROWS), the traffic stream, the last slot's modes and
+    the running totals. The RRC log is rebuilt after the last sample from the
+    modes and the uplink demand, kept as a bit each per device-slot, and the
+    downlink demand, drawn then.
     """
     cfg.require_valid()
+    population = len(cfg.devices) or cfg.n_users
+    if population * cfg.n_slots > MAX_DEVICE_SLOTS:
+        raise ConfigError([
+            f"n_users x n_slots must be <= {MAX_DEVICE_SLOTS} device-slots,"
+            f" got {population} x {cfg.n_slots}"
+        ])
     devices = build_devices(cfg)
     # an unmapped band fails here, before any record is out
     for freq in set(devices.freq_hz.tolist()):
@@ -411,17 +414,20 @@ def iter_run(cfg: ScenarioConfig) -> Iterator:
     uplink_frame = np.array(_am_uplink_mask(cfg))
     mode_uplink = np.array(MODE_UPLINK)
     outage_lin = channel.db_to_linear(cfg.snr_threshold_db)
-    fading = [_rng(cfg.seed, 2, i) for i in range(n)]  # each device's own stream
-    uplink_traffic = _traffic(cfg, n)[0]
+    fading = Streams(cfg.seed, 2, np.arange(n))  # device i's stream is (seed, 2, i)
+    fading_rows = slots * -(-FADING_ROWS // slots)  # whole chunks
+    buffered = np.empty((0, n))
+    uplink_traffic = Streams(cfg.seed, 1)
     start_tr = before = devices.mode == MODES.index(Mode.TR)
-    in_tr_bits, transitions = [], []
+    bits, transitions = [], []  # each chunk's modes and uplink demand, a bit each
     outages, members = [0, 0], [0, 0]  # device-slots in outage and in all, per mode
     interference_total = 0.0
 
     for t0, t1 in chunks:
-        gain = np.empty((t1 - t0, n))
-        for i, rng in enumerate(fading):
-            gain[:, i] = channel.draw_fading_gain(rng, t1 - t0)
+        if not len(buffered):
+            buffered = fading.exponential(min(fading_rows, n_slots - t0))
+        gain, buffered = buffered[:t1 - t0], buffered[t1 - t0:]
+        ul_demand = _demand(uplink_traffic, t1 - t0, n, cfg.ul_demand_prob)
         rx_w = cfg.bs_tx_power_w / path_loss_lin * gain
         rss_dbm = _db(rx_w)
         rss_dbm += 30.0  # channel.watts_to_dbm
@@ -433,11 +439,10 @@ def iter_run(cfg: ScenarioConfig) -> Iterator:
             (slot + t0).astype(np.int32), device.astype(np.int32), rss_dbm[slot, device],
             mode[slot, device],
         ))
-        in_tr_bits.append(np.packbits(in_tr))
         before = in_tr[-1]
 
         ul_active = mode_uplink[mode]
-        ul_demand = uplink_traffic.random((t1 - t0, n)) < cfg.ul_demand_prob
+        bits.append(np.packbits([in_tr, ul_demand]))
         uplink_slot = uplink_frame[np.arange(t0, t1) % len(uplink_frame), None]
         ul_tx_w = np.where(
             ul_active, np.where(ul_demand & uplink_slot, devices.tx_power_w, always_on_w), 0.0
@@ -463,12 +468,13 @@ def iter_run(cfg: ScenarioConfig) -> Iterator:
         complexity_metric(int(np.count_nonzero(ul_active[-1]))),
     )
     yield from transitions
-    uplink_traffic, downlink_traffic = _traffic(cfg, n)  # drawn again from the start
+    downlink_traffic = Streams(cfg.seed, 1).advance(n_slots * n)
     before = start_tr
-    for (t0, t1), bits in zip(chunks, in_tr_bits):
-        in_tr = np.unpackbits(bits, count=(t1 - t0) * n).view(bool).reshape(t1 - t0, n)
-        ul_demand = uplink_traffic.random((t1 - t0, n)) < cfg.ul_demand_prob
-        dl_demand = downlink_traffic.random((t1 - t0, n)) < cfg.dl_demand_prob
+    for (t0, t1), packed in zip(chunks, bits):
+        in_tr, ul_demand = np.unpackbits(packed, count=2 * (t1 - t0) * n).view(bool).reshape(
+            2, t1 - t0, n
+        )
+        dl_demand = _demand(downlink_traffic, t1 - t0, n, cfg.dl_demand_prob)
         events = _rrc_log(in_tr, _switched(before, in_tr), ul_demand, dl_demand)
         events.slot[:] += t0  # in place: the log is frozen, its columns are not
         yield events

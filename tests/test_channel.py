@@ -13,7 +13,10 @@ from trsim.channel import (
     outage_monte_carlo,
     watts_to_dbm,
 )
-from trsim.sim import _rng
+
+
+def _rng(seed: int, *stream: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence([seed, *stream]))
 
 
 class TestFreeSpacePathLoss:
@@ -75,8 +78,8 @@ class TestFadingGain:
 
     @pytest.mark.parametrize("seed, device, k", [(20260808, 0, 1), (7, 3, 257), (1, 999, 5000)])
     def test_vector_draw_equals_scalar_draws(self, seed, device, k):
-        """The engine draws a device's gains for the whole run in one call on
-        its own stream; the values are bit-identical to k draws in turn."""
+        """k gains drawn at once on a device's stream are bit-identical to k
+        draws in turn: a stream's draws do not depend on how they are grouped."""
         vector = draw_fading_gain(_rng(seed, 2, device), k)
         stream = _rng(seed, 2, device)
         assert vector.tolist() == [draw_fading_gain(stream) for _ in range(k)]

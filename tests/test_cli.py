@@ -358,6 +358,24 @@ class TestExposureCommand:
         err = capsys.readouterr().err
         assert "[devices]" in err and "'network-total'" in err
 
+    def test_device_slot_cap_limits_run_not_exposure(self, tmp_path, capsys):
+        """A 20,000-device ring over 1000 slots exceeds MAX_DEVICE_SLOTS:
+        `run` refuses it before writing, and `exposure`, which steps no
+        slot, reports every device."""
+        cfg = tmp_path / "wide.cfg"
+        text = SCENARIO_TR50.read_text()
+        for key, value in (("n_users", 20000), ("n_tr", 8000), ("n_slots", 1000)):
+            text = re.sub(rf"(?m)^{key}\s*=.*$", f"{key} = {value}", text)
+        cfg.write_text(text)
+        out = tmp_path / "exposure.csv"
+        assert run_cli(["exposure", "--config", str(cfg), "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 1 + 20001  # header, devices, total
+        run_out = tmp_path / "run.csv"
+        assert run_cli(["run", "--config", str(cfg), "--out", str(run_out)]) == EXIT_CONFIG
+        assert not run_out.exists()
+        err = capsys.readouterr().err
+        assert f"must be <= {sim.MAX_DEVICE_SLOTS} device-slots, got 20000 x 1000" in err
+
 
 class TestOutageCommand:
     def test_custom_points_and_jsonl(self, capsys):

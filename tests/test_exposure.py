@@ -11,7 +11,6 @@ from trsim.exposure import (
     UnmappedBandError,
     complexity_metric,
     e_field_from_density,
-    exposure_ratio,
     network_exposure,
     power_density,
 )
@@ -69,30 +68,37 @@ class TestEField:
             e_field_from_density(-1e-9)
 
 
+def _network_er(e_field_v_per_m: float, freq_hz: float) -> tuple[float, float]:
+    """The network E-field and ER of one device on `freq_hz` whose field at
+    the observer, 1 m away, is e_field_v_per_m."""
+    emitted_w = e_field_v_per_m**2 / FREE_SPACE_IMPEDANCE_OHM * 4.0 * math.pi
+    report = network_exposure(np.array([freq_hz]), np.array([emitted_w]), (STANDARD,), 1.0)
+    return report.network_e_field_v_per_m, report.network_er_per_standard["ICNIRP"]
+
+
 class TestExposureRatio:
+    """The network ER is the network E-field over the band's reference level."""
+
     def test_field_equal_to_reference(self):
-        assert exposure_ratio(61.0, STANDARD, 3.5e9) == pytest.approx(1.0, rel=1e-12)
+        assert _network_er(61.0, 3.5e9)[1] == pytest.approx(1.0, rel=1e-12)
 
     def test_am_5g_dataset_point(self):
-        assert exposure_ratio(0.83 * 61.0, STANDARD, 3.5e9) == pytest.approx(
-            0.83, abs=1e-12
-        )
+        assert _network_er(0.83 * 61.0, 3.5e9)[1] == pytest.approx(0.83, abs=1e-12)
 
     def test_tr_5g_dataset_point(self):
-        assert exposure_ratio(0.6075 * 61.0, STANDARD, 3.5e9) == pytest.approx(
-            0.6075, abs=1e-12
-        )
+        assert _network_er(0.6075 * 61.0, 3.5e9)[1] == pytest.approx(0.6075, abs=1e-12)
 
     def test_unmapped_frequency_raises(self):
         with pytest.raises(UnmappedBandError):
-            exposure_ratio(10.0, STANDARD, 1e12)
+            _network_er(10.0, 1e12)
         with pytest.raises(UnmappedBandError):
-            exposure_ratio(10.0, STANDARD, 1e7)
+            _network_er(10.0, 1e7)
 
     @given(st.floats(0.0, 100.0), st.floats(0.0, 50.0))
     def test_linearity_in_field(self, e, k):
-        base = exposure_ratio(e, STANDARD, 1e9)
-        assert exposure_ratio(k * e, STANDARD, 1e9) == pytest.approx(k * base, rel=1e-9)
+        """ER over the field is one constant, the inverse reference level."""
+        for field, er in (_network_er(e, 1e9), _network_er(k * e, 1e9)):
+            assert er == field / 40.0
 
 
 class TestStandardValidation:

@@ -33,13 +33,13 @@ from trsim.sim import (
     GenerationScenario,
     _am_uplink_mask,
     _db,
-    _rng,
     build_devices,
     generation_power_density_series,
     iter_run,
     outage_curve,
     run_scenario,
 )
+from trsim.streams import Streams
 from trsim.trmode import Mode, SwitchConfig, evaluate_switch, uplink_enabled
 
 
@@ -339,8 +339,17 @@ def scalar_run(cfg):
     order: the reference the columnar engine must equal exactly. Returns
     the samples, transitions and RRC log as the helpers above read them,
     and the metrics: the four of the run, then the network exposure from
-    each device's final mode."""
+    each device's final mode. It draws from numpy's generators of the split
+    streams, and checks a disk placement against them."""
+
+    def stream(*key):
+        # numpy's own generator of a split stream, not trsim.streams' port
+        return np.random.default_rng(np.random.SeedSequence([cfg.seed, *key]))
+
     devices = build_devices(cfg)
+    if cfg.placement == "disk" and not cfg.devices:
+        radius = cfg.cell_radius_m * np.sqrt(stream(0).random(cfg.n_users))
+        assert devices.distance_m.tolist() == radius.tolist()
     ids, n = devices.device_id, len(devices.device_id)
     tx_power = devices.tx_power_w.tolist()
     mode = [MODES[m] for m in devices.mode.tolist()]
@@ -350,11 +359,11 @@ def scalar_run(cfg):
         else RrcState.CONNECTED
         for m in mode
     ]
-    traffic = _rng(cfg.seed, 1)
+    traffic = stream(1)
     ul_demand = (traffic.random((cfg.n_slots, n)) < cfg.ul_demand_prob).tolist()
     dl_demand = (traffic.random((cfg.n_slots, n)) < cfg.dl_demand_prob).tolist()
     am_uplink = _am_uplink_mask(cfg)
-    fading = [_rng(cfg.seed, 2, i) for i in range(n)]
+    fading = [stream(2, i) for i in range(n)]
     loss = path_losses(devices)
     out, moves, log = [], [], []
     below = {Mode.AM: 0, Mode.TR: 0}
@@ -439,12 +448,12 @@ class TestScalarReference:
             n_users=n_users,
             n_tr=data.draw(st.integers(0, n_users)),
             n_slots=n_slots,
-            seed=data.draw(st.integers(0, 10**6)),
+            seed=data.draw(st.integers(0, 2**70)),
             placement=data.draw(st.sampled_from(["ring", "disk"])),
             duplex=data.draw(st.sampled_from(["fdd", "tdd"])),
             numerology_mu=data.draw(st.integers(0, 2)),
-            ul_demand_prob=data.draw(st.sampled_from([0.0, 0.5, 1.0])),
-            dl_demand_prob=data.draw(st.sampled_from([0.0, 0.5, 1.0])),
+            ul_demand_prob=data.draw(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)),
+            dl_demand_prob=data.draw(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)),
             switch=SwitchConfig(
                 rss_threshold_dbm=data.draw(st.sampled_from([-60.0, -52.0, -45.0])),
                 hysteresis_db=data.draw(st.sampled_from([0.0, 1.0, 3.0])),
@@ -466,6 +475,19 @@ class TestScalarReference:
         ) == expected[3]
 
 
+class TestDemand:
+    def test_flags_are_numpys_random_below_prob(self):
+        """The demand flags are random() < prob of the traffic stream, decided
+        on its outputs: also for a prob equal to a drawn value or next to one."""
+        seed = 20260808
+        drawn = np.random.default_rng(np.random.SeedSequence([seed, 1])).random(6)
+        probs = [0.0, 1.0, 0.3, *drawn, *np.nextafter(drawn, 0.0), *np.nextafter(drawn, 1.0)]
+        for prob in probs:
+            expected = drawn < prob
+            got = sim._demand(Streams(seed, 1), 2, 3, float(prob))
+            assert got.ravel().tolist() == expected.tolist(), prob
+
+
 class TestStreamedEngine:
     @settings(max_examples=20, deadline=None)
     @given(
@@ -480,7 +502,7 @@ class TestStreamedEngine:
             n_users=n_users,
             n_tr=data.draw(st.integers(0, n_users)),
             n_slots=n_slots,
-            seed=data.draw(st.integers(0, 10**6)),
+            seed=data.draw(st.integers(0, 2**70)),
             placement=data.draw(st.sampled_from(["ring", "disk"])),
             duplex=data.draw(st.sampled_from(["fdd", "tdd"])),
             snr_threshold_db=data.draw(st.sampled_from([0.0, 25.0])),  # 25: some outage
