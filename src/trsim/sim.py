@@ -359,10 +359,8 @@ def _rrc_log(
 def _demand(traffic: Streams, slots: int, n: int, prob: float) -> np.ndarray:
     """The next slots x n demand flags of the traffic stream, one draw each,
     [slot, device] in row-major order: random() < prob. The stream's first
-    n_slots x n draws are the uplink's, and the rest the downlink's. The
-    flags are decided on the outputs: random() is r 2**-53 for r = output
-    >> 11, and r 2**-53 < prob iff r < ceil(prob 2**53)."""
-    return (traffic.raw(slots * n).reshape(slots, n) >> 11) < math.ceil(prob * 2.0**53)
+    n_slots x n draws are the uplink's, and the rest the downlink's."""
+    return traffic.random(slots * n).reshape(slots, n) < prob
 
 
 def _switched(before: np.ndarray, in_tr: np.ndarray) -> np.ndarray:

@@ -47,8 +47,6 @@ MIX_MULT_L, MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
 # Device-draws computed at once: each temporary array is at most 64 KiB.
 TILE = 8192
-# Values left to make when exponential() makes them one stream at a time.
-FEW_VALUES = 256
 # Each stream keeps its addends of 1..BASE_ROWS steps, all streams in at most
 # BASE_BYTES, and steps from them by one product per state.
 BASE_ROWS = TILE
@@ -191,17 +189,18 @@ FE = np.frombuffer(_ZIGGURAT, "<f8", 256, 0).astype(np.float64)
 WE = np.frombuffer(_ZIGGURAT, "<f8", 256, 2048).astype(np.float64)
 KE = np.frombuffer(_ZIGGURAT, "<u8", 256, 4096).astype(np.uint64)
 ZIGGURAT_EXP_R = 7.69711747013104972
-_FE, _WE, _KE = FE.tolist(), WE.tolist(), KE.tolist()
 
 
 def _words(value) -> list:
     """SeedSequence's 32-bit words of one entropy entry, least significant
-    first: of an int, or of each element of an array of ints below 2**32,
-    as one uint64 array."""
+    first: of a non-negative int, or of each element of an array of
+    non-negative ints below 2**32, as one uint64 array."""
     if isinstance(value, np.ndarray):
-        if value.size and int(value.max()) > M32:
-            raise ValueError("an array entropy entry must hold ints below 2**32")
+        if value.size and not 0 <= int(value.min()) <= int(value.max()) <= M32:
+            raise ValueError("an array entropy entry must hold non-negative ints below 2**32")
         return [value.astype(np.uint64)]
+    if value < 0:
+        raise ValueError("an entropy entry must be a non-negative int")
     words = [value & M32]
     while value := value >> 32:
         words.append(value & M32)
@@ -437,12 +436,11 @@ class Streams:
         """Generator.exponential(1.0, k) of each stream. It is drawn in rounds:
         each draws from the streams that have not made their k values a few
         more outputs than they still need, and each stream goes on from the
-        output after the last one its values used. The last few values are
-        made one stream at a time."""
+        output after the last one its values used."""
         out = np.empty((k, self.n))
         made = np.zeros(self.n, np.int64)
         todo = np.arange(self.n) if k else np.arange(0)
-        while (k - made[todo]).sum() > FEW_VALUES:
+        while todo.size:
             need = k - int(made[todo].min())
             steps = min(TILE, need + need // 32 + 3)
             for cols in np.array_split(todo, -(-todo.size * steps // TILE)):
@@ -450,37 +448,7 @@ class Streams:
                     cols = slice(cols[0], cols[-1] + 1)
                 self._exponential_tile(out, made, cols, steps)
             todo = todo[made[todo] < k]
-        for j in todo.tolist():
-            out[made[j]:, j] = self._exponential_one(j, k - made[j])
         return out
-
-    def _exponential_one(self, j: int, count: int) -> list[float]:
-        """The next `count` values of stream j, made one at a time on Python
-        ints: numpy's random_standard_exponential."""
-        state = int(self.hi[j]) << 64 | int(self.lo[j])
-        inc = int(self.inc_hi[j]) << 64 | int(self.inc_lo[j])
-
-        def output() -> int:
-            nonlocal state
-            state = (state * MULTIPLIER + inc) & M128
-            word, rot = (state >> 64 ^ state) & M64, state >> 122
-            return (word >> rot | word << (64 - rot)) & M64
-
-        values = []
-        while len(values) < count:
-            bits = output() >> 3
-            level, bits = bits & 0xFF, bits >> 8
-            x = bits * _WE[level]
-            if bits < _KE[level]:
-                values.append(x)
-                continue
-            u = (output() >> 11) * (1.0 / 9007199254740992.0)
-            if level == 0:
-                values.append(ZIGGURAT_EXP_R - math.log1p(-u))
-            elif (_FE[level - 1] - _FE[level]) * u + _FE[level] < math.exp(-x):
-                values.append(x)
-        self.hi[j], self.lo[j] = state >> 64, state & M64
-        return values
 
     def _exponential_tile(self, out, made, cols, steps: int) -> None:
         """Draw `steps` outputs of the streams `cols` and add the values they

@@ -71,6 +71,14 @@ class TestSeeding:
     def test_an_array_entry_must_fit_one_word(self):
         with pytest.raises(ValueError, match="below 2"):
             Streams(1, 2, np.array([2**32]))
+        with pytest.raises(ValueError, match="non-negative"):
+            Streams(1, 2, np.array([3, -1]))
+
+    def test_a_negative_entry_is_refused_as_by_numpy(self):
+        with pytest.raises(ValueError):
+            np.random.SeedSequence([-1])
+        with pytest.raises(ValueError, match="non-negative"):
+            Streams(-1, 0)
 
 
 class TestDraws:
@@ -98,24 +106,48 @@ class TestDraws:
             assert port.random(size).tolist() == expected.tolist()
 
     @pytest.mark.parametrize("seed", SEEDS)
-    @pytest.mark.parametrize(
-        "tile, few", [(streams.TILE, streams.FEW_VALUES), (64, 0), (64, 10**9)]
-    )
-    def test_exponential_in_mixed_blocks(self, seed, tile, few):
+    @pytest.mark.parametrize("tile", [streams.TILE, 64])
+    def test_exponential_in_mixed_blocks(self, seed, tile):
         """Blocks of 1 to 300 values from each of 60 streams, drawn in tiles
-        of the default size, in small tiles and rounds until done, and one
-        stream at a time. The draws take each slow path of the ziggurat."""
+        of the default size and in small tiles. The draws take each slow path
+        of the ziggurat."""
         blocks = (1, 16, 2, 300, 33, 7)
         port = Streams(seed, 2, np.arange(60))
         numpy = [numpy_stream(seed, 2, i) for i in range(60)]
         raw = [numpy_stream(seed, 2, i).bit_generator.random_raw(sum(blocks) * 2) for i in range(60)]
-        with mock.patch.object(streams, "TILE", tile), mock.patch.object(streams, "FEW_VALUES", few):
+        with mock.patch.object(streams, "TILE", tile):
             for size in blocks:
                 expected = np.stack([g.exponential(1.0, size) for g in numpy], axis=1)
                 assert port.exponential(size).tolist() == expected.tolist(), size
         taken = [paths(r, sum(blocks)) for r in raw]
         assert all(sum(t[k] for t in taken) > 0 for k in ("tail", "wedge", "restart")), taken
 
+    @pytest.mark.parametrize("seed", (0, 2**32, 2**64 + 5, 20260808))
+    @pytest.mark.parametrize("rows", (1, 4))
+    def test_doubling_beyond_the_kept_addends(self, seed, rows):
+        """Each of 50 streams keeps its addends of 1..rows steps only, as a
+        population too wide for BASE_BYTES does, so every longer draw doubles
+        from there: raw(), random() and exponential() in mixed blocks, whose
+        later exponential rounds draw from scattered streams (an index array,
+        not a slice)."""
+        n = 50
+        port = Streams(seed, 2, np.arange(n))
+        numpy = [numpy_stream(seed, 2, i) for i in range(n)]
+        draws = (("raw", 3), ("random", 1), ("exponential", 300), ("random", 700),
+                 ("exponential", 1), ("exponential", 33), ("raw", 17))
+        numpy_draws = {
+            "raw": lambda g, k: g.bit_generator.random_raw(k),
+            "random": lambda g, k: g.random(k),
+            "exponential": lambda g, k: g.exponential(1.0, k),
+        }
+        with mock.patch.object(streams, "BASE_BYTES", 16 * n * rows), mock.patch.object(
+            Streams, "_states", autospec=True, side_effect=Streams._states
+        ) as states:
+            for name, k in draws:
+                expected = np.stack([numpy_draws[name](g, k) for g in numpy], axis=1)
+                assert getattr(port, name)(k).tolist() == expected.tolist(), (name, k)
+        assert port._base[0].shape == (n, rows)
+        assert any(isinstance(call.args[1], np.ndarray) for call in states.call_args_list)
     @pytest.mark.parametrize("key", KEYS)
     def test_exponential_of_one_stream(self, key):
         port, numpy = Streams(20260808, *key), numpy_stream(20260808, *key)
