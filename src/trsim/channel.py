@@ -43,16 +43,14 @@ def free_space_path_loss(distance_m: float, freq_hz: float) -> float:
     )
 
 
-def draw_fading_gain(rng: np.random.Generator, size: int | None = None) -> float | np.ndarray:
+def draw_fading_gain(rng: np.random.Generator) -> float:
     """Draw a Rayleigh-fading power gain: unit-mean exponential.
 
     The squared envelope of a Rayleigh channel with unit average power is
     exponentially distributed with mean 1; downstream formulas consume power
-    ratios, so the gain is sampled directly on power. With `size`, an array
-    of that many gains, the same values as that many draws one at a time.
+    ratios, so the gain is sampled directly on power.
     """
-    gain = rng.exponential(1.0, size)
-    return float(gain) if size is None else gain
+    return float(rng.exponential(1.0))
 
 
 def outage_analytic(snr_threshold_lin: float, mean_snr_lin: float) -> float:

@@ -2,14 +2,15 @@
 
 Subcommands: run, outage, frames, rrc-check, exposure. Output goes to
 --out (default stdout). run, outage and exposure each build one stream of
-records, in chunks of records of one kind held as one column per key of the
-kind, and either encoder writes that stream: csv puts each record's kind and
-keys under the columns of the same names in a frozen column order (see the
-README) and leaves the other columns empty; json-lines writes each record
-as one object of its kind and keys. Both write a chunk's records at once,
-as rows of a byte matrix (_write_chunks), with the text of the numbers
-computed a whole column at a time (textcols). frames and rrc-check emit
-fixed text layouts used as golden files.
+records, in chunks of any length of records of one kind held as one column
+per key of the kind, and either encoder writes that stream: csv puts each
+record's kind and keys under the columns of the same names in a frozen
+column order (see the README) and leaves the other columns empty;
+json-lines writes each record as one object of its kind and keys. Both
+write up to CHUNK_ROWS records at once, as rows of a byte matrix
+(_write_chunks), with the text of the numbers computed a whole column at a
+time (textcols). frames and rrc-check emit fixed text layouts used as
+golden files.
 
 Exit codes: 0 success; 2 configuration or usage error; 3 domain error
 (invalid operation input); 4 frequency outside every configured band;
@@ -67,11 +68,11 @@ RUN_CSV_COLUMNS = (
 
 Kinds = dict[str, tuple[str, ...]]  # record kind -> its keys, in column order
 # (kind, columns): a run of records of one kind, one column per key in the
-# order of the kind's keys, all of one length. A column is Coded, a numpy
-# array of non-negative ints or a numpy array of floats.
+# order of the kind's keys, all of one length, which may be any. A column is
+# Coded, a numpy array of non-negative ints or a numpy array of floats.
 Chunks = Iterable[tuple[str, tuple]]
 
-CHUNK_ROWS = 2048  # records per chunk of samples, of a log or of devices' exposure
+CHUNK_ROWS = 2048  # records per byte matrix: _write_chunks cuts chunks of any length to it
 
 # the device_id of the network-exposure record, which no device may take
 NETWORK_TOTAL = "network-total"
@@ -121,35 +122,28 @@ def _run_chunks(devices: Devices, run: Iterator) -> Chunks:
     # rrc_state and ul_active are labels of the mode codes
     mode_states = tuple(s._value_ for s in MODE_STATES)
     mode_uplink = tuple(map(int, MODE_UPLINK))
-    done = 0  # sample records before the part
+    first = 0  # the part's first slot
     for part in run:
         if isinstance(part, Samples):
             # in record order, slot by slot, then device by device
+            slots = len(part.mode)
             mode, gain, rss, sinr, tx = (getattr(part, f.name).ravel() for f in fields(part))
-            for r0 in range(0, mode.size, CHUNK_ROWS):
-                rows = slice(r0, r0 + CHUNK_ROWS)
-                index = np.arange(done + r0, done + min(r0 + CHUNK_ROWS, mode.size))
-                slot = index // n
-                yield "sample", (
-                    slot, Coded(ids, index - slot * n), Coded(modes, mode[rows]),
-                    Coded(mode_states, mode[rows]), gain[rows], rss[rows], sinr[rows],
-                    Coded(mode_uplink, mode[rows]), tx[rows],
-                )
-            done += mode.size
+            yield "sample", (
+                np.arange(first, first + slots, dtype=np.int32).repeat(n),
+                Coded(ids, np.tile(np.arange(n, dtype=np.int32), slots)), Coded(modes, mode),
+                Coded(mode_states, mode), gain, rss, sinr, Coded(mode_uplink, mode), tx,
+            )
+            first += slots
         elif isinstance(part, ModeTransitions):
-            for t0 in range(0, len(part), CHUNK_ROWS):
-                tr = part[t0:t0 + CHUNK_ROWS]
-                yield "mode_transition", (
-                    tr.slot, Coded(ids, tr.device), tr.rss_dbm, Coded(flipped, tr.new),
-                    Coded(modes, tr.new),
-                )
+            yield "mode_transition", (
+                part.slot, Coded(ids, part.device), part.rss_dbm, Coded(flipped, part.new),
+                Coded(modes, part.new),
+            )
         elif isinstance(part, RrcEvents):
-            for t0 in range(0, len(part), CHUNK_ROWS):
-                ev = part[t0:t0 + CHUNK_ROWS]
-                yield "rrc_event", (
-                    ev.slot, Coded(ids, ev.device), Coded(events, ev.event),
-                    Coded(states, ev.old), Coded(states, ev.new),
-                )
+            yield "rrc_event", (
+                part.slot, Coded(ids, part.device), Coded(events, part.event),
+                Coded(states, part.old), Coded(states, part.new),
+            )
         else:
             report = part.exposure
             metrics = {
@@ -171,21 +165,19 @@ def _exposure_chunks(ids: tuple, report: ExposureReport, standards: tuple) -> Ch
     names = [std.name for std in standards]
     columns = (report.power_density_w_m2, report.e_field_v_per_m,
                *(report.er_per_standard[name] for name in names))
-    codes = np.arange(len(ids))
-    for r0 in range(0, len(ids), CHUNK_ROWS):
-        rows = slice(r0, r0 + CHUNK_ROWS)
-        yield "device-exposure", (Coded(ids, codes[rows]), *(c[rows] for c in columns))
+    yield "device-exposure", (Coded(ids, np.arange(len(ids))), *columns)
     total = (report.network_total_power_density_w_m2, report.network_e_field_v_per_m)
     ers = (report.network_er_per_standard[name] for name in names)
     yield _chunk("network-exposure", [(NETWORK_TOTAL, *total, *ers)])
 
 
 def _write_chunks(fh: IO[str], layouts: dict, chunks: Chunks, escape) -> None:
-    """Write each chunk as one text, built as a matrix of bytes with one row
-    per record. A kind's layout is its record's text as literal pieces with,
-    between each two, the index of the chunk's column whose value goes
-    there. In a row, each value is a fixed-width block padded with
-    textcols.PAD, which the text leaves out.
+    """Write each chunk in pieces of at most CHUNK_ROWS records, each piece
+    as one text, built as a matrix of bytes with one row per record. A
+    kind's layout is its record's text as literal pieces with, between each
+    two, the index of the chunk's column whose value goes there. In a row,
+    each value is a fixed-width block padded with textcols.PAD, which the
+    text leaves out.
 
     Every value is written as `escape` writes it. textcols writes the ints
     and the floats of an array as str and repr do, which is what both
@@ -196,34 +188,41 @@ def _write_chunks(fh: IO[str], layouts: dict, chunks: Chunks, escape) -> None:
     # id of a label tuple -> the tuple (held, so that the id stays its own)
     # and its labels' padded text
     tables: dict[int, tuple] = {}
+    # a literal piece as CHUNK_ROWS rows, a zero-stride view of its bytes
     pieces = {
-        kind: [np.frombuffer(item.encode(), np.uint8) if isinstance(item, str) else item
-               for item in layout]
+        kind: [item if isinstance(item, int) else np.broadcast_to(
+            np.frombuffer(item.encode(), np.uint8), (CHUNK_ROWS, len(item.encode()))
+        ) for item in layout]
         for kind, layout in layouts.items()
     }
-    for kind, columns in chunks:
-        floats = [j for j, c in enumerate(columns)
-                  if not isinstance(c, Coded) and c.dtype.kind == "f"]
-        blocks = {}
-        if floats:
-            text = textcols.floats(np.stack([columns[j] for j in floats]), escape)
-            blocks.update(zip(floats, text))
-        for j, column in enumerate(columns):
-            if isinstance(column, Coded):
-                if id(column.labels) not in tables:
-                    texts = textcols.labels([escape(label) for label in column.labels])
-                    tables[id(column.labels)] = column.labels, texts
-                rows = tables[id(column.labels)][1].take(column.codes)
-                blocks[j] = rows.view(np.uint8).reshape(len(rows), -1)
-            elif j not in blocks:
-                blocks[j] = textcols.ints(column)
-        parts = [blocks[p] if isinstance(p, int) else p for p in pieces[kind]]
-        matrix = np.empty((len(blocks[0]), sum(p.shape[-1] for p in parts)), np.uint8)
-        at = 0
-        for part in parts:
-            matrix[:, at:at + part.shape[-1]] = part
-            at += part.shape[-1]
-        fh.write(matrix.tobytes().translate(None, bytes([textcols.PAD])).decode())
+    for kind, chunk in chunks:
+        size = len(chunk[0].codes if isinstance(chunk[0], Coded) else chunk[0])
+        for r0 in range(0, size, CHUNK_ROWS):
+            # views of the chunk's columns; a Coded one keeps its labels, so
+            # their text stays cached
+            cut = slice(r0, r0 + CHUNK_ROWS)
+            columns = [c._replace(codes=c.codes[cut]) if isinstance(c, Coded) else c[cut]
+                       for c in chunk]
+            floats = [j for j, c in enumerate(columns)
+                      if not isinstance(c, Coded) and c.dtype.kind == "f"]
+            blocks = {}
+            if floats:
+                text = textcols.floats(np.stack([columns[j] for j in floats]), escape)
+                blocks.update(zip(floats, text))
+            for j, column in enumerate(columns):
+                if isinstance(column, Coded):
+                    if id(column.labels) not in tables:
+                        texts = textcols.labels([escape(label) for label in column.labels])
+                        tables[id(column.labels)] = column.labels, texts
+                    coded = tables[id(column.labels)][1].take(column.codes)
+                    blocks[j] = coded.view(np.uint8).reshape(len(coded), -1)
+                elif j not in blocks:
+                    blocks[j] = textcols.ints(column)
+            rows = len(blocks[0])
+            matrix = np.concatenate(
+                [blocks[p] if isinstance(p, int) else p[:rows] for p in pieces[kind]], axis=1
+            )
+            fh.write(matrix.tobytes().translate(None, bytes([textcols.PAD])).decode())
 
 
 class _Echo:

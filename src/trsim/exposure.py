@@ -87,14 +87,12 @@ def e_field_from_density(s_w_m2: float) -> float:
     return math.sqrt(s_w_m2 * FREE_SPACE_IMPEDANCE_OHM)
 
 
-def complexity_metric(n_active_ul: int, unit_cost: float = 1.0) -> float:
+def complexity_metric(n_active_ul: int) -> float:
     """Pairwise interference-cancellation work among active uplink
-    transmitters: unit_cost * n * (n - 1) / 2."""
+    transmitters: n * (n - 1) / 2 pairs."""
     if n_active_ul < 0:
         raise ValueError(f"n_active_ul must be >= 0, got {n_active_ul}")
-    if unit_cost < 0.0:
-        raise ValueError(f"unit_cost must be >= 0, got {unit_cost}")
-    return unit_cost * n_active_ul * (n_active_ul - 1) / 2.0
+    return n_active_ul * (n_active_ul - 1) / 2.0
 
 
 @dataclass(frozen=True, eq=False)

@@ -10,8 +10,8 @@ along the slot axis only through array operations: the mode switch is a
 forward fill. A chunk hands on only the last slot's modes, the open
 random streams and running totals, so a run's memory does not grow with
 n_slots. The mode is the one state kept per device-slot: the RRC state and
-the uplink activity are the mode's (MODE_STATES, MODE_UPLINK), and only
-the RRC log steps the RRC machine.
+the uplink activity are the mode's (MODE_STATES, MODE_UPLINK), and so are
+the states of the RRC log.
 
 Modeling choices, at desk scale:
   * Uplink interference is aggregated at the cell center from every AM
@@ -165,6 +165,14 @@ MODE_UPLINK = tuple(uplink_enabled(mode) and rrc.uplink_grant_allowed(state)
                     for mode, state in zip(MODES, MODE_STATES))
 RRC_STATES = tuple(rrc.RrcState)
 RRC_EVENTS = tuple(rrc.RrcEvent)
+# The RRC log's codes: the event of each of its event columns for a device
+# in AM and in TR, and MODE_STATES as codes into RRC_STATES.
+_COLUMN_EVENTS = np.array([[RRC_EVENTS.index(e) for e in pair] for pair in (
+    (rrc.RrcEvent.TR_MODE_EXIT, rrc.RrcEvent.TR_MODE_ENTER),
+    (rrc.RrcEvent.UPLINK_DATA_PENDING,) * 2,
+    (rrc.RrcEvent.DOWNLINK_DATA_ARRIVAL,) * 2,
+)], np.int8)
+_MODE_STATES = np.array([RRC_STATES.index(s) for s in MODE_STATES], np.int8)
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,16 +201,12 @@ class Devices:
 
 @dataclass(frozen=True, eq=False)
 class _Log:
-    """Columns of one length, one row per logged event; `log[a:b]` slices
-    every column."""
+    """Columns of one length, one row per logged event."""
 
     __eq__ = equal_fields
 
     def __len__(self) -> int:
         return len(self.slot)
-
-    def __getitem__(self, rows: slice):
-        return type(self)(*(getattr(self, f.name)[rows] for f in fields(self)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -321,38 +325,28 @@ def _db(values: np.ndarray) -> np.ndarray:
 
 
 def _rrc_log(
-    in_tr: np.ndarray, switched: np.ndarray, ul_demand: np.ndarray, dl_demand: np.ndarray,
+    t0: int, in_tr: np.ndarray, switched: np.ndarray, ul_demand: np.ndarray,
+    dl_demand: np.ndarray,
 ) -> RrcEvents:
-    """The log of every RRC event of the given slots, `slot` counted from
-    their first row. A device-slot's events, in order: TR enter or exit
+    """The log of every RRC event of the given slots, the first of which is
+    the run's slot t0. A device-slot's events, in order: TR enter or exit
     where the mode switched, uplink data pending where it has uplink demand
     in AM (TR gates uplink traffic generation entirely), downlink arrival
     where it has downlink demand.
 
-    An event starts from MODE_STATES of a mode: the TR enter or exit from
-    that of the mode before the slot, the others from that of the mode
-    after it. That is exact because the switch event leads from the one
-    mode's state to the other's and the others are self-loops there, which
-    the tests check against a scalar run. `step` is rrc.transition's table."""
-    E = rrc.RrcEvent
-    # the event of each event column, for a device in AM and in TR
-    column_events = np.array([
-        [RRC_EVENTS.index(E.TR_MODE_EXIT), RRC_EVENTS.index(E.TR_MODE_ENTER)],
-        [RRC_EVENTS.index(E.UPLINK_DATA_PENDING)] * 2,
-        [RRC_EVENTS.index(E.DOWNLINK_DATA_ARRIVAL)] * 2,
-    ], np.int8)
-    step = np.array([
-        [RRC_STATES.index(rrc.transition(state, event)) for event in RRC_EVENTS]
-        for state in RRC_STATES
-    ], dtype=np.int8)
-    mode_state = np.array([RRC_STATES.index(s) for s in MODE_STATES], np.int8)
+    Every event leads to MODE_STATES of the mode after the slot. It starts
+    from that of the mode before the slot if it is the TR enter or exit,
+    and from that of the mode after it otherwise. That is exact:
+    TestModeStates steps rrc.transition through all 16 slot cases, in each
+    of which some event is the last, and TestScalarReference checks the log
+    row by row against rrc.transition."""
     happened = np.stack([switched, ~in_tr & ul_demand, dl_demand], axis=-1)
     slot, device, column = np.nonzero(happened)
     tr = in_tr[slot, device].view(np.int8)
-    event = column_events[column, tr]
-    old = mode_state[tr ^ (column == 0)]  # the TR enter or exit flips the mode
     return RrcEvents(
-        slot.astype(np.int32), device.astype(np.int32), event, old, step[old, event]
+        (slot + t0).astype(np.int32), device.astype(np.int32), _COLUMN_EVENTS[column, tr],
+        _MODE_STATES[tr ^ (column == 0)],  # the TR enter or exit flips the mode
+        _MODE_STATES[tr],
     )
 
 
@@ -473,9 +467,7 @@ def iter_run(cfg: ScenarioConfig) -> Iterator:
             2, t1 - t0, n
         )
         dl_demand = _demand(downlink_traffic, t1 - t0, n, cfg.dl_demand_prob)
-        events = _rrc_log(in_tr, _switched(before, in_tr), ul_demand, dl_demand)
-        events.slot[:] += t0  # in place: the log is frozen, its columns are not
-        yield events
+        yield _rrc_log(t0, in_tr, _switched(before, in_tr), ul_demand, dl_demand)
         before = in_tr[-1]
     yield totals
 

@@ -1,3 +1,5 @@
+import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,6 +13,25 @@ GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 SCENARIO_TR50 = FIXTURES_DIR / "scenario_tr50.cfg"
 ER_TABLE_FIXTURE = FIXTURES_DIR / "er_table_generations.cfg"
+
+
+def _benchmark_workloads():
+    name = "perfbench_workloads"
+    spec = importlib.util.spec_from_file_location(
+        name, REPO_ROOT / "perfbench" / "workloads.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+WORKLOADS = _benchmark_workloads()  # the benchmark's perfbench/workloads.py
+
+
+def workload_config_text(name: str) -> str:
+    """The config of the benchmark workload `name`, at its default seed."""
+    return WORKLOADS.WORKLOADS[name].render(SCENARIO_TR50.read_text(), WORKLOADS.DEFAULT_SEED)
 
 
 def make_config(**overrides) -> ScenarioConfig:

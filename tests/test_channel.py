@@ -15,10 +15,6 @@ from trsim.channel import (
 )
 
 
-def _rng(seed: int, *stream: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([seed, *stream]))
-
-
 class TestFreeSpacePathLoss:
     def test_reference_distance_and_frequency_cancel(self):
         # at d = 1 m and f = c / (4 pi) every log term cancels
@@ -75,14 +71,6 @@ class TestFadingGain:
     def test_non_negative(self):
         rng = np.random.default_rng(5)
         assert all(draw_fading_gain(rng) >= 0.0 for _ in range(1000))
-
-    @pytest.mark.parametrize("seed, device, k", [(20260808, 0, 1), (7, 3, 257), (1, 999, 5000)])
-    def test_vector_draw_equals_scalar_draws(self, seed, device, k):
-        """k gains drawn at once on a device's stream are bit-identical to k
-        draws in turn: a stream's draws do not depend on how they are grouped."""
-        vector = draw_fading_gain(_rng(seed, 2, device), k)
-        stream = _rng(seed, 2, device)
-        assert vector.tolist() == [draw_fading_gain(stream) for _ in range(k)]
 
 
 class TestOutageAnalytic:

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import re
@@ -10,7 +11,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import ER_TABLE_FIXTURE, GOLDEN_DIR, REPO_ROOT, SCENARIO_TR50
+from conftest import (
+    ER_TABLE_FIXTURE,
+    GOLDEN_DIR,
+    REPO_ROOT,
+    SCENARIO_TR50,
+    WORKLOADS,
+    workload_config_text,
+)
 from trsim import cli, sim
 from trsim.cli import (
     EXIT_BAND,
@@ -25,7 +33,7 @@ from trsim.cli import (
     exposure_kinds,
     main,
 )
-from trsim.configfile import parse_config
+from trsim.configfile import format_config, parse_config
 from trsim.exposure import network_exposure
 
 DATA_DIR = REPO_ROOT / "tests" / "data"
@@ -573,3 +581,48 @@ class TestEncoderEqualsReference:
         kinds = exposure_kinds(cfg.standards)
         chunks = cli._exposure_chunks(devices.device_id, report, cfg.standards)
         self.check(kinds["device-exposure"], kinds, chunks)
+
+
+class TestChunkRows:
+    @pytest.mark.parametrize("fmt", OUTPUT_FORMATS)
+    @pytest.mark.parametrize("command", ["run", "exposure", "outage"])
+    def test_text_does_not_depend_on_chunk_rows(self, command, fmt, tmp_path, monkeypatch):
+        """The encoders cut every chunk into pieces of CHUNK_ROWS records;
+        cut into pieces of 1 or 7, the records are written the same."""
+        config = {"exposure": ER_TABLE_FIXTURE, "outage": OUTAGE_DEMO}.get(command)
+        if config is None:
+            config = tmp_path / "ids.cfg"
+            config.write_text(format_config(id_config(3, 40, 3.0)), encoding="utf-8")
+        texts = []
+        for rows in (cli.CHUNK_ROWS, 1, 7):
+            monkeypatch.setattr(cli, "CHUNK_ROWS", rows)
+            out = tmp_path / f"{rows}.out"
+            args = [command, "--config", str(config), "--format", fmt, "--out", str(out)]
+            assert run_cli(args) == 0
+            texts.append(out.read_text(encoding="utf-8"))
+        assert texts[1] == texts[0]
+        assert texts[2] == texts[0]
+        assert command != "run" or "mode_transition" in texts[0], "no device switched"
+
+
+# sha256 of `trsim run` on each benchmark workload at its default seed, in
+# the workload's own format
+WORKLOAD_DIGESTS = {
+    "ring-wide-csv": "3a5dec52e2b143fd233ee2375765b5ab0b92f453cde2045bd84a43dffb53f4e5",
+    "switch-jsonl": "e34b267d5585e9f4c4d9a624eaea74f86ef62ab95c100d122c9958a5fcc4c162",
+    "narrow-long-csv": "fcdda0f5efac0c516cccff483bbd96cc203e836077e9bae51acef60b781a5d05",
+}
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS.WORKLOADS))
+def test_benchmark_workload_output_is_pinned(name, tmp_path):
+    config, out = tmp_path / "workload.cfg", tmp_path / "out"
+    config.write_text(workload_config_text(name), encoding="utf-8")
+    fmt = WORKLOADS.WORKLOADS[name].output_format
+    assert run_cli(["run", "--config", str(config), "--format", fmt, "--out", str(out)]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == WORKLOAD_DIGESTS[name], (
+        f"`trsim run` on the {name} workload wrote other bytes. They need glibc's"
+        " FMA `log` kernel, as the goldens do: if tests/test_channel.py::TestHostLog10"
+        " fails too, this host's log is the cause, not the code"
+    )

@@ -8,11 +8,9 @@ round trip.
 
 import contextlib
 import csv
-import importlib.util
 import io
 import math
 import re
-import sys
 import tempfile
 from dataclasses import fields
 from pathlib import Path
@@ -20,7 +18,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import ER_TABLE_FIXTURE, REPO_ROOT, SCENARIO_TR50
+from conftest import ER_TABLE_FIXTURE, REPO_ROOT, SCENARIO_TR50, WORKLOADS, workload_config_text
 from trsim import cli
 from trsim.configfile import format_config, parse_config
 from trsim.sim import ScenarioConfig
@@ -153,24 +151,7 @@ def test_readme_example_round_trips():
     assert parse_config(format_config(cfg)) == cfg
 
 
-def _benchmark_workloads():
-    name = "perfbench_workloads"
-    spec = importlib.util.spec_from_file_location(
-        name, REPO_ROOT / "perfbench" / "workloads.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    spec.loader.exec_module(module)
-    return module
-
-
-WORKLOADS = _benchmark_workloads()
-
-
 @pytest.mark.parametrize("name", sorted(WORKLOADS.WORKLOADS))
 def test_benchmark_workload_config_round_trips(name):
-    text = WORKLOADS.WORKLOADS[name].render(
-        SCENARIO_TR50.read_text(), WORKLOADS.DEFAULT_SEED
-    )
-    cfg = parse_config(text)
+    cfg = parse_config(workload_config_text(name))
     assert parse_config(format_config(cfg)) == cfg

@@ -233,9 +233,6 @@ class TestComplexityMetric:
     def test_pair_counts(self, n, expected):
         assert complexity_metric(n) == expected
 
-    def test_unit_cost_scales(self):
-        assert complexity_metric(10, unit_cost=2.5) == pytest.approx(112.5)
-
     @given(st.integers(2, 10_000))
     def test_strictly_increasing(self, n):
         assert complexity_metric(n) > complexity_metric(n - 1)
@@ -243,5 +240,3 @@ class TestComplexityMetric:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             complexity_metric(-1)
-        with pytest.raises(ValueError):
-            complexity_metric(3, unit_cost=-0.5)
