@@ -52,7 +52,7 @@ from .sim import (
     outage_curve,
     run_scenario,
 )
-from .trmode import Mode, ServiceClass, SwitchConfig, evaluate_switch, service_admitted, uplink_enabled
+from .trmode import Mode, ServiceClass, evaluate_switch, service_admitted, uplink_enabled
 
 __all__ = [
     "ConfigError",
@@ -73,7 +73,6 @@ __all__ = [
     "ServiceClass",
     "SimResult",
     "SlotKind",
-    "SwitchConfig",
     "UnmappedBandError",
     "build_fdd_pair",
     "build_tdd_frame",

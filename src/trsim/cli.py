@@ -296,10 +296,8 @@ def _load_config(args: argparse.Namespace) -> ScenarioConfig:
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise ConfigError([f"{args.config}: not UTF-8 text: {exc}"]) from None
-    cfg = parse_config(text)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed).require_valid()
-    return cfg
+    cfg = parse_config(text)  # a --seed override is checked as the config is rebuilt
+    return cfg if args.seed is None else replace(cfg, seed=args.seed)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:

@@ -5,20 +5,21 @@ comment anywhere; blank lines are ignored.
 
     [scenario] [channel] [switching]
                          `key = value` lines; each key is declared once,
-                         with its type, default and bounds, on a field of
-                         ScenarioConfig or SwitchConfig (see trsim.schema)
-    [standards.<NAME>]   one `band = ...` line per band
-    [devices]            optional explicit population, one `device = ...` line each
+                         with its section, type, default and bounds, on a
+                         field of ScenarioConfig (see trsim.schema)
+    [standards.<NAME>]   one `band = ...` line per band, at least one
+    [devices]            optional explicit population, one `device = ...`
+                         line each, at least one if the section is present
 
 A `band` or `device` line holds one token per field of FrequencyBand or
 DeviceSpec, in declaration order, parsed by the field's type (a mode is `am`
 or `tr`) and checked against its bounds. A band's last field, `note`, is
 optional free text on the value's provenance; it takes the rest of the line.
 
-Parsing either returns a fully validated ScenarioConfig or raises
-ConfigError listing every finding, each with its line number where one
-applies. `format_config` emits the canonical form; parsing that emission
-reproduces an equal ScenarioConfig.
+Parsing either returns a ScenarioConfig, which checks itself when it is
+built, or raises ConfigError listing every finding, each with its line
+number where one applies. `format_config` emits the canonical form;
+parsing that emission reproduces an equal ScenarioConfig.
 """
 
 from __future__ import annotations
@@ -27,19 +28,16 @@ import re
 from dataclasses import MISSING, Field, fields
 
 from .exposure import ExposureStandard, FrequencyBand
-from .schema import problem
-from .sim import ConfigError, DeviceSpec, ScenarioConfig
-from .trmode import Mode, SwitchConfig
+from .schema import ConfigError, problem
+from .sim import DeviceSpec, ScenarioConfig
+from .trmode import Mode
 
 _SECTION_RE = re.compile(r"^\[(?P<name>[A-Za-z0-9_.-]+)\]$")
 _STANDARD_RE = re.compile(r"^standards\.[A-Za-z0-9_-]+$")
 
-# (section, key) -> (dataclass that owns the key, its field)
+# (section, key) -> its field of ScenarioConfig
 _KEYS = {
-    (f.metadata["section"], f.name): (owner, f)
-    for owner in (ScenarioConfig, SwitchConfig)
-    for f in fields(owner)
-    if "section" in f.metadata
+    (f.metadata["section"], f.name): f for f in fields(ScenarioConfig) if "section" in f.metadata
 }
 _SECTIONS = tuple(dict.fromkeys(section for section, _ in _KEYS))
 # row key -> the dataclass whose fields, in order, are the row's tokens
@@ -99,8 +97,8 @@ def parse_config(text: str) -> ScenarioConfig:
         else:
             scalars[(section, key)] = (lineno, value)
 
-    values: dict[type, dict[str, object]] = {ScenarioConfig: {}, SwitchConfig: {}}
-    for (sec, key), (owner, f) in _KEYS.items():
+    values: dict[str, object] = {}
+    for (sec, key), f in _KEYS.items():
         if (sec, key) not in scalars:
             if f.default is MISSING:
                 errors.append(f"missing required key {key!r} in [{sec}]")
@@ -112,10 +110,13 @@ def parse_config(text: str) -> ScenarioConfig:
         finding = problem(f, value)
         if finding:
             errors.append(f"line {lineno}: {key} {finding}")
-        values[owner][key] = value
+        values[key] = value
 
     # a malformed row is None here, and has its finding already
-    devices = tuple(spec for _, spec in rows.pop("devices", ()) if spec is not None)
+    device_rows = rows.pop("devices", None)
+    if device_rows == []:
+        errors.append("[devices] declares no device lines")
+    devices = tuple(spec for _, spec in device_rows or () if spec is not None)
     standards: list[ExposureStandard] = []
     for section, band_rows in rows.items():
         name = section.partition(".")[2]
@@ -130,12 +131,7 @@ def parse_config(text: str) -> ScenarioConfig:
 
     if errors:
         raise ConfigError(errors)
-    return ScenarioConfig(
-        **values[ScenarioConfig],
-        switch=SwitchConfig(**values[SwitchConfig]),
-        standards=tuple(standards),
-        devices=devices,
-    ).require_valid()
+    return ScenarioConfig(**values, standards=tuple(standards), devices=devices)
 
 
 def _parse_row(kind: str, lineno: int, value: str, errors: list[str]):
@@ -174,10 +170,7 @@ def format_config(cfg: ScenarioConfig) -> str:
     lines: list[str] = []
     for section in _SECTIONS:
         lines += ["", f"[{section}]"]
-        for (sec, key), (owner, _) in _KEYS.items():
-            if sec == section:
-                value = getattr(cfg if owner is ScenarioConfig else cfg.switch, key)
-                lines.append(f"{key} = {value}")
+        lines += [f"{key} = {getattr(cfg, key)}" for sec, key in _KEYS if sec == section]
     tables = [("band", f"standards.{std.name}", std.bands) for std in cfg.standards]
     tables += [("device", "devices", cfg.devices)] if cfg.devices else []
     for kind, section, table in tables:

@@ -4,12 +4,15 @@ A dataclass field made with `key` carries the config-file section it is
 read from and the closed range, or the choices, its value must lie in.
 `problem` and `problems` check values against those declarations, so each
 bound is written once, on the field it applies to. Every float field has
-a finite range, which also rules out NaN and infinities.
+a finite range, which also rules out NaN and infinities. A config
+dataclass calls `check` from `__post_init__`, so no instance that breaks
+its declarations exists.
 """
 
 from __future__ import annotations
 
 from dataclasses import MISSING, Field, field, fields
+from typing import Sequence
 
 import numpy as np
 
@@ -23,6 +26,14 @@ FREQ_HZ = (1e3, 1e15)
 SNR_DB = (-200.0, 200.0)
 # NR numerology index mu: 15 * 2^mu kHz subcarrier spacing.
 MU = (0, 4)
+
+
+class ConfigError(ValueError):
+    """Invalid scenario configuration; carries one message per finding."""
+
+    def __init__(self, errors: Sequence[str]):
+        self.errors = list(errors)
+        super().__init__("; ".join(self.errors))
 
 
 def key(section: str, lo=None, hi=None, *, default=MISSING, choices=None) -> Field:
@@ -52,11 +63,12 @@ def problems(obj) -> list[str]:
     return [f"{name} {text}" for name, text in found if text]
 
 
-def check(obj) -> None:
-    """Raise ValueError listing every finding of `problems(obj)`."""
-    found = problems(obj)
+def check(obj, *more: str) -> None:
+    """Raise ConfigError listing every finding of `problems(obj)`, then the
+    findings `more`, if there are any."""
+    found = problems(obj) + list(more)
     if found:
-        raise ValueError("; ".join(found))
+        raise ConfigError(found)
 
 
 def equal_fields(a, b) -> bool:

@@ -50,9 +50,9 @@ from .frames import (
     build_tdd_frame,
     make_numerology,
 )
-from .schema import DISTANCE_M, FREQ_HZ, MU, POWER_W, SNR_DB, check, equal_fields, key, problems
+from .schema import DISTANCE_M, FREQ_HZ, MU, POWER_W, SNR_DB, ConfigError, check, equal_fields, key
 from .streams import Streams
-from .trmode import Mode, SwitchConfig, hold_modes, uplink_enabled
+from .trmode import Mode, hold_modes, uplink_enabled
 
 
 # Upper bound on a run's population x n_slots, refused by iter_run as a
@@ -74,14 +74,6 @@ ENGINE_ROWS = 16384
 FADING_ROWS = 16
 
 
-class ConfigError(ValueError):
-    """Invalid scenario configuration; carries one message per finding."""
-
-    def __init__(self, errors: Sequence[str]):
-        self.errors = list(errors)
-        super().__init__("; ".join(self.errors))
-
-
 @dataclass(frozen=True)
 class DeviceSpec:
     """Explicit device entry, overriding synthesized placement."""
@@ -96,14 +88,16 @@ class DeviceSpec:
         check(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ScenarioConfig:
     """A scenario. Each field made with `key` is a config-file key, declared
-    here once with its section, type, default and bounds; the parser, the
-    emitter and `validate` are derived from these declarations."""
+    here once with its section, type, default and bounds, in the order the
+    emitter writes it; the parser, the emitter and the check on construction
+    are derived from these declarations. Building one raises ConfigError
+    listing every finding."""
 
     n_users: int = key("scenario", 1, MAX_DEVICE_SLOTS)  # no run holds more
-    n_tr: int = key("scenario")  # in [0, n_users], checked in validate()
+    n_tr: int = key("scenario")  # in [0, n_users], checked in __post_init__
     cell_radius_m: float = key("scenario", *DISTANCE_M)
     bs_tx_power_w: float = key("scenario", *POWER_W)
     ue_tx_power_w: float = key("scenario", *POWER_W)
@@ -112,7 +106,6 @@ class ScenarioConfig:
     snr_threshold_db: float = key("channel", *SNR_DB)
     n_slots: int = key("scenario", 1)
     seed: int = key("scenario", 0)
-    switch: SwitchConfig
     numerology_mu: int = key("scenario", *MU, default=0)
     duplex: str = key("scenario", default="fdd", choices=("fdd", "tdd"))
     tdd_pattern: str = key("scenario", default="DSUUUUUUUU")
@@ -121,35 +114,29 @@ class ScenarioConfig:
     ul_demand_prob: float = key("scenario", 0.0, 1.0, default=0.5)
     dl_demand_prob: float = key("scenario", 0.0, 1.0, default=0.5)
     observer_distance_m: float = key("scenario", *DISTANCE_M, default=1.0)
+    rss_threshold_dbm: float = key("switching", -500.0, 500.0)
+    hysteresis_db: float = key("switching", 0.0, 1000.0, default=3.0)
     standards: tuple[ExposureStandard, ...] = ()
     devices: tuple[DeviceSpec, ...] = ()
 
-    def validate(self) -> list[str]:
-        """Every finding against the field declarations and the rules that
-        tie fields together."""
-        errors = problems(self)
+    def __post_init__(self) -> None:
+        """Check the field declarations, then the rules that tie fields
+        together."""
+        errors = []
         if not 0 <= self.n_tr <= self.n_users:
             errors.append(
                 f"n_tr ({self.n_tr}) must lie in [0, n_users] (n_users={self.n_users})"
             )
-        if self.duplex == "tdd":
-            try:
-                parse_pattern(self.tdd_pattern)
-            except ValueError as exc:
-                errors.append(f"tdd_pattern: {exc}")
+        try:
+            parse_pattern(self.tdd_pattern)  # checked whatever the duplex
+        except ValueError as exc:
+            errors.append(f"tdd_pattern: {exc}")
         seen_ids: set[str] = set()
         for spec in self.devices:
             if spec.device_id in seen_ids:
                 errors.append(f"duplicate device id {spec.device_id!r} in [devices]")
             seen_ids.add(spec.device_id)
-        return errors
-
-    def require_valid(self) -> ScenarioConfig:
-        """Return self, or raise ConfigError listing every finding of validate()."""
-        errors = self.validate()
-        if errors:
-            raise ConfigError(errors)
-        return self
+        check(self, *errors)
 
 
 # Codes of the columns: the mode column and the mode-transition log index
@@ -365,8 +352,9 @@ def _switched(before: np.ndarray, in_tr: np.ndarray) -> np.ndarray:
 
 def iter_run(cfg: ScenarioConfig) -> Iterator:
     """Run the scenario as a stream, in the order of its records: first the
-    Devices, once the config and the run's size (MAX_DEVICE_SLOTS) are
-    checked; then the Samples of each chunk of
+    Devices, once the run's size (MAX_DEVICE_SLOTS) and every device's band
+    are checked (the config checked itself when it was built); then the
+    Samples of each chunk of
     ceil(ENGINE_ROWS / n) slots; then the ModeTransitions of each chunk;
     then its RrcEvents, their `slot` counted from the run's start; last the
     RunTotals. The Devices are not changed: the modes after the last slot
@@ -382,7 +370,6 @@ def iter_run(cfg: ScenarioConfig) -> Iterator:
     modes and the uplink demand, kept as a bit each per device-slot, and the
     downlink demand, drawn then.
     """
-    cfg.require_valid()
     population = len(cfg.devices) or cfg.n_users
     if population * cfg.n_slots > MAX_DEVICE_SLOTS:
         raise ConfigError([
@@ -424,7 +411,7 @@ def iter_run(cfg: ScenarioConfig) -> Iterator:
         rss_dbm = _db(rx_w)
         rss_dbm += 30.0  # channel.watts_to_dbm
 
-        in_tr = hold_modes(rss_dbm, cfg.switch, before)
+        in_tr = hold_modes(rss_dbm, cfg.rss_threshold_dbm, cfg.hysteresis_db, before)
         mode = in_tr.view(np.int8)  # indexes MODES
         slot, device = np.nonzero(_switched(before, in_tr))
         transitions.append(ModeTransitions(
@@ -512,7 +499,6 @@ def outage_curve(
     full data power; fading on the desired path is unit-mean exponential,
     so P(SINR < theta) = 1 - exp(-theta * (I + N) / (mean * N)).
     """
-    cfg.require_valid()
     if not mean_snr_points_db:
         raise ValueError("mean_snr_points_db must be non-empty")
 

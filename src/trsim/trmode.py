@@ -11,12 +11,9 @@ threshold rule.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-
-from .schema import check, key
 
 
 class Mode(Enum):
@@ -30,18 +27,9 @@ class ServiceClass(Enum):
     HIGH_BANDWIDTH = "high-bandwidth"
 
 
-@dataclass(frozen=True)
-class SwitchConfig:
-    """The [switching] section of a scenario config."""
-
-    rss_threshold_dbm: float = key("switching", -500.0, 500.0)
-    hysteresis_db: float = key("switching", 0.0, 1000.0, default=3.0)
-
-    def __post_init__(self) -> None:
-        check(self)
-
-
-def evaluate_switch(rss_dbm: float, cfg: SwitchConfig, current: Mode) -> Mode:
+def evaluate_switch(
+    rss_dbm: float, threshold_dbm: float, hysteresis_db: float, current: Mode
+) -> Mode:
     """One switching decision.
 
     AM -> TR when rss < threshold - hysteresis; TR -> AM when
@@ -49,14 +37,16 @@ def evaluate_switch(rss_dbm: float, cfg: SwitchConfig, current: Mode) -> Mode:
     """
     if math.isnan(rss_dbm):
         raise ValueError("rss_dbm must not be NaN")
-    if current is Mode.AM and rss_dbm < cfg.rss_threshold_dbm - cfg.hysteresis_db:
+    if current is Mode.AM and rss_dbm < threshold_dbm - hysteresis_db:
         return Mode.TR
-    if current is Mode.TR and rss_dbm > cfg.rss_threshold_dbm + cfg.hysteresis_db:
+    if current is Mode.TR and rss_dbm > threshold_dbm + hysteresis_db:
         return Mode.AM
     return current
 
 
-def hold_modes(rss_dbm: np.ndarray, cfg: SwitchConfig, start_tr: np.ndarray) -> np.ndarray:
+def hold_modes(
+    rss_dbm: np.ndarray, threshold_dbm: float, hysteresis_db: float, start_tr: np.ndarray
+) -> np.ndarray:
     """`evaluate_switch` applied slot after slot to an (n_slots, n) array of
     rss, each column from its device's starting mode (`start_tr[i]`: does
     device i start in TR). True where a device is in TR after that slot.
@@ -67,8 +57,8 @@ def hold_modes(rss_dbm: np.ndarray, cfg: SwitchConfig, start_tr: np.ndarray) -> 
     """
     if np.isnan(rss_dbm).any():
         raise ValueError("rss_dbm must not be NaN")
-    below = rss_dbm < cfg.rss_threshold_dbm - cfg.hysteresis_db
-    outside = below | (rss_dbm > cfg.rss_threshold_dbm + cfg.hysteresis_db)
+    below = rss_dbm < threshold_dbm - hysteresis_db
+    outside = below | (rss_dbm > threshold_dbm + hysteresis_db)
     latest = np.where(outside, np.arange(len(rss_dbm))[:, None], -1)
     np.maximum.accumulate(latest, axis=0, out=latest)
     return np.where(latest >= 0, below[latest, np.arange(below.shape[1])], start_tr)

@@ -5,7 +5,6 @@ from pathlib import Path
 import pytest
 
 from trsim.sim import ScenarioConfig
-from trsim.trmode import SwitchConfig
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 FIXTURES_DIR = REPO_ROOT / "src" / "trsim" / "fixtures"
@@ -47,7 +46,8 @@ def make_config(**overrides) -> ScenarioConfig:
         snr_threshold_db=0.0,
         n_slots=20,
         seed=11,
-        switch=SwitchConfig(rss_threshold_dbm=-90.0, hysteresis_db=200.0),
+        rss_threshold_dbm=-90.0,
+        hysteresis_db=200.0,
     )
     base.update(overrides)
     return ScenarioConfig(**base)

@@ -22,7 +22,6 @@ from conftest import ER_TABLE_FIXTURE, REPO_ROOT, SCENARIO_TR50, WORKLOADS, work
 from trsim import cli
 from trsim.configfile import format_config, parse_config
 from trsim.sim import ScenarioConfig
-from trsim.trmode import SwitchConfig
 
 # n_slots lowered so that every mutated run stays fast
 BASES = [
@@ -30,10 +29,7 @@ BASES = [
     for path in (SCENARIO_TR50, ER_TABLE_FIXTURE)
 ]
 SECTION_OF = {
-    f.name: f.metadata["section"]
-    for owner in (ScenarioConfig, SwitchConfig)
-    for f in fields(owner)
-    if "section" in f.metadata
+    f.name: f.metadata["section"] for f in fields(ScenarioConfig) if "section" in f.metadata
 }
 # the value tokens of band and device lines that hold numbers
 NUMBER_TOKENS = {"band": (0, 1, 2), "device": (1, 2, 3)}

@@ -38,7 +38,7 @@ class TestParseFixtures:
         assert cfg.placement == "ring"
         assert cfg.seed == 20260808
         assert cfg.ul_demand_prob == 1.0
-        assert cfg.switch.hysteresis_db == 200.0
+        assert cfg.hysteresis_db == 200.0
         assert [std.name for std in cfg.standards] == ["ICNIRP", "IEEE-C95"]
 
     def test_er_table_fixture_parses(self):
@@ -53,7 +53,7 @@ class TestParseFixtures:
         assert cfg.duplex == "fdd"
         assert cfg.numerology_mu == 0
         assert cfg.placement == "disk"
-        assert cfg.switch.hysteresis_db == 3.0
+        assert cfg.hysteresis_db == 3.0
         assert cfg.always_on_fraction == 0.1
         assert cfg.standards == ()
         assert cfg.devices == ()
@@ -148,6 +148,19 @@ class TestParseErrors:
         with pytest.raises(ConfigError) as err:
             parse_config(broken)
         assert any("duplicate device id" in e for e in err.value.errors)
+
+    def test_empty_devices_section_reported(self):
+        """A present [devices] section replaces the synthesized population, so
+        one without device lines is an error, as a standard without bands is."""
+        with pytest.raises(ConfigError) as err:
+            parse_config(MINIMAL + "\n[devices]\n")
+        assert err.value.errors == ["[devices] declares no device lines"]
+
+    def test_tdd_pattern_checked_whatever_the_duplex(self):
+        broken = MINIMAL.replace("seed = 2", "seed = 2\nduplex = fdd\ntdd_pattern = nonsense")
+        with pytest.raises(ConfigError) as err:
+            parse_config(broken)
+        assert err.value.errors == ["tdd_pattern: pattern must have 10 entries, got 8"]
 
     def test_negative_hysteresis_reported(self):
         broken = MINIMAL.replace(

@@ -40,7 +40,7 @@ from trsim.sim import (
     run_scenario,
 )
 from trsim.streams import Streams
-from trsim.trmode import Mode, SwitchConfig, evaluate_switch, uplink_enabled
+from trsim.trmode import Mode, evaluate_switch, uplink_enabled
 
 
 # the result's per device-slot columns
@@ -121,7 +121,8 @@ def switching_config(**overrides):
         placement="ring",
         n_slots=60,
         seed=5,
-        switch=SwitchConfig(rss_threshold_dbm=-52.0, hysteresis_db=1.0),
+        rss_threshold_dbm=-52.0,
+        hysteresis_db=1.0,
         ul_demand_prob=0.7,
         dl_demand_prob=0.7,
     )
@@ -192,9 +193,8 @@ class TestRunScenario:
         assert slots == sorted(slots)
 
     def test_invalid_config_rejected_before_work(self):
-        cfg = make_config(n_users=3, n_tr=5)
         with pytest.raises(ConfigError) as err:
-            run_scenario(cfg)
+            make_config(n_users=3, n_tr=5)
         assert "n_tr" in str(err.value) and "n_users" in str(err.value)
 
     def test_tr_devices_never_emit_uplink(self):
@@ -236,7 +236,7 @@ class TestRunScenario:
         result = run_scenario(cfg)
         entries = [t for t in transitions(result) if t.new_mode is Mode.TR]
         assert entries, "scenario produced no TR entries"
-        band_low = cfg.switch.rss_threshold_dbm - cfg.switch.hysteresis_db
+        band_low = cfg.rss_threshold_dbm - cfg.hysteresis_db
         for t in entries:
             assert t.rss_dbm < band_low
 
@@ -376,7 +376,7 @@ def scalar_run(cfg):
             rx_w = cfg.bs_tx_power_w / loss[i] * gain
             rss_dbm = watts_to_dbm(rx_w)
             events = []
-            new_mode = evaluate_switch(rss_dbm, cfg.switch, mode[i])
+            new_mode = evaluate_switch(rss_dbm, cfg.rss_threshold_dbm, cfg.hysteresis_db, mode[i])
             if new_mode is not mode[i]:
                 moves.append(Transition(t, ids[i], mode[i], new_mode, rss_dbm))
                 mode[i] = new_mode
@@ -454,10 +454,8 @@ class TestScalarReference:
             numerology_mu=data.draw(st.integers(0, 2)),
             ul_demand_prob=data.draw(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)),
             dl_demand_prob=data.draw(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)),
-            switch=SwitchConfig(
-                rss_threshold_dbm=data.draw(st.sampled_from([-60.0, -52.0, -45.0])),
-                hysteresis_db=data.draw(st.sampled_from([0.0, 1.0, 3.0])),
-            ),
+            rss_threshold_dbm=data.draw(st.sampled_from([-60.0, -52.0, -45.0])),
+            hysteresis_db=data.draw(st.sampled_from([0.0, 1.0, 3.0])),
             observer_distance_m=data.draw(st.sampled_from([0.5, 1.0, 3.0])),
             standards=data.draw(st.sampled_from([(ICNIRP,), (IEEE, ICNIRP)])),
         )
@@ -506,10 +504,8 @@ class TestStreamedEngine:
             placement=data.draw(st.sampled_from(["ring", "disk"])),
             duplex=data.draw(st.sampled_from(["fdd", "tdd"])),
             snr_threshold_db=data.draw(st.sampled_from([0.0, 25.0])),  # 25: some outage
-            switch=SwitchConfig(
-                rss_threshold_dbm=-52.0,
-                hysteresis_db=data.draw(st.sampled_from([0.0, 1.0])),
-            ),
+            rss_threshold_dbm=-52.0,
+            hysteresis_db=data.draw(st.sampled_from([0.0, 1.0])),
         )
 
         def run(slots_per_chunk):
@@ -713,11 +709,9 @@ class TestEngineSwitchOracle:
             duplex=duplex,
             numerology_mu=mu,
             ul_demand_prob=self.UL_DEMAND,
-            switch=SwitchConfig(
-                # 2 dB below the mean rss, so both transitions are common
-                rss_threshold_dbm=watts_to_dbm(base.bs_tx_power_w / loss) - 2.0,
-                hysteresis_db=hysteresis_db,
-            ),
+            # 2 dB below the mean rss, so both transitions are common
+            rss_threshold_dbm=watts_to_dbm(base.bs_tx_power_w / loss) - 2.0,
+            hysteresis_db=hysteresis_db,
         )
 
     @staticmethod
@@ -753,7 +747,7 @@ class TestEngineSwitchOracle:
         result = run_scenario(cfg)
         loss = db_to_linear(free_space_path_loss(cfg.cell_radius_m, cfg.freq_hz))
         mean_w = cfg.bs_tx_power_w / loss
-        theta, h = cfg.switch.rss_threshold_dbm, cfg.switch.hysteresis_db
+        theta, h = cfg.rss_threshold_dbm, cfg.hysteresis_db
         p = 1.0 - math.exp(-(10.0 ** ((theta - h - 30.0) / 10.0)) / mean_w)
         q = math.exp(-(10.0 ** ((theta + h - 30.0) / 10.0)) / mean_w)
 
@@ -785,6 +779,142 @@ class TestEngineSwitchOracle:
         pending = events[RRC_EVENTS.index(RrcEvent.UPLINK_DATA_PENDING)]
         sigma = math.sqrt(am_slots * cfg.ul_demand_prob * (1.0 - cfg.ul_demand_prob))
         assert abs(pending - am_slots * cfg.ul_demand_prob) <= 4.0 * sigma
+
+
+class TestEngineJointOracle:
+    """Switching, uplink demand, interference and outage against one closed
+    form. On a ring every device has the same path loss L and mean received
+    power mu, and its fading g ~ Exp(1) is drawn afresh each slot. With
+    lo = w(theta - h) / mu and hi = w(theta + h) / mu (w: dBm to watts), a
+    device ends a slot in TR if g < lo, in AM if g > hi, and otherwise keeps
+    its mode, so P(TR after slot t) is pi_t = (1 - e^-lo) + rho pi_{t-1},
+    rho = e^-lo - e^-hi. A victim's interference comes from the others,
+    independently of its own fading: K of them are in AM after the slot
+    (Poisson-binomial over their pi), and in an uplink slot D | K ~ Bin(K, q)
+    of those have demand and emit tx, the rest the always-on power ao, so
+    I = (D tx + (K - D) ao) / L. It is in outage if g < c = Theta (I + N) / mu:
+      P(AM and out) = P(hi < g < c) + P(lo <= g <= min(hi, c)) (1 - pi_{t-1}),
+      P(TR and out) = P(g < min(lo, c)) + P(lo <= g <= min(hi, c)) pi_{t-1}.
+    The interference total's variance is exact, as the devices are
+    independent; the outage counts are correlated across devices through K
+    and across slots through the modes, so their standard error comes from
+    sums over batches of slots."""
+
+    # Few devices, so that a victim's own uplink is a large share of the
+    # interference (charging it to the victim moves the AM count by 8-18
+    # sigma), and many slots, so that every cell holds >= 100 expected events.
+    N_USERS, N_TR, N_SLOTS = 8, 3, 3000
+    SNR_THRESHOLD_DB = 15.0
+    INR = 5.0  # one interferer's data power over noise
+    # slots per batch of the outage counts' standard error: mode memory
+    # (rho <= 0.47 here) decays below 1e-6 across a batch
+    BATCH = 20
+
+    def config(self, duplex, mu, hysteresis_db, q):
+        base = make_config()
+        loss = db_to_linear(free_space_path_loss(base.cell_radius_m, base.freq_hz))
+        return replace(
+            base,
+            n_users=self.N_USERS,
+            n_tr=self.N_TR,
+            n_slots=self.N_SLOTS,
+            seed=1,
+            placement="ring",
+            duplex=duplex,
+            numerology_mu=mu,
+            ul_demand_prob=q,
+            rss_threshold_dbm=watts_to_dbm(base.bs_tx_power_w / loss) - 1.0,
+            hysteresis_db=hysteresis_db,
+            snr_threshold_db=self.SNR_THRESHOLD_DB,
+            noise_w=base.ue_tx_power_w / loss / self.INR,
+        )
+
+    @staticmethod
+    def binomial(m, p):
+        """The pmf of Bin(m, p) for each p: shape (len(p), m + 1)."""
+        k = np.arange(m + 1)
+        comb = np.array([math.comb(m, i) for i in k], float)
+        return comb * p[:, None] ** k * (1.0 - p[:, None]) ** (m - k)
+
+    def closed_form(self, cfg):
+        """Per slot, the expected outage device-slots of the AM and the TR
+        cohort, shape (n_slots, 2); and the mean and variance of
+        total_uplink_interference_w."""
+        n, n_slots = cfg.n_users, cfg.n_slots
+        loss = db_to_linear(free_space_path_loss(cfg.cell_radius_m, cfg.freq_hz))
+        mean_w = cfg.bs_tx_power_w / loss
+        lo, hi = (db_to_linear(cfg.rss_threshold_dbm + s * cfg.hysteresis_db - 30.0) / mean_w
+                  for s in (-1.0, 1.0))
+        rho = math.exp(-lo) - math.exp(-hi)
+        # pi[t + 1, c]: P(TR after slot t) for a device starting in TR (c = 0) or AM
+        pi = np.empty((n_slots + 1, 2))
+        pi[0] = (1.0, 0.0)
+        for t in range(n_slots):
+            pi[t + 1] = 1.0 - math.exp(-lo) + rho * pi[t]
+        sizes = (cfg.n_tr, n - cfg.n_tr)
+        tx, ao = cfg.ue_tx_power_w, cfg.always_on_fraction * cfg.ue_tx_power_w
+        # per slot, P(a device in AM emits tx): the demand in the frame's uplink slots
+        q = cfg.ul_demand_prob * np.resize(_am_uplink_mask(cfg), n_slots)
+
+        # D | K: pd[t, k, d], over d <= k < n
+        k, d = np.arange(n)[:, None], np.arange(n)
+        comb = np.array([[math.comb(i, j) for j in range(n)] for i in range(n)], float)
+        pd = np.where(d <= k, comb * q[:, None, None] ** d
+                      * (1.0 - q[:, None, None]) ** np.maximum(k - d, 0), 0.0)
+        interference_w = (d * tx + (k - d) * ao) / loss
+        c = db_to_linear(cfg.snr_threshold_db) * (interference_w + cfg.noise_w) / mean_w
+
+        def between(x, y):
+            return np.maximum(np.exp(-x) - np.exp(-y), 0.0)
+
+        kept = between(lo, np.minimum(hi, c))
+        expected = np.zeros((n_slots, 2))
+        for v, size in enumerate(sizes):
+            # K: the others in AM of the victim's starting cohort plus those of the other
+            same = self.binomial(size - 1, 1.0 - pi[1:, v])
+            other = self.binomial(sizes[1 - v], 1.0 - pi[1:, 1 - v])
+            pk = np.zeros((n_slots, n))
+            for i in range(size):
+                pk[:, i:i + sizes[1 - v] + 1] += same[:, i, None] * other
+            joint = pk[:, :, None] * pd
+            before = pi[:-1, v, None, None]
+            am_out = between(hi, c) + kept * (1.0 - before)
+            tr_out = between(0.0, np.minimum(lo, c)) + kept * before
+            expected += size * np.stack([(joint * p).sum((1, 2)) for p in (am_out, tr_out)], 1)
+
+        w1 = q * tx + (1.0 - q) * ao  # E[W], the power a device in AM emits
+        w2 = q * tx**2 + (1.0 - q) * ao**2  # E[W^2]
+        am = 1.0 - pi[1:]
+        # a device's AM indicators covary as rho^(t - s) pi_s (1 - pi_s), s < t:
+        # carried[t] = sum over s < t of E[W_s] rho^(t - s) pi_s (1 - pi_s)
+        carried = np.zeros((n_slots, 2))
+        for t in range(1, n_slots):
+            carried[t] = rho * (carried[t - 1] + w1[t - 1] * pi[t] * am[t - 1])
+        mean = (am * w1[:, None]).sum(0) @ sizes / loss
+        variance = (
+            am * w2[:, None] - (am * w1[:, None]) ** 2 + 2.0 * w1[:, None] * carried
+        ).sum(0) @ sizes / loss**2
+        return expected, mean, variance
+
+    @pytest.mark.parametrize("q", [0.3, 1.0])
+    @pytest.mark.parametrize("hysteresis_db", [0.0, 3.0])
+    @pytest.mark.parametrize("duplex, mu", [("fdd", 0), ("tdd", 1)])
+    def test_outage_and_interference_match_closed_form(self, duplex, mu, hysteresis_db, q):
+        cfg = self.config(duplex, mu, hysteresis_db, q)
+        result = run_scenario(cfg)
+        expected, mean, variance = self.closed_form(cfg)
+        out = result.sinr_db < cfg.snr_threshold_db
+        observed = np.stack([(out & (result.mode == m)).sum(1) for m in range(len(MODES))], 1)
+        # the standard error of each count from its batch sums
+        batches = (observed - expected).reshape(-1, self.BATCH, 2).sum(1)
+        sigma = np.sqrt(len(batches) * batches.var(axis=0, ddof=1))
+        assert (expected.sum(0) >= 100.0).all(), expected.sum(0)
+        z = (observed.sum(0) - expected.sum(0)) / sigma
+        assert np.abs(z).max() <= 4.0, ("outage", observed.sum(0), expected.sum(0), z)
+        z = (result.total_uplink_interference_w - mean) / math.sqrt(variance)
+        assert abs(z) <= 4.0, ("interference", result.total_uplink_interference_w, mean, z)
+        # the closed form's TR term: a device in TR after a slot emits nothing in it
+        assert not result.ul_tx_w[result.mode == MODES.index(Mode.TR)].any()
 
 
 class TestOutageCurve:
