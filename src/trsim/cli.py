@@ -7,10 +7,10 @@ per key of the kind, and either encoder writes that stream: csv puts each
 record's kind and keys under the columns of the same names in a frozen
 column order (see the README) and leaves the other columns empty;
 json-lines writes each record as one object of its kind and keys. Both
-write up to CHUNK_ROWS records at once, as rows of a byte matrix
-(_write_chunks), with the text of the numbers computed a whole column at a
-time (textcols). frames and rrc-check emit fixed text layouts used as
-golden files.
+write up to CHUNK_ROWS records at once, as the rows of one byte matrix kept
+from piece to piece (_write_chunks), with the text of the numbers computed a
+whole column at a time (textcols), and write the output as UTF-8 bytes.
+frames and rrc-check emit fixed text layouts used as golden files.
 
 Exit codes: 0 success; 2 configuration or usage error; 3 domain error
 (invalid operation input); 4 frequency outside every configured band;
@@ -171,13 +171,18 @@ def _exposure_chunks(ids: tuple, report: ExposureReport, standards: tuple) -> Ch
     yield _chunk("network-exposure", [(NETWORK_TOTAL, *total, *ers)])
 
 
-def _write_chunks(fh: IO[str], layouts: dict, chunks: Chunks, escape) -> None:
+def _write_chunks(fh: IO[bytes], layouts: dict, chunks: Chunks, escape) -> None:
     """Write each chunk in pieces of at most CHUNK_ROWS records, each piece
-    as one text, built as a matrix of bytes with one row per record. A
-    kind's layout is its record's text as literal pieces with, between each
-    two, the index of the chunk's column whose value goes there. In a row,
-    each value is a fixed-width block padded with textcols.PAD, which the
-    text leaves out.
+    as the rows of one matrix of bytes, one row per record. A kind's layout
+    is its record's text as literal pieces with, between each two, the index
+    of the chunk's column whose value goes there. In a row, each value is a
+    fixed-width block padded with textcols.PAD, which the bytes written
+    leave out.
+
+    The matrix is kept from piece to piece: it is laid out again, its
+    literal pieces written into every row, only when the kind or the width
+    of a block changes. Each piece writes only its blocks, into the rows it
+    fills.
 
     Every value is written as `escape` writes it. textcols writes the ints
     and the floats of an array as str and repr do, which is what both
@@ -185,16 +190,11 @@ def _write_chunks(fh: IO[str], layouts: dict, chunks: Chunks, escape) -> None:
     exponent form, and non-finite ones, to `escape`. A Coded column's labels
     are escaped once per run.
     """
+    pad = bytes([textcols.PAD])
     # id of a label tuple -> the tuple (held, so that the id stays its own)
     # and its labels' padded text
     tables: dict[int, tuple] = {}
-    # a literal piece as CHUNK_ROWS rows, a zero-stride view of its bytes
-    pieces = {
-        kind: [item if isinstance(item, int) else np.broadcast_to(
-            np.frombuffer(item.encode(), np.uint8), (CHUNK_ROWS, len(item.encode()))
-        ) for item in layout]
-        for kind, layout in layouts.items()
-    }
+    shape = spans = buffer = matrix = None  # the kept matrix, by kind and block widths
     for kind, chunk in chunks:
         size = len(chunk[0].codes if isinstance(chunk[0], Coded) else chunk[0])
         for r0 in range(0, size, CHUNK_ROWS):
@@ -219,10 +219,25 @@ def _write_chunks(fh: IO[str], layouts: dict, chunks: Chunks, escape) -> None:
                 elif j not in blocks:
                     blocks[j] = textcols.ints(column)
             rows = len(blocks[0])
-            matrix = np.concatenate(
-                [blocks[p] if isinstance(p, int) else p[:rows] for p in pieces[kind]], axis=1
-            )
-            fh.write(matrix.tobytes().translate(None, bytes([textcols.PAD])).decode())
+            widths = tuple(blocks[j].shape[1] for j in range(len(columns)))
+            if shape != (kind, widths):
+                shape, spans, at, literals = (kind, widths), [], 0, []
+                for item in layouts[kind]:
+                    if isinstance(item, int):
+                        spans.append((item, at, at + widths[item]))
+                        at += widths[item]
+                    else:
+                        literals.append((at, item.encode()))
+                        at += len(literals[-1][1])
+                matrix = buffer = None  # the old matrix goes before the new one comes
+                buffer = bytearray(CHUNK_ROWS * at)
+                matrix = np.frombuffer(buffer, np.uint8).reshape(CHUNK_ROWS, at)
+                for a, literal in literals:
+                    matrix[:, a:a + len(literal)] = np.frombuffer(literal, np.uint8)
+            for j, a, b in spans:
+                matrix[:rows, a:b] = blocks[j]
+            piece = buffer if rows == CHUNK_ROWS else buffer[:rows * matrix.shape[1]]
+            fh.write(piece.translate(None, pad))
 
 
 class _Echo:
@@ -234,7 +249,7 @@ class _Echo:
         return text
 
 
-def _write_csv(fh: IO[str], columns: tuple[str, ...], kinds: Kinds, chunks: Chunks):
+def _write_csv(fh: IO[bytes], columns: tuple[str, ...], kinds: Kinds, chunks: Chunks):
     """A header of `columns`, then one row per record. A record fills the
     `kind` column, if there is one, and its keys' columns; it leaves the
     rest empty. Each cell is what csv.writer writes: a float as its repr,
@@ -257,11 +272,11 @@ def _write_csv(fh: IO[str], columns: tuple[str, ...], kinds: Kinds, chunks: Chun
                 layout[-1] += cell(kind)
         layout[-1] += "\n"
         layouts[kind] = layout
-    fh.write(",".join(map(cell, columns)) + "\n")
+    fh.write((",".join(map(cell, columns)) + "\n").encode())
     _write_chunks(fh, layouts, chunks, cell)
 
 
-def _write_jsonl(fh: IO[str], kinds: Kinds, chunks: Chunks) -> None:
+def _write_jsonl(fh: IO[bytes], kinds: Kinds, chunks: Chunks) -> None:
     """One JSON object per record, as json.dumps writes it: its `kind`, then
     its keys in order."""
     layouts = {}
@@ -285,9 +300,11 @@ def _emit(args: argparse.Namespace, columns, kinds: Kinds, chunks: Chunks) -> in
 
 
 def _out_stream(path: str):
+    """The output, open for bytes; `-` is stdout."""
     if path == "-":
-        return nullcontext(sys.stdout)
-    return open(path, "w", encoding="utf-8", newline="")
+        sys.stdout.flush()  # text written before goes out first
+        return nullcontext(sys.stdout.buffer)
+    return open(path, "wb")
 
 
 def _load_config(args: argparse.Namespace) -> ScenarioConfig:
@@ -339,13 +356,13 @@ def _cmd_frames(args: argparse.Namespace) -> int:
         for frame in frames
     )
     with _out_stream(args.out) as fh:
-        fh.write(text)
+        fh.write(text.encode())
     return EXIT_OK
 
 
 def _cmd_rrc_check(args: argparse.Namespace) -> int:
     with _out_stream(args.out) as fh:
-        fh.write(rrc.check_reachability().format_report() + "\n")
+        fh.write((rrc.check_reachability().format_report() + "\n").encode())
     return EXIT_OK
 
 

@@ -301,12 +301,10 @@ def _db(values: np.ndarray) -> np.ndarray:
     value: numpy's log10 differs from it in the last bit on some inputs,
     which would change the printed digits."""
     flat = values.ravel()
+    nonzero = flat != 0
     logs = np.full(flat.size, -np.inf)
-    block = 4096  # values held as Python floats at once
-    for i in range(0, flat.size, block):
-        part = flat[i:i + block]
-        nonzero = np.flatnonzero(part)
-        logs[i + nonzero] = list(map(math.log10, part[nonzero].tolist()))
+    # a memoryview hands the values to log10 as Python floats, one at a time
+    logs[nonzero] = np.fromiter(map(math.log10, memoryview(flat[nonzero])), float)
     logs *= 10.0
     return logs.reshape(values.shape)
 

@@ -2,9 +2,12 @@ import csv
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from dataclasses import astuple
-from io import StringIO
+from io import BytesIO, StringIO
 
 import numpy as np
 import pytest
@@ -526,19 +529,25 @@ def id_config(seed: int, n_slots: int, hysteresis_db: float):
     return parse_config(text + "\n[devices]\n" + devices)
 
 
-class TestEncoderEqualsReference:
-    def check(self, columns, kinds, chunks):
-        chunks = list(chunks)
-        for fmt in OUTPUT_FORMATS:
-            got, want = StringIO(), StringIO()
-            if fmt == "csv":
-                cli._write_csv(got, columns, kinds, chunks)
-                reference_write_csv(want, columns, kinds, chunks)
-            else:
-                cli._write_jsonl(got, kinds, chunks)
-                reference_write_jsonl(want, kinds, chunks)
-            assert got.getvalue() == want.getvalue(), fmt
+def check_encoder(columns, kinds, chunks) -> list[str]:
+    """cli's encoders write `chunks` as the reference encoder does, in both
+    formats; the texts, CSV first."""
+    chunks = list(chunks)
+    texts = []
+    for fmt in OUTPUT_FORMATS:
+        got, want = BytesIO(), StringIO()
+        if fmt == "csv":
+            cli._write_csv(got, columns, kinds, chunks)
+            reference_write_csv(want, columns, kinds, chunks)
+        else:
+            cli._write_jsonl(got, kinds, chunks)
+            reference_write_jsonl(want, kinds, chunks)
+        assert got.getvalue().decode() == want.getvalue(), fmt
+        texts.append(want.getvalue())
+    return texts
 
+
+class TestEncoderEqualsReference:
     @settings(max_examples=15, deadline=None)
     @given(
         seed=st.integers(0, 10**6),
@@ -561,14 +570,14 @@ class TestEncoderEqualsReference:
             ("none", None), ("nan", math.nan), ("inf", -math.inf), ("int", 3),
             ("float", data.draw(ANY_FLOAT)), ("id", data.draw(st.sampled_from(ESCAPED_IDS))),
         ]))
-        self.check(RUN_CSV_COLUMNS, RUN_KINDS, chunks)
+        check_encoder(RUN_CSV_COLUMNS, RUN_KINDS, chunks)
 
     @settings(max_examples=15, deadline=None)
     @given(points=st.lists(st.tuples(ANY_FLOAT, ANY_FLOAT, ANY_FLOAT), min_size=1, max_size=9))
     def test_outage(self, points):
         real = sim.outage_curve(parse_config(OUTAGE_DEMO.read_text()), (-5.0, 0.0, 12.5))
         chunks = [cli._chunk("outage_point", [astuple(p) for p in real] + points)]
-        self.check(OUTAGE_KINDS["outage_point"], OUTAGE_KINDS, chunks)
+        check_encoder(OUTAGE_KINDS["outage_point"], OUTAGE_KINDS, chunks)
 
     @settings(max_examples=5, deadline=None)
     @given(observer_distance_m=st.floats(0.1, 10.0))
@@ -580,7 +589,49 @@ class TestEncoderEqualsReference:
         )
         kinds = exposure_kinds(cfg.standards)
         chunks = cli._exposure_chunks(devices.device_id, report, cfg.standards)
-        self.check(kinds["device-exposure"], kinds, chunks)
+        check_encoder(kinds["device-exposure"], kinds, chunks)
+
+
+class TestTxPowerText:
+    def test_each_bit_pattern_keeps_its_text(self):
+        """ul_tx_w is written as the reference encoder writes it, with -0.0
+        and 0.0 apart and an inexact always-on power (0.1 x 0.2) in full."""
+        devices = (
+            "device = neg 300.0 -0.0 3.5e9 am\n"
+            "device = pos 310.0 0.0 3.5e9 am\n"
+            "device = big 320.0 0.3 3.5e9 am\n"
+            "device = odd 330.0 0.2 3.5e9 am\n"
+        )
+        text = re.sub(r"(?m)^n_slots = .*$", "n_slots = 30", SCENARIO_TR50.read_text())
+        text = re.sub(r"(?m)^ul_demand_prob = .*$", "ul_demand_prob = 0.5", text)
+        run = sim.iter_run(parse_config(text + "\n[devices]\n" + devices))
+        chunks = cli._run_chunks(next(run), run)
+        for text in check_encoder(RUN_CSV_COLUMNS, RUN_KINDS, chunks):
+            for value in ("-0.0", "0.0", "0.03", "0.3", "0.020000000000000004", "0.2"):
+                assert re.search(rf"[ ,]{re.escape(value)}[,}}]", text), value
+
+
+class TestKeptMatrix:
+    def test_layout_follows_kind_and_block_widths(self, monkeypatch):
+        """In pieces of 4 records, the slot column crosses 9999 -> 10000 and
+        two pieces alone hold a float >= 1e4, so the block widths go narrow,
+        wide and narrow again, two layouts have one row width, and the last
+        piece of each chunk is short; a chunk of another kind comes between.
+        The encoder lays its matrix out again for each, as the reference
+        encoder's text shows."""
+        monkeypatch.setattr(cli, "CHUNK_ROWS", 4)
+        slots = np.arange(9990, 10007)
+        values = np.linspace(0.5, 3.5, slots.size)
+        values[[5, 15]] = 12345.678, -23456.5
+        ids = Coded(("a", 'b,"c'), slots % 2)
+        kinds = {"k": ("slot", "value", "id"), "m": ("id",)}
+        first, rest = slice(0, 11), slice(11, None)
+        chunks = [
+            ("k", (slots[first], values[first], ids._replace(codes=ids.codes[first]))),
+            ("m", (ids._replace(codes=np.array([1, 0])),)),
+            ("k", (slots[rest], values[rest], ids._replace(codes=ids.codes[rest]))),
+        ]
+        check_encoder(("kind", "slot", "value", "id"), kinds, chunks)
 
 
 class TestChunkRows:
@@ -626,3 +677,17 @@ def test_benchmark_workload_output_is_pinned(name, tmp_path):
         " FMA `log` kernel, as the goldens do: if tests/test_channel.py::TestHostLog10"
         " fails too, this host's log is the cause, not the code"
     )
+
+
+@pytest.mark.parametrize("fmt", OUTPUT_FORMATS)
+def test_stdout_gets_the_bytes_of_the_out_file(fmt, tmp_path):
+    """`--out -` writes to stdout, here a pipe, the very bytes that `--out
+    FILE` writes: UTF-8, whatever the encoding of stdout's text layer."""
+    config, out = tmp_path / "ids.cfg", tmp_path / "out"
+    config.write_text(format_config(id_config(3, 40, 3.0)), encoding="utf-8")
+    args = [sys.executable, "-m", "trsim", "run", "--config", str(config), "--format", fmt]
+    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src"), "PYTHONIOENCODING": "ascii"}
+    piped = subprocess.run([*args, "--out", "-"], env=env, capture_output=True, check=True)
+    subprocess.run([*args, "--out", str(out)], env=env, check=True)
+    assert piped.stdout == out.read_bytes()
+    assert fmt != "csv" or "ü-1".encode() in piped.stdout  # json.dumps escapes it

@@ -57,13 +57,15 @@ def _mutate(text: str, key: str, value: str, data) -> tuple[str, str]:
 
 
 def _cli(args: list[str], text: str) -> tuple[int, str, str]:
-    out, err = io.StringIO(), io.StringIO()
+    # trsim writes its records to stdout's byte buffer
+    out, err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8"), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "scenario.cfg"
         path.write_text(text)
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main([args[0], "--config", str(path), *args[1:]])
-    return code, out.getvalue(), err.getvalue()
+    out.flush()
+    return code, out.buffer.getvalue().decode(), err.getvalue()
 
 
 def _assert_finite_output(subcommand: str, out: str) -> None:

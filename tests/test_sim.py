@@ -3,7 +3,7 @@ import math
 import tracemalloc
 from collections import namedtuple
 from dataclasses import fields, replace
-from io import StringIO
+from io import BytesIO
 from unittest import mock
 
 import numpy as np
@@ -510,10 +510,10 @@ class TestStreamedEngine:
 
         def run(slots_per_chunk):
             with mock.patch.object(sim, "ENGINE_ROWS", slots_per_chunk * n_users):
-                text = StringIO()
+                out = BytesIO()
                 stream = iter_run(cfg)
-                _write_csv(text, RUN_CSV_COLUMNS, RUN_KINDS, _run_chunks(next(stream), stream))
-                return run_scenario(cfg), text.getvalue()
+                _write_csv(out, RUN_CSV_COLUMNS, RUN_KINDS, _run_chunks(next(stream), stream))
+                return run_scenario(cfg), out.getvalue().decode()
 
         whole = run(n_slots)
         for slots_per_chunk in (1, 2, 3, 7):
