@@ -43,16 +43,6 @@ def free_space_path_loss(distance_m: float, freq_hz: float) -> float:
     )
 
 
-def draw_fading_gain(rng: np.random.Generator) -> float:
-    """Draw a Rayleigh-fading power gain: unit-mean exponential.
-
-    The squared envelope of a Rayleigh channel with unit average power is
-    exponentially distributed with mean 1; downstream formulas consume power
-    ratios, so the gain is sampled directly on power.
-    """
-    return float(rng.exponential(1.0))
-
-
 def outage_analytic(snr_threshold_lin: float, mean_snr_lin: float) -> float:
     """Outage probability under unit-mean exponential fading.
 

@@ -41,7 +41,6 @@ from .exposure import (
     ExposureStandard,
     complexity_metric,
     network_exposure,
-    power_density,
 )
 from .frames import (
     SlotKind,
@@ -518,46 +517,3 @@ def outage_curve(
             curve.append(channel.outage_analytic(effective_threshold, mean_lin))
         points.append(OutagePoint(mean_db, curve[0], curve[1]))
     return points
-
-
-@dataclass(frozen=True)
-class GenerationScenario:
-    label: str
-    n_users: int
-    n_tr: int
-    tx_power_w: float
-    distance_m: float
-
-
-@dataclass(frozen=True)
-class GenerationDensity:
-    label: str
-    density_am_w_m2: float
-    density_tr_w_m2: float
-
-
-def generation_power_density_series(
-    per_generation_configs: Sequence[GenerationScenario],
-) -> list[GenerationDensity]:
-    """Network power density per generation entry, all-active versus with
-    the entry's TR cohort silenced."""
-    if not per_generation_configs:
-        raise ValueError("per_generation_configs must be non-empty")
-    rows = []
-    for entry in per_generation_configs:
-        if entry.n_users < 1:
-            raise ValueError(f"{entry.label}: n_users must be >= 1, got {entry.n_users}")
-        if not 0 <= entry.n_tr <= entry.n_users:
-            raise ValueError(
-                f"{entry.label}: n_tr ({entry.n_tr}) must lie in [0, n_users]"
-                f" (n_users={entry.n_users})"
-            )
-        per_device = power_density(entry.tx_power_w, 1.0, entry.distance_m)
-        rows.append(
-            GenerationDensity(
-                label=entry.label,
-                density_am_w_m2=entry.n_users * per_device,
-                density_tr_w_m2=(entry.n_users - entry.n_tr) * per_device,
-            )
-        )
-    return rows

@@ -6,13 +6,13 @@ from hypothesis import given, strategies as st
 
 from trsim.channel import (
     SPEED_OF_LIGHT_M_S,
-    draw_fading_gain,
     free_space_path_loss,
     linear_to_db,
     outage_analytic,
     outage_monte_carlo,
     watts_to_dbm,
 )
+from trsim.streams import Streams
 
 
 class TestFreeSpacePathLoss:
@@ -42,19 +42,22 @@ class TestFreeSpacePathLoss:
 
 
 class TestFadingGain:
+    """The engine's Rayleigh fading: device i's power gains are the
+    unit-mean exponential draws of stream (seed, 2, i), as iter_run takes
+    them."""
+
+    @staticmethod
+    def gains(seed, n_devices=1000, n_slots=1000):
+        return Streams(seed, 2, np.arange(n_devices)).exponential(n_slots)
+
     def test_unit_mean(self):
-        rng = np.random.default_rng(123)
-        n = 10**6
-        total = 0.0
-        for _ in range(n):
-            total += draw_fading_gain(rng)
-        assert total / n == pytest.approx(1.0, abs=0.005)
+        # 10^6 draws: the standard error of the mean is 0.001
+        assert self.gains(123).mean() == pytest.approx(1.0, abs=0.005)
 
     def test_distribution_matches_exponential_cdf(self):
-        # Kolmogorov-Smirnov distance against 1 - exp(-x), n = 1e5
-        rng = np.random.default_rng(7)
-        n = 10**5
-        gains = np.sort(np.array([draw_fading_gain(rng) for _ in range(n)]))
+        # Kolmogorov-Smirnov distance against 1 - exp(-x), n = 1e6
+        gains = np.sort(self.gains(7), axis=None)
+        n = gains.size
         model_cdf = 1.0 - np.exp(-gains)
         upper = np.arange(1, n + 1) / n
         lower = np.arange(0, n) / n
@@ -62,15 +65,10 @@ class TestFadingGain:
         assert ks < 1.36 / math.sqrt(n)
 
     def test_fixed_seed_reproduces_sequence(self):
-        a = np.random.default_rng(42)
-        b = np.random.default_rng(42)
-        seq_a = [draw_fading_gain(a) for _ in range(100)]
-        seq_b = [draw_fading_gain(b) for _ in range(100)]
-        assert seq_a == seq_b
+        assert np.array_equal(self.gains(42, 10, 100), self.gains(42, 10, 100))
 
     def test_non_negative(self):
-        rng = np.random.default_rng(5)
-        assert all(draw_fading_gain(rng) >= 0.0 for _ in range(1000))
+        assert (self.gains(5, 10, 100) >= 0.0).all()
 
 
 class TestOutageAnalytic:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import tracemalloc
 from collections import namedtuple
 from dataclasses import fields, replace
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import make_config
+from conftest import REPO_ROOT, make_config
 from trsim import channel, rrc, sim
 from trsim.channel import db_to_linear, free_space_path_loss, outage_analytic, watts_to_dbm
 from trsim.cli import RUN_CSV_COLUMNS, RUN_KINDS, Coded, _run_chunks, _write_csv
@@ -30,11 +31,9 @@ from trsim.sim import (
     RRC_STATES,
     ConfigError,
     DeviceSpec,
-    GenerationScenario,
     _am_uplink_mask,
     _db,
     build_devices,
-    generation_power_density_series,
     iter_run,
     outage_curve,
     run_scenario,
@@ -128,6 +127,17 @@ def switching_config(**overrides):
     )
     base.update(overrides)
     return make_config(**base)
+
+
+def test_readme_library_example(monkeypatch, capsys):
+    """README's library example runs from the repo root and prints the TR
+    cohort's share of the uplink interference: 30 of 50 devices stay AM."""
+    readme = (REPO_ROOT / "README.md").read_text()
+    section = readme[readme.index("## Library use"):]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    monkeypatch.chdir(REPO_ROOT)
+    exec(code, {})
+    assert float(capsys.readouterr().out) == pytest.approx(0.6, abs=1e-12)
 
 
 class TestRunScenario:
@@ -372,7 +382,7 @@ def scalar_run(cfg):
     for t in range(cfg.n_slots):
         rows = []
         for i in range(n):
-            gain = channel.draw_fading_gain(fading[i])
+            gain = float(fading[i].exponential())
             rx_w = cfg.bs_tx_power_w / loss[i] * gain
             rss_dbm = watts_to_dbm(rx_w)
             events = []
@@ -976,40 +986,47 @@ class TestOutageCurve:
             outage_curve(self.interference_limited(), [])
 
 
-class TestGenerationSeries:
-    def entries(self):
-        return [
-            GenerationScenario("1g", 10, 2, 0.5, 100.0),
-            GenerationScenario("2g", 20, 5, 0.5, 100.0),
-            GenerationScenario("3g", 30, 8, 0.5, 100.0),
-            GenerationScenario("4g", 40, 12, 0.5, 100.0),
-            GenerationScenario("5g", 50, 20, 0.5, 100.0),
-        ]
+class TestRunMatchesOutageCommand:
+    """`trsim run`'s outage_am against `trsim outage`'s outage_tr. With
+    always_on_fraction = 1 and no switching, every AM device emits its full
+    power in every slot, whatever its demand, so an AM victim of the engine
+    sees the other n_am - 1 AM devices at cell-radius distance: the
+    interferers outage_curve counts once the TR cohort is silenced."""
 
-    def test_identical_configs_give_flat_am_series(self):
-        rows = generation_power_density_series(
-            [GenerationScenario(f"g{i}", 10, 0, 0.5, 100.0) for i in range(5)]
+    N_USERS, N_TR, N_SLOTS = 20, 12, 2000  # 8 AM victims: 16,000 device-slots
+    INR = 10.0  # one interferer's data power over noise
+    MEAN_SNR_DB = 25.0
+
+    def config(self, duplex, mu, seed):
+        base = make_config()
+        loss = db_to_linear(free_space_path_loss(base.cell_radius_m, base.freq_hz))
+        noise_w = base.ue_tx_power_w / loss / self.INR
+        return replace(
+            base,
+            n_users=self.N_USERS,
+            n_tr=self.N_TR,
+            n_slots=self.N_SLOTS,
+            seed=seed,
+            placement="ring",
+            duplex=duplex,
+            numerology_mu=mu,
+            always_on_fraction=1.0,
+            ul_demand_prob=0.3,
+            noise_w=noise_w,
+            bs_tx_power_w=db_to_linear(self.MEAN_SNR_DB) * loss * noise_w,
+            snr_threshold_db=10.5,
         )
-        assert len({row.density_am_w_m2 for row in rows}) == 1
 
-    def test_tr_entries_always_below_am(self):
-        for row in generation_power_density_series(self.entries()):
-            assert row.density_tr_w_m2 < row.density_am_w_m2
-
-    def test_growing_configs_give_monotone_am_series(self):
-        rows = generation_power_density_series(self.entries())
-        am = [row.density_am_w_m2 for row in rows]
-        assert am == sorted(am) and len(set(am)) == len(am)
-
-    def test_five_g_split_gives_exact_ratio(self):
-        row = generation_power_density_series([GenerationScenario("5g", 50, 20, 0.2, 1.0)])[0]
-        assert row.density_tr_w_m2 / row.density_am_w_m2 == pytest.approx(0.6, rel=1e-12)
-
-    def test_bad_entries_rejected(self):
-        with pytest.raises(ValueError):
-            generation_power_density_series([])
-        with pytest.raises(ValueError):
-            generation_power_density_series([GenerationScenario("x", 5, 9, 0.2, 1.0)])
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    @pytest.mark.parametrize("duplex, mu", [("fdd", 0), ("tdd", 1)])
+    def test_am_outage_is_the_silenced_tr_curve(self, duplex, mu, seed):
+        cfg = self.config(duplex, mu, seed)
+        result = run_scenario(cfg)
+        assert not result.mode_transitions
+        expected = outage_curve(cfg, [self.MEAN_SNR_DB])[0].outage_tr
+        n = (cfg.n_users - cfg.n_tr) * cfg.n_slots
+        sigma = math.sqrt(expected * (1.0 - expected) / n)
+        assert abs(result.outage_am - expected) <= 4.0 * sigma, (result.outage_am, expected)
 
 
 class TestExposureIntegration:
