@@ -69,10 +69,18 @@ class ExposureStandard:
         )
 
 
-def power_density(tx_power_w: float, antenna_gain_lin: float, distance_m: float) -> float:
-    """Far-field power density in W/m^2: P * G / (4 pi d^2)."""
-    if tx_power_w < 0.0:
-        raise ValueError(f"tx_power_w must be >= 0, got {tx_power_w}")
+def _check_not_negative(name: str, value: float | np.ndarray) -> None:
+    """Raise unless `value`, a float or each element but NaN of an array, is >= 0."""
+    if isinstance(value, np.ndarray):
+        name, value = f"min({name})", np.fmin.reduce(value, initial=math.inf)
+    if value < 0.0:
+        raise ValueError(f"{name} must be >= 0, got {value}")
+
+
+def power_density(tx_power_w: float | np.ndarray, antenna_gain_lin: float, distance_m: float):
+    """Far-field power density in W/m^2: P * G / (4 pi d^2), of a float power
+    or of each element of an array of powers."""
+    _check_not_negative("tx_power_w", tx_power_w)
     if antenna_gain_lin <= 0.0:
         raise ValueError(f"antenna_gain_lin must be > 0, got {antenna_gain_lin}")
     if distance_m <= 0.0:
@@ -80,11 +88,12 @@ def power_density(tx_power_w: float, antenna_gain_lin: float, distance_m: float)
     return tx_power_w * antenna_gain_lin / (4.0 * math.pi * distance_m**2)
 
 
-def e_field_from_density(s_w_m2: float) -> float:
-    """Plane-wave E-field in V/m: sqrt(S * eta0)."""
-    if s_w_m2 < 0.0:
-        raise ValueError(f"s_w_m2 must be >= 0, got {s_w_m2}")
-    return math.sqrt(s_w_m2 * FREE_SPACE_IMPEDANCE_OHM)
+def e_field_from_density(s_w_m2: float | np.ndarray) -> float | np.ndarray:
+    """Plane-wave E-field in V/m: sqrt(S * eta0), of a float density or of
+    each element of an array of densities."""
+    _check_not_negative("s_w_m2", s_w_m2)
+    sqrt = np.sqrt if isinstance(s_w_m2, np.ndarray) else math.sqrt
+    return sqrt(s_w_m2 * FREE_SPACE_IMPEDANCE_OHM)
 
 
 def complexity_metric(n_active_ul: int) -> float:
@@ -129,12 +138,8 @@ def network_exposure(
     """
     if not len(freq_hz):
         raise ValueError("device list must be non-empty")
-    if observer_distance_m <= 0.0:
-        raise ValueError(f"observer_distance_m must be > 0, got {observer_distance_m}")
-    if (emitted_w < 0.0).any():
-        raise ValueError(f"emitted_w must be >= 0, got {emitted_w.min()}")
-    density = emitted_w / (4.0 * math.pi * observer_distance_m**2)
-    e_field = np.sqrt(density * FREE_SPACE_IMPEDANCE_OHM)
+    density = power_density(emitted_w, 1.0, observer_distance_m)
+    e_field = e_field_from_density(density)
     # a running sum in device order: a pairwise sum would reorder the additions
     total_density = float(np.cumsum(density)[-1])
     network_e = e_field_from_density(total_density)

@@ -159,6 +159,7 @@ _COLUMN_EVENTS = np.array([[RRC_EVENTS.index(e) for e in pair] for pair in (
     (rrc.RrcEvent.DOWNLINK_DATA_ARRIVAL,) * 2,
 )], np.int8)
 _MODE_STATES = np.array([RRC_STATES.index(s) for s in MODE_STATES], np.int8)
+_MODE_UPLINK = np.array(MODE_UPLINK)
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,7 +183,7 @@ class Devices:
     def uplink_w(self, mode: np.ndarray) -> np.ndarray:
         """Each device's emitted uplink power in `mode` (indexes MODES): its
         tx_power_w where the mode transmits uplink (MODE_UPLINK), else 0."""
-        return np.where(np.array(MODE_UPLINK)[mode], self.tx_power_w, 0.0)
+        return np.where(_MODE_UPLINK[mode], self.tx_power_w, 0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -309,14 +310,14 @@ def _db(values: np.ndarray) -> np.ndarray:
 
 
 def _rrc_log(
-    t0: int, in_tr: np.ndarray, switched: np.ndarray, ul_demand: np.ndarray,
+    t0: int, in_tr: np.ndarray, switches: ModeTransitions, ul_demand: np.ndarray,
     dl_demand: np.ndarray,
 ) -> RrcEvents:
     """The log of every RRC event of the given slots, the first of which is
     the run's slot t0. A device-slot's events, in order: TR enter or exit
-    where the mode switched, uplink data pending where it has uplink demand
-    in AM (TR gates uplink traffic generation entirely), downlink arrival
-    where it has downlink demand.
+    where the mode switched (the chunk's ModeTransitions, `switches`), uplink
+    data pending where it has uplink demand in AM (TR gates uplink traffic
+    generation entirely), downlink arrival where it has downlink demand.
 
     Every event leads to MODE_STATES of the mode after the slot. It starts
     from that of the mode before the slot if it is the TR enter or exit,
@@ -324,7 +325,8 @@ def _rrc_log(
     TestModeStates steps rrc.transition through all 16 slot cases, in each
     of which some event is the last, and TestScalarReference checks the log
     row by row against rrc.transition."""
-    happened = np.stack([switched, ~in_tr & ul_demand, dl_demand], axis=-1)
+    happened = np.stack([np.zeros_like(in_tr), ~in_tr & ul_demand, dl_demand], axis=-1)
+    happened[switches.slot - t0, switches.device, 0] = True
     slot, device, column = np.nonzero(happened)
     tr = in_tr[slot, device].view(np.int8)
     return RrcEvents(
@@ -341,21 +343,16 @@ def _demand(traffic: Streams, slots: int, n: int, prob: float) -> np.ndarray:
     return traffic.random(slots * n).reshape(slots, n) < prob
 
 
-def _switched(before: np.ndarray, in_tr: np.ndarray) -> np.ndarray:
-    """Where a device's mode after a slot differs from its mode before it;
-    `before` is the mode after the slot before the chunk."""
-    return in_tr != np.vstack([before, in_tr[:-1]])
-
-
 def iter_run(cfg: ScenarioConfig) -> Iterator:
     """Run the scenario as a stream, in the order of its records: first the
     Devices, once the run's size (MAX_DEVICE_SLOTS) and every device's band
     are checked (the config checked itself when it was built); then the
-    Samples of each chunk of
-    ceil(ENGINE_ROWS / n) slots; then the ModeTransitions of each chunk;
-    then its RrcEvents, their `slot` counted from the run's start; last the
-    RunTotals. The Devices are not changed: the modes after the last slot
-    are the last Samples' mode[-1]. The run is a pure function of the config.
+    Samples of each chunk of ceil(ENGINE_ROWS / n) slots; then the
+    ModeTransitions of each chunk; then its RrcEvents, their `slot` counted
+    from the run's start; last the RunTotals. The Devices are not changed:
+    the modes after the last slot are the last Samples' mode[-1]. The run is
+    a pure function of the config, as long as no consumer changes a
+    ModeTransitions: the RRC log reads them back.
 
     Each slot, for every device: draw fading, evaluate the mode switch on
     the downlink received signal strength, log the RRC events that follow
@@ -364,8 +361,9 @@ def iter_run(cfg: ScenarioConfig) -> Iterator:
     uplink (MODE_UPLINK). A chunk hands on the fading streams and the fading
     drawn ahead (FADING_ROWS), the traffic stream, the last slot's modes and
     the running totals. The RRC log is rebuilt after the last sample from the
-    modes and the uplink demand, kept as a bit each per device-slot, and the
-    downlink demand, drawn then.
+    modes and the uplink demand, kept as a bit each per device-slot, the kept
+    ModeTransitions and the downlink demand, drawn then: the one traffic
+    stream goes on where the slot loop's uplink draws stopped.
     """
     population = len(cfg.devices) or cfg.n_users
     if population * cfg.n_slots > MAX_DEVICE_SLOTS:
@@ -388,13 +386,12 @@ def iter_run(cfg: ScenarioConfig) -> Iterator:
     ])
     always_on_w = cfg.always_on_fraction * devices.tx_power_w
     uplink_frame = np.array(_am_uplink_mask(cfg))
-    mode_uplink = np.array(MODE_UPLINK)
     outage_lin = channel.db_to_linear(cfg.snr_threshold_db)
     fading = Streams(cfg.seed, 2, np.arange(n))  # device i's stream is (seed, 2, i)
     fading_rows = slots * -(-FADING_ROWS // slots)  # whole chunks
     buffered = np.empty((0, n))
-    uplink_traffic = Streams(cfg.seed, 1)
-    start_tr = before = devices.mode == MODES.index(Mode.TR)
+    traffic = Streams(cfg.seed, 1)
+    before = devices.mode == MODES.index(Mode.TR)
     bits, transitions = [], []  # each chunk's modes and uplink demand, a bit each
     outages, members = [0, 0], [0, 0]  # device-slots in outage and in all, per mode
     interference_total = 0.0
@@ -403,21 +400,21 @@ def iter_run(cfg: ScenarioConfig) -> Iterator:
         if not len(buffered):
             buffered = fading.exponential(min(fading_rows, n_slots - t0))
         gain, buffered = buffered[:t1 - t0], buffered[t1 - t0:]
-        ul_demand = _demand(uplink_traffic, t1 - t0, n, cfg.ul_demand_prob)
+        ul_demand = _demand(traffic, t1 - t0, n, cfg.ul_demand_prob)
         rx_w = cfg.bs_tx_power_w / path_loss_lin * gain
         rss_dbm = _db(rx_w)
         rss_dbm += 30.0  # channel.watts_to_dbm
 
         in_tr = hold_modes(rss_dbm, cfg.rss_threshold_dbm, cfg.hysteresis_db, before)
         mode = in_tr.view(np.int8)  # indexes MODES
-        slot, device = np.nonzero(_switched(before, in_tr))
+        slot, device = np.nonzero(in_tr != np.vstack([before, in_tr[:-1]]))
         transitions.append(ModeTransitions(
             (slot + t0).astype(np.int32), device.astype(np.int32), rss_dbm[slot, device],
             mode[slot, device],
         ))
         before = in_tr[-1]
 
-        ul_active = mode_uplink[mode]
+        ul_active = _MODE_UPLINK[mode]
         bits.append(np.packbits([in_tr, ul_demand]))
         uplink_slot = uplink_frame[np.arange(t0, t1) % len(uplink_frame), None]
         ul_tx_w = np.where(
@@ -444,15 +441,11 @@ def iter_run(cfg: ScenarioConfig) -> Iterator:
         complexity_metric(int(np.count_nonzero(ul_active[-1]))),
     )
     yield from transitions
-    downlink_traffic = Streams(cfg.seed, 1).advance(n_slots * n)
-    before = start_tr
-    for (t0, t1), packed in zip(chunks, bits):
-        in_tr, ul_demand = np.unpackbits(packed, count=2 * (t1 - t0) * n).view(bool).reshape(
-            2, t1 - t0, n
-        )
-        dl_demand = _demand(downlink_traffic, t1 - t0, n, cfg.dl_demand_prob)
-        yield _rrc_log(t0, in_tr, _switched(before, in_tr), ul_demand, dl_demand)
-        before = in_tr[-1]
+    for (t0, t1), packed, switches in zip(chunks, bits, transitions):
+        shape = (2, t1 - t0, n)
+        in_tr, ul_demand = np.unpackbits(packed, count=math.prod(shape)).view(bool).reshape(shape)
+        dl_demand = _demand(traffic, t1 - t0, n, cfg.dl_demand_prob)
+        yield _rrc_log(t0, in_tr, switches, ul_demand, dl_demand)
     yield totals
 
 

@@ -21,11 +21,12 @@ them against the installed numpy). What it ports:
     libm's exp and log1p, as numpy's C code does.
 
 The 128-bit arithmetic is on (hi, lo) pairs of uint64 arrays, through 32-bit
-limbs. A jump of k steps is the affine map s -> a**k s + inc (1 + a + ... +
-a**(k-1)) mod 2**128. The streams, each with its own inc, apply the
-multipliers of 1..BASE_ROWS steps with each stream's own addends, computed
-once, and double from there: the states after k+1..2k steps are those
-after 1..k steps jumped k more.
+limbs. A stream is only ever drawn forward. A draw computes its states at
+once: a jump of k steps is the affine map s -> a**k s + inc (1 + a + ... +
+a**(k-1)) mod 2**128, and the streams, each with its own inc, apply the jumps
+of 1..BASE_ROWS steps with their own addends, kept, then double from there by
+jumps of powers of two: the states after k+1..2k steps are those after 1..k
+steps jumped k more.
 """
 
 from __future__ import annotations
@@ -271,18 +272,6 @@ def _affine(hi, lo, m, add_hi, add_lo, out_hi=None, out_lo=None):
     return high, out_lo
 
 
-def _jump(steps: int) -> tuple[int, int]:
-    """The jump of `steps` steps as (a**steps, 1 + a + ... + a**(steps-1)) mod
-    2**128: it takes s to a**steps s + inc (1 + ... + a**(steps-1))."""
-    mult, plus, step_mult, step_plus = 1, 0, MULTIPLIER, 1
-    while steps:
-        if steps & 1:
-            mult, plus = mult * step_mult & M128, (plus * step_mult + step_plus) & M128
-        step_mult, step_plus = step_mult * step_mult & M128, step_plus * (step_mult + 1) & M128
-        steps >>= 1
-    return mult, plus
-
-
 def _walk(out_hi, out_lo, done: int, pluses) -> None:
     """Fill in the states of streams after done+1.. steps, in (streams, steps)
     arrays whose first `done` columns (a power of two) hold those after
@@ -297,9 +286,10 @@ def _walk(out_hi, out_lo, done: int, pluses) -> None:
         done += cols
 
 
-# a**(2**i), the multiplier of a jump of 2**i steps, for every jump _walk makes
-_JUMP_MULTS = [MULTIPLIER]
-while len(_JUMP_MULTS) < TILE.bit_length():
+# each jump _walk makes, of k = 2**i steps: a**k and G(k) = 1 + a + ... + a**(k-1)
+_JUMP_MULTS, _JUMP_PLUSES = [MULTIPLIER], [1]
+while len(_JUMP_MULTS) < (TILE - 1).bit_length():
+    _JUMP_PLUSES.append(_JUMP_PLUSES[-1] * (_JUMP_MULTS[-1] + 1) & M128)  # G(2k) = G(k) (a**k + 1)
     _JUMP_MULTS.append(_JUMP_MULTS[-1] ** 2 & M128)
 
 
@@ -310,8 +300,8 @@ def _table():
     with increment 0, and of one from 0 with increment 1."""
     hi, lo = np.empty((2, BASE_ROWS), np.uint64), np.empty((2, BASE_ROWS), np.uint64)
     hi[:, 0], lo[:, 0] = [MULTIPLIER >> 64, 0], [MULTIPLIER & M64, 1]
-    incs = np.zeros(2, np.uint64), np.array([0, 1], np.uint64)
-    pluses = [_affine(*incs, _jump(1 << i)[1], 0, 0) for i in range(BASE_ROWS.bit_length())]
+    pluses = [(np.array([0, p >> 64], np.uint64), np.array([0, p & M64], np.uint64))
+              for p in _JUMP_PLUSES]  # those of increments 0 and 1: 0 and the sums
     _walk(hi, lo, 1, pluses)
     hi.flags.writeable = lo.flags.writeable = False  # shared by every caller
     return hi[0], lo[0], hi[1], lo[1]
@@ -343,7 +333,8 @@ class Streams:
     The entries of `entropy` are ints; the last may be an array of ints below
     2**32, one stream per element. A draw of k values from each stream gives
     a (k, streams) array, column j the next k values of stream j, and each
-    stream's draws go on where its last draw stopped.
+    stream's draws go on where its last draw stopped: a stream is only ever
+    drawn forward, and its only jumps are of powers of two inside one draw.
     """
 
     def __init__(self, *entropy):
@@ -357,14 +348,6 @@ class Streams:
         )
         self._pluses = []  # each stream's addends of jumps of 1, 2, 4, ... steps
         self._base = None  # each stream's addends of 1..BASE_ROWS steps
-
-    def advance(self, steps: int) -> Streams:
-        """Jump every stream `steps` draws ahead, as PCG64.advance does."""
-        mult, plus = _jump(steps)
-        self.hi, self.lo = _affine(
-            self.hi, self.lo, mult, *_affine(self.inc_hi, self.inc_lo, plus, 0, 0)
-        )
-        return self
 
     def _states(self, cols, steps: int):
         """The states of the streams `cols` (a slice or an index array) after
@@ -398,8 +381,7 @@ class Streams:
                 (laid(a_hi[None, :done]), laid(a_lo[None, :done])),
                 laid(self._base[0][cols, :done]), laid(self._base[1][cols, :done]),
                 laid(out_hi[:, :done]), laid(out_lo[:, :done]))
-        while len(self._pluses) < steps.bit_length():
-            plus = _jump(1 << len(self._pluses))[1]
+        for plus in _JUMP_PLUSES[len(self._pluses):(steps - 1).bit_length()]:
             self._pluses.append(_affine(self.inc_hi, self.inc_lo, plus, 0, 0))
         _walk(out_hi, out_lo, done, [(hi[cols], lo[cols]) for hi, lo in self._pluses])
         return out_hi, out_lo

@@ -48,6 +48,13 @@ class TestPowerDensity:
         with pytest.raises(ValueError):
             power_density(1.0, 1.0, 0.0)
 
+    def test_array_is_each_elements_scalar_call(self):
+        powers = np.array([0.0, -0.0, 0.2, 0.02, 1 / 3, 7.5e-4, 12.0])
+        expected = [power_density(p, 1.0, 1.7) for p in powers.tolist()]
+        assert power_density(powers, 1.0, 1.7).tolist() == expected
+        with pytest.raises(ValueError, match=r"min\(tx_power_w\) must be >= 0, got -1e-09"):
+            power_density(np.array([0.2, -1e-9, 0.1]), 1.0, 1.7)
+
 
 class TestEField:
     def test_zero(self):
@@ -66,6 +73,13 @@ class TestEField:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             e_field_from_density(-1e-9)
+
+    def test_array_is_each_elements_scalar_call(self):
+        densities = np.array([0.0, 1.0, 1 / 3, 2.5e-7, 0.0159, 40.0])
+        expected = [e_field_from_density(d) for d in densities.tolist()]
+        assert e_field_from_density(densities).tolist() == expected
+        with pytest.raises(ValueError, match=r"min\(s_w_m2\) must be >= 0, got -1e-09"):
+            e_field_from_density(np.array([1.0, 0.5, -1e-9]))
 
 
 def _network_er(e_field_v_per_m: float, freq_hz: float) -> tuple[float, float]:

@@ -92,9 +92,13 @@ class TestDraws:
             assert port.random(size)[:, 0].tolist() == numpy.random(size).tolist()
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_advance(self, seed):
-        port, numpy = Streams(seed, 1).advance(12345), numpy_stream(seed, 1)
-        numpy.bit_generator.advance(12345)
+    def test_draws_go_on_where_the_last_stopped(self, seed):
+        """A stream drawn forward in chunks, as the run draws its traffic
+        stream: chunks of uplink demand, then the downlink's values from where
+        the uplink's 12,345 stopped, are numpy's values 12,346 onwards."""
+        port, numpy = Streams(seed, 1), numpy_stream(seed, 1)
+        ul = np.concatenate([port.random(k)[:, 0] for k in (4096, 4096, 4096, 57)])
+        assert ul.tolist() == numpy.random(12345).tolist()
         assert port.random(4)[:, 0].tolist() == numpy.random(4).tolist()
 
     @pytest.mark.parametrize("seed", SEEDS)
