@@ -80,9 +80,11 @@ NETWORK_TOTAL = "network-total"
 
 class Coded(NamedTuple):
     """A column of labels given as an array of codes into a table, so that
-    an encoder escapes each distinct label once rather than once per record."""
+    an encoder writes each distinct label once per run rather than once per
+    record. The labels are a tuple, each escaped, or a float64 array, whose
+    text textcols renders at once, as that of a float column."""
 
-    labels: tuple
+    labels: tuple | np.ndarray
     codes: np.ndarray
 
 
@@ -109,11 +111,45 @@ def _chunk(kind: str, records: list[tuple]) -> tuple[str, tuple]:
     return kind, tuple(Coded(column, codes) for column in zip(*records))
 
 
-def _run_chunks(devices: Devices, run: Iterator) -> Chunks:
+def _tx_table(tx_power_w: np.ndarray, always_on_fraction: float) -> tuple:
+    """ul_tx_w's labels and each device's code of its always-on power. A
+    device-slot's ul_tx_w is 0.0, the device's always-on power or its tx
+    power (sim.iter_run). The labels are 0.0, then for each distinct bit
+    pattern of tx power its always-on power and itself, so that a device's
+    code of its tx power is one more than that of its always-on power. The
+    codes are int8 where the labels allow it."""
+    bits = np.sort(tx_power_w.view(np.uint64), kind="stable")
+    powers = bits[np.r_[True, bits[1:] != bits[:-1]]]
+    which = np.searchsorted(powers, tx_power_w.view(np.uint64))
+    powers = powers.view(np.float64)
+    labels = np.concatenate([[0.0], np.column_stack([always_on_fraction * powers, powers]).ravel()])
+    dtype = np.int8 if len(labels) <= np.iinfo(np.int8).max else np.int32
+    return labels, (2 * which + 1).astype(dtype)
+
+
+def _tx_codes(ul_tx_w: np.ndarray, tx_bits: np.ndarray, always_on_bits: np.ndarray,
+              always_on_code: np.ndarray) -> np.ndarray:
+    """The codes into _tx_table's labels of a (slots, n) ul_tx_w, matched by
+    bit pattern, so that -0.0 keeps its text: each value is 0.0, its
+    device's always-on power (bits `always_on_bits`) or its tx power (bits
+    `tx_bits`); any other value is a bug."""
+    bits = ul_tx_w.view(np.uint64)
+    data = bits == tx_bits
+    on = data | (bits == always_on_bits)
+    if not (on | (bits == 0)).all():
+        raise RuntimeError("ul_tx_w holds a value that is none of its device's three")
+    return (always_on_code * on + data).ravel()
+
+
+def _run_chunks(devices: Devices, run: Iterator, always_on_fraction: float) -> Chunks:
     """The records of sim.iter_run's stream, its columns labelled: `devices`
-    is its first item and `run` the rest."""
+    is its first item and `run` the rest, of a config with the given
+    always_on_fraction."""
     ids = devices.device_id
     n = len(ids)
+    tx_labels, always_on_code = _tx_table(devices.tx_power_w, always_on_fraction)
+    tx_bits = devices.tx_power_w.view(np.uint64)
+    always_on_bits = (always_on_fraction * devices.tx_power_w).view(np.uint64)
     # `_value_` is `.value` without its property call
     modes = tuple(m._value_ for m in MODES)
     flipped = modes[::-1]  # a transition's from, coded by its to
@@ -127,11 +163,15 @@ def _run_chunks(devices: Devices, run: Iterator) -> Chunks:
         if isinstance(part, Samples):
             # in record order, slot by slot, then device by device
             slots = len(part.mode)
-            mode, gain, rss, sinr, tx = (getattr(part, f.name).ravel() for f in fields(part))
+            mode, gain, rss, sinr = (
+                c.ravel() for c in (part.mode, part.fading_gain, part.rss_dbm, part.sinr_db)
+            )
+            tx = _tx_codes(part.ul_tx_w, tx_bits, always_on_bits, always_on_code)
             yield "sample", (
                 np.arange(first, first + slots, dtype=np.int32).repeat(n),
                 Coded(ids, np.tile(np.arange(n, dtype=np.int32), slots)), Coded(modes, mode),
-                Coded(mode_states, mode), gain, rss, sinr, Coded(mode_uplink, mode), tx,
+                Coded(mode_states, mode), gain, rss, sinr, Coded(mode_uplink, mode),
+                Coded(tx_labels, tx),
             )
             first += slots
         elif isinstance(part, ModeTransitions):
@@ -188,11 +228,12 @@ def _write_chunks(fh: IO[bytes], layouts: dict, chunks: Chunks, escape) -> None:
     and the floats of an array as str and repr do, which is what both
     escapes write for them, and leaves the floats that repr writes in
     exponent form, and non-finite ones, to `escape`. A Coded column's labels
-    are escaped once per run.
+    are written once per run: a tuple's each by `escape`, a float array's
+    by textcols, as it writes a float column.
     """
     pad = bytes([textcols.PAD])
-    # id of a label tuple -> the tuple (held, so that the id stays its own)
-    # and its labels' padded text
+    # id of a Coded column's labels -> the labels (held, so that the id stays
+    # their own) and their padded text
     tables: dict[int, tuple] = {}
     shape = spans = buffer = matrix = None  # the kept matrix, by kind and block widths
     for kind, chunk in chunks:
@@ -212,7 +253,10 @@ def _write_chunks(fh: IO[bytes], layouts: dict, chunks: Chunks, escape) -> None:
             for j, column in enumerate(columns):
                 if isinstance(column, Coded):
                     if id(column.labels) not in tables:
-                        texts = textcols.labels([escape(label) for label in column.labels])
+                        if isinstance(column.labels, np.ndarray):
+                            texts = textcols.float_labels(column.labels, escape)
+                        else:
+                            texts = textcols.labels([escape(label) for label in column.labels])
                         tables[id(column.labels)] = column.labels, texts
                     coded = tables[id(column.labels)][1].take(column.codes)
                     blocks[j] = coded.view(np.uint8).reshape(len(coded), -1)
@@ -318,9 +362,11 @@ def _load_config(args: argparse.Namespace) -> ScenarioConfig:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    run = iter_run(_load_config(args))
+    cfg = _load_config(args)
+    run = iter_run(cfg)
     devices = next(run)  # the config is checked by now, before the output is opened
-    return _emit(args, RUN_CSV_COLUMNS, RUN_KINDS, _run_chunks(devices, run))
+    chunks = _run_chunks(devices, run, cfg.always_on_fraction)
+    return _emit(args, RUN_CSV_COLUMNS, RUN_KINDS, chunks)
 
 
 def _cmd_outage(args: argparse.Namespace) -> int:

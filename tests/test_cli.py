@@ -6,7 +6,7 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import astuple
+from dataclasses import astuple, replace
 from io import BytesIO, StringIO
 
 import numpy as np
@@ -557,14 +557,19 @@ class TestEncoderEqualsReference:
     )
     def test_run(self, seed, n_slots, hysteresis_db, data):
         """Run chunks with any floats in the first sample chunk's float
-        columns, and metrics of every type."""
-        run = sim.iter_run(id_config(seed, n_slots, hysteresis_db))
-        chunks = list(cli._run_chunks(next(run), run))
+        columns and as the labels of its ul_tx_w, coded at random, and
+        metrics of every type."""
+        cfg = id_config(seed, n_slots, hysteresis_db)
+        run = sim.iter_run(cfg)
+        chunks = list(cli._run_chunks(next(run), run, cfg.always_on_fraction))
         kind, columns = chunks[0]
         n = len(columns[0])
         columns = list(columns)
-        for j in (4, 5, 6, 8):  # fading_gain, rss_dbm, sinr_db, ul_tx_w
+        for j in (4, 5, 6):  # fading_gain, rss_dbm, sinr_db
             columns[j] = data.draw(arrays(np.float64, n, elements=ANY_FLOAT))
+        labels = data.draw(arrays(np.float64, st.integers(1, 9), elements=ANY_FLOAT))
+        codes = data.draw(arrays(np.int32, n, elements=st.integers(0, len(labels) - 1)))
+        columns[8] = Coded(labels, codes)  # ul_tx_w
         chunks[0] = kind, tuple(columns)
         chunks.append(cli._chunk("metric", [
             ("none", None), ("nan", math.nan), ("inf", -math.inf), ("int", 3),
@@ -593,22 +598,59 @@ class TestEncoderEqualsReference:
 
 
 class TestTxPowerText:
-    def test_each_bit_pattern_keeps_its_text(self):
-        """ul_tx_w is written as the reference encoder writes it, with -0.0
-        and 0.0 apart and an inexact always-on power (0.1 x 0.2) in full."""
-        devices = (
-            "device = neg 300.0 -0.0 3.5e9 am\n"
-            "device = pos 310.0 0.0 3.5e9 am\n"
-            "device = big 320.0 0.3 3.5e9 am\n"
-            "device = odd 330.0 0.2 3.5e9 am\n"
-        )
+    DEVICES = (
+        "device = neg 300.0 -0.0 3.5e9 am\n"
+        "device = pos 310.0 0.0 3.5e9 am\n"
+        "device = big 320.0 0.3 3.5e9 am\n"
+        "device = odd 330.0 0.2 3.5e9 am\n"
+        "device = negtr 340.0 -0.0 3.5e9 tr\n"  # writes 0.0: TR sends no uplink
+    )
+
+    def config(self, always_on_fraction: float):
         text = re.sub(r"(?m)^n_slots = .*$", "n_slots = 30", SCENARIO_TR50.read_text())
         text = re.sub(r"(?m)^ul_demand_prob = .*$", "ul_demand_prob = 0.5", text)
-        run = sim.iter_run(parse_config(text + "\n[devices]\n" + devices))
-        chunks = cli._run_chunks(next(run), run)
+        text = re.sub(
+            r"(?m)^always_on_fraction = .*$", f"always_on_fraction = {always_on_fraction}", text
+        )
+        return parse_config(text + "\n[devices]\n" + self.DEVICES)
+
+    @pytest.mark.parametrize("always_on_fraction, values", [
+        (0.1, ("-0.0", "0.0", "0.03", "0.3", "0.020000000000000004", "0.2")),
+        # two of a device's three values share a bit pattern
+        (0.0, ("-0.0", "0.0", "0.3", "0.2")),
+        (1.0, ("-0.0", "0.0", "0.3", "0.2")),
+    ])
+    def test_each_bit_pattern_keeps_its_text(self, always_on_fraction, values):
+        """ul_tx_w is coded to the engine's very bits, and written as the
+        reference encoder writes it, with -0.0 and 0.0 apart and an inexact
+        always-on power (0.1 x 0.2) in full."""
+        cfg = self.config(always_on_fraction)
+        devices, *parts = sim.iter_run(cfg)
+        chunks = list(cli._run_chunks(devices, iter(parts), cfg.always_on_fraction))
+        samples = [part for part in parts if isinstance(part, sim.Samples)]
+        for part, (kind, columns) in zip(samples, chunks):
+            tx = columns[8]
+            assert kind == "sample" and len(tx.labels) == 9  # 0.0, then 2 per distinct power
+            assert np.array_equal(
+                tx.labels[tx.codes].view(np.uint64), part.ul_tx_w.ravel().view(np.uint64)
+            )
         for text in check_encoder(RUN_CSV_COLUMNS, RUN_KINDS, chunks):
             for value in ("-0.0", "0.0", "0.03", "0.3", "0.020000000000000004", "0.2"):
-                assert re.search(rf"[ ,]{re.escape(value)}[,}}]", text), value
+                written = re.search(rf"[ ,]{re.escape(value)}[,}}]", text)
+                assert bool(written) == (value in values), value
+
+    @pytest.mark.parametrize("device, value", [(2, 0.25), (1, -0.0), (3, 0.02)])
+    def test_a_value_none_of_the_devices_three_is_refused(self, device, value):
+        """A ul_tx_w that is neither 0.0 nor the device's always-on power
+        (here 0.1 x 0.2 for odd) nor its tx power is a bug, and -0.0 is not
+        0.0: a code would write another text than the engine's."""
+        cfg = self.config(0.1)
+        devices, part, *_ = sim.iter_run(cfg)
+        ul_tx_w = part.ul_tx_w.copy()
+        ul_tx_w[3, device] = value
+        bad = replace(part, ul_tx_w=ul_tx_w)
+        with pytest.raises(RuntimeError, match="ul_tx_w"):
+            next(cli._run_chunks(devices, iter([bad]), cfg.always_on_fraction))
 
 
 class TestKeptMatrix:
@@ -663,20 +705,38 @@ WORKLOAD_DIGESTS = {
     "switch-jsonl": "e34b267d5585e9f4c4d9a624eaea74f86ef62ab95c100d122c9958a5fcc4c162",
     "narrow-long-csv": "fcdda0f5efac0c516cccff483bbd96cc203e836077e9bae51acef60b781a5d05",
 }
+# and on scenario_tr50.cfg as a 20,000-device ring (8,000 TR) x 5 slots, CSV,
+# at its seed: wider than any workload, it reaches streams._walk's doubling
+# past a stream's kept addends, the engine's FADING_ROWS look-ahead and a
+# ul_tx_w table coded for 20,000 devices
+WIDE_RING_DIGEST = "0ce8f6aa9d489598031f735ecb93f8314ba85fe78b525265bcbd8721c6a1e8ff"
+
+
+def check_run_digest(config_text: str, fmt: str, digest: str, what: str, tmp_path) -> None:
+    """`trsim run` on the config writes, in the format, bytes of the sha256."""
+    config, out = tmp_path / "run.cfg", tmp_path / "out"
+    config.write_text(config_text, encoding="utf-8")
+    assert run_cli(["run", "--config", str(config), "--format", fmt, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, (
+        f"`trsim run` on {what} wrote other bytes. They need glibc's FMA `log`"
+        " kernel, as the goldens do: if tests/test_channel.py::TestHostLog10 fails"
+        " too, this host's log is the cause, not the code"
+    )
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS.WORKLOADS))
 def test_benchmark_workload_output_is_pinned(name, tmp_path):
-    config, out = tmp_path / "workload.cfg", tmp_path / "out"
-    config.write_text(workload_config_text(name), encoding="utf-8")
     fmt = WORKLOADS.WORKLOADS[name].output_format
-    assert run_cli(["run", "--config", str(config), "--format", fmt, "--out", str(out)]) == 0
-    digest = hashlib.sha256(out.read_bytes()).hexdigest()
-    assert digest == WORKLOAD_DIGESTS[name], (
-        f"`trsim run` on the {name} workload wrote other bytes. They need glibc's"
-        " FMA `log` kernel, as the goldens do: if tests/test_channel.py::TestHostLog10"
-        " fails too, this host's log is the cause, not the code"
+    check_run_digest(
+        workload_config_text(name), fmt, WORKLOAD_DIGESTS[name], f"the {name} workload", tmp_path
     )
+
+
+def test_wide_ring_output_is_pinned(tmp_path):
+    text = SCENARIO_TR50.read_text()
+    for key, value in (("n_users", 20_000), ("n_tr", 8_000), ("n_slots", 5)):
+        text = re.sub(rf"(?m)^{key} = .*$", f"{key} = {value}", text)
+    check_run_digest(text, "csv", WIDE_RING_DIGEST, "the wide ring", tmp_path)
 
 
 @pytest.mark.parametrize("fmt", OUTPUT_FORMATS)

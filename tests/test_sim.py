@@ -92,7 +92,7 @@ def run_records(cfg):
     """The records of `trsim run` as cli._run_chunks gives them, each as its
     kind and a dict of its keys, with coded columns decoded to labels."""
     run = iter_run(cfg)
-    for kind, columns in _run_chunks(next(run), run):
+    for kind, columns in _run_chunks(next(run), run, cfg.always_on_fraction):
         values = [
             [c.labels[j] for j in c.codes] if isinstance(c, Coded)
             else c.tolist() if isinstance(c, np.ndarray) else c
@@ -522,7 +522,8 @@ class TestStreamedEngine:
             with mock.patch.object(sim, "ENGINE_ROWS", slots_per_chunk * n_users):
                 out = BytesIO()
                 stream = iter_run(cfg)
-                _write_csv(out, RUN_CSV_COLUMNS, RUN_KINDS, _run_chunks(next(stream), stream))
+                chunks = _run_chunks(next(stream), stream, cfg.always_on_fraction)
+                _write_csv(out, RUN_CSV_COLUMNS, RUN_KINDS, chunks)
                 return run_scenario(cfg), out.getvalue().decode()
 
         whole = run(n_slots)
