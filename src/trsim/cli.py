@@ -111,34 +111,14 @@ def _chunk(kind: str, records: list[tuple]) -> tuple[str, tuple]:
     return kind, tuple(Coded(column, codes) for column in zip(*records))
 
 
-def _tx_table(tx_power_w: np.ndarray, always_on_fraction: float) -> tuple:
-    """ul_tx_w's labels and each device's code of its always-on power. A
-    device-slot's ul_tx_w is 0.0, the device's always-on power or its tx
-    power (sim.iter_run). The labels are 0.0, then for each distinct bit
-    pattern of tx power its always-on power and itself, so that a device's
-    code of its tx power is one more than that of its always-on power. The
-    codes are int8 where the labels allow it."""
-    bits = np.sort(tx_power_w.view(np.uint64), kind="stable")
-    powers = bits[np.r_[True, bits[1:] != bits[:-1]]]
-    which = np.searchsorted(powers, tx_power_w.view(np.uint64))
-    powers = powers.view(np.float64)
-    labels = np.concatenate([[0.0], np.column_stack([always_on_fraction * powers, powers]).ravel()])
-    dtype = np.int8 if len(labels) <= np.iinfo(np.int8).max else np.int32
-    return labels, (2 * which + 1).astype(dtype)
-
-
-def _tx_codes(ul_tx_w: np.ndarray, tx_bits: np.ndarray, always_on_bits: np.ndarray,
-              always_on_code: np.ndarray) -> np.ndarray:
-    """The codes into _tx_table's labels of a (slots, n) ul_tx_w, matched by
-    bit pattern, so that -0.0 keeps its text: each value is 0.0, its
-    device's always-on power (bits `always_on_bits`) or its tx power (bits
-    `tx_bits`); any other value is a bug."""
-    bits = ul_tx_w.view(np.uint64)
-    data = bits == tx_bits
-    on = data | (bits == always_on_bits)
-    if not (on | (bits == 0)).all():
-        raise RuntimeError("ul_tx_w holds a value that is none of its device's three")
-    return (always_on_code * on + data).ravel()
+def _tx_table(levels_w: np.ndarray) -> tuple:
+    """ul_tx_w's labels, the distinct bit patterns of the (3, n) table of
+    each device's uplink levels (Devices.uplink_levels_w), so that -0.0
+    keeps its text, and each level's code into them, a (3, n) table."""
+    bits = np.sort(levels_w.view(np.uint64).ravel(), kind="stable")
+    labels = bits[np.r_[True, bits[1:] != bits[:-1]]]
+    codes = np.searchsorted(labels, levels_w.view(np.uint64)).astype(np.int32)
+    return labels.view(np.float64), codes
 
 
 def _run_chunks(devices: Devices, run: Iterator, always_on_fraction: float) -> Chunks:
@@ -147,9 +127,7 @@ def _run_chunks(devices: Devices, run: Iterator, always_on_fraction: float) -> C
     always_on_fraction."""
     ids = devices.device_id
     n = len(ids)
-    tx_labels, always_on_code = _tx_table(devices.tx_power_w, always_on_fraction)
-    tx_bits = devices.tx_power_w.view(np.uint64)
-    always_on_bits = (always_on_fraction * devices.tx_power_w).view(np.uint64)
+    tx_labels, tx_codes = _tx_table(devices.uplink_levels_w(always_on_fraction))
     # `_value_` is `.value` without its property call
     modes = tuple(m._value_ for m in MODES)
     flipped = modes[::-1]  # a transition's from, coded by its to
@@ -166,7 +144,7 @@ def _run_chunks(devices: Devices, run: Iterator, always_on_fraction: float) -> C
             mode, gain, rss, sinr = (
                 c.ravel() for c in (part.mode, part.fading_gain, part.rss_dbm, part.sinr_db)
             )
-            tx = _tx_codes(part.ul_tx_w, tx_bits, always_on_bits, always_on_code)
+            tx = np.take_along_axis(tx_codes, part.ul_level, 0).ravel()
             yield "sample", (
                 np.arange(first, first + slots, dtype=np.int32).repeat(n),
                 Coded(ids, np.tile(np.arange(n, dtype=np.int32), slots)), Coded(modes, mode),
@@ -353,7 +331,8 @@ def _out_stream(path: str):
 
 def _load_config(args: argparse.Namespace) -> ScenarioConfig:
     try:
-        with open(args.config, "r", encoding="utf-8") as fh:
+        # utf-8-sig: a leading byte-order mark is not config text
+        with open(args.config, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise ConfigError([f"{args.config}: not UTF-8 text: {exc}"]) from None

@@ -30,7 +30,7 @@ Modeling choices, at desk scale:
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass, fields
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -185,19 +185,16 @@ class Devices:
         tx_power_w where the mode transmits uplink (MODE_UPLINK), else 0."""
         return np.where(_MODE_UPLINK[mode], self.tx_power_w, 0.0)
 
-
-@dataclass(frozen=True, eq=False)
-class _Log:
-    """Columns of one length, one row per logged event."""
-
-    __eq__ = equal_fields
-
-    def __len__(self) -> int:
-        return len(self.slot)
+    def uplink_levels_w(self, always_on_fraction: float) -> np.ndarray:
+        """Each device's three uplink levels, the rows of a (3, n) table that
+        Samples.ul_level indexes: silent (+0.0), always-on
+        (always_on_fraction x tx_power_w) and data (tx_power_w)."""
+        power = self.tx_power_w
+        return np.stack([np.zeros_like(power), always_on_fraction * power, power])
 
 
 @dataclass(frozen=True, eq=False)
-class ModeTransitions(_Log):
+class ModeTransitions:
     """One row per mode transition, in slot, then device order. `device`
     indexes the rows of Devices and `new` indexes MODES; the mode before is
     the other one, since a transition flips the mode."""
@@ -207,9 +204,11 @@ class ModeTransitions(_Log):
     rss_dbm: np.ndarray
     new: np.ndarray
 
+    __eq__ = equal_fields
+
 
 @dataclass(frozen=True, eq=False)
-class RrcEvents(_Log):
+class RrcEvents:
     """One row per RRC event, in slot, then device, then event order.
     `device` indexes the rows of Devices, `event` indexes RRC_EVENTS, and `old`
     and `new` index RRC_STATES."""
@@ -219,6 +218,8 @@ class RrcEvents(_Log):
     event: np.ndarray
     old: np.ndarray
     new: np.ndarray
+
+    __eq__ = equal_fields
 
 
 @dataclass(frozen=True, eq=False)
@@ -231,7 +232,7 @@ class Samples:
     fading_gain: np.ndarray
     rss_dbm: np.ndarray
     sinr_db: np.ndarray
-    ul_tx_w: np.ndarray
+    ul_level: np.ndarray  # int8: 0 silent, 1 always-on, 2 data (Devices.uplink_levels_w)
 
     __eq__ = equal_fields
 
@@ -261,13 +262,22 @@ class SimResult(RunTotals, Samples):
 
     __eq__ = equal_fields
 
+    @property
+    def ul_tx_w(self) -> np.ndarray:
+        """Each device-slot's emitted uplink power, in W: the row of
+        Devices.uplink_levels_w that its ul_level names."""
+        levels = self.devices.uplink_levels_w(self.config.always_on_fraction)
+        return np.take_along_axis(levels, self.ul_level, 0)
+
 
 def build_devices(cfg: ScenarioConfig) -> Devices:
     """Materialize the device population: explicit [devices] entries when
     given, otherwise seed-derived placement with the TR cohort assigned to
     the weakest links."""
     if cfg.devices:
-        ids, distances, tx_power, freq, modes = zip(*(astuple(s) for s in cfg.devices))
+        ids, distances, tx_power, freq, modes = (
+            tuple(getattr(s, f.name) for s in cfg.devices) for f in fields(DeviceSpec)
+        )
         return Devices(ids, np.array(distances), np.array(tx_power), np.array(freq),
                        np.array([MODES.index(m) for m in modes], np.int8))
     n = cfg.n_users
@@ -384,7 +394,7 @@ def iter_run(cfg: ScenarioConfig) -> Iterator:
         channel.db_to_linear(channel.free_space_path_loss(d, f))
         for d, f in zip(devices.distance_m.tolist(), devices.freq_hz.tolist())
     ])
-    always_on_w = cfg.always_on_fraction * devices.tx_power_w
+    own_levels_w = devices.uplink_levels_w(cfg.always_on_fraction) / path_loss_lin
     uplink_frame = np.array(_am_uplink_mask(cfg))
     outage_lin = channel.db_to_linear(cfg.snr_threshold_db)
     fading = Streams(cfg.seed, 2, np.arange(n))  # device i's stream is (seed, 2, i)
@@ -417,10 +427,8 @@ def iter_run(cfg: ScenarioConfig) -> Iterator:
         ul_active = _MODE_UPLINK[mode]
         bits.append(np.packbits([in_tr, ul_demand]))
         uplink_slot = uplink_frame[np.arange(t0, t1) % len(uplink_frame), None]
-        ul_tx_w = np.where(
-            ul_active, np.where(ul_demand & uplink_slot, devices.tx_power_w, always_on_w), 0.0
-        )
-        own_w = ul_tx_w / path_loss_lin
+        ul_level = ul_active.view(np.int8) + (ul_active & ul_demand & uplink_slot)
+        own_w = np.take_along_axis(own_levels_w, ul_level, 0)
         # a running sum in device order: a pairwise sum would reorder the additions
         interference_w = np.cumsum(own_w, axis=1)[:, -1]
         sinr_lin = rx_w / (np.maximum(interference_w[:, None] - own_w, 0.0) + cfg.noise_w)
@@ -430,7 +438,7 @@ def iter_run(cfg: ScenarioConfig) -> Iterator:
             members[m] += int(np.count_nonzero(cohort))
         # the total so far is the running sum's first term, as if not chunked
         interference_total = float(np.cumsum(np.r_[interference_total, interference_w])[-1])
-        yield Samples(mode, gain, rss_dbm, _db(sinr_lin), ul_tx_w)
+        yield Samples(mode, gain, rss_dbm, _db(sinr_lin), ul_level)
 
     totals = RunTotals(
         *(outages[m] / members[m] if members[m] else None for m in (0, 1)),

@@ -225,7 +225,7 @@ class TestRunScenario:
         last RRC event led to, and ul_active is 1 exactly where that state is
         granted uplink."""
         result = run_scenario(switching_config())
-        assert result.mode_transitions, "scenario never switched a device"
+        assert result.mode_transitions.slot.size, "scenario never switched a device"
         records = list(run_records(result.config))
         last_to = {
             (r["slot"], r["device_id"]): r["to"] for kind, r in records if kind == "rrc_event"
@@ -348,9 +348,10 @@ def scalar_run(cfg):
     """The engine as one scalar step per device-slot, in slot, then device
     order: the reference the columnar engine must equal exactly. Returns
     the samples, transitions and RRC log as the helpers above read them,
-    and the metrics: the four of the run, then the network exposure from
-    each device's final mode. It draws from numpy's generators of the split
-    streams, and checks a disk placement against them."""
+    the metrics: the four of the run, then the network exposure from each
+    device's final mode, and each sample's uplink level (0 silent, 1
+    always-on, 2 data), one list per slot. It draws from numpy's generators
+    of the split streams, and checks a disk placement against them."""
 
     def stream(*key):
         # numpy's own generator of a split stream, not trsim.streams' port
@@ -375,7 +376,7 @@ def scalar_run(cfg):
     am_uplink = _am_uplink_mask(cfg)
     fading = [stream(2, i) for i in range(n)]
     loss = path_losses(devices)
-    out, moves, log = [], [], []
+    out, moves, log, levels = [], [], [], []
     below = {Mode.AM: 0, Mode.TR: 0}
     counted = {Mode.AM: 0, Mode.TR: 0}
     total = 0.0
@@ -401,19 +402,20 @@ def scalar_run(cfg):
                 log.append(RrcEntry(t, ids[i], event, old, state[i]))
             active = uplink_enabled(mode[i]) and uplink_grant_allowed(state[i])
             if not active:
-                ul_tx_w = 0.0
+                level, ul_tx_w = 0, 0.0
             elif ul_demand[t][i] and am_uplink[t % len(am_uplink)]:
-                ul_tx_w = tx_power[i]
+                level, ul_tx_w = 2, tx_power[i]
             else:
-                ul_tx_w = cfg.always_on_fraction * tx_power[i]
-            rows.append((i, gain, rx_w, rss_dbm, active, ul_tx_w, ul_tx_w / loss[i]))
+                level, ul_tx_w = 1, cfg.always_on_fraction * tx_power[i]
+            rows.append((i, gain, rx_w, rss_dbm, active, level, ul_tx_w, ul_tx_w / loss[i]))
         # add in device order, as the engine's running sum does: sum() of
         # floats is compensated since Python 3.12 and can differ in the last bit
         interference_w = 0.0
         for row in rows:
             interference_w += row[-1]
         total += interference_w
-        for i, gain, rx_w, rss_dbm, active, ul_tx_w, own_w in rows:
+        levels.append([row[5] for row in rows])
+        for i, gain, rx_w, rss_dbm, active, level, ul_tx_w, own_w in rows:
             sinr_lin = rx_w / (max(interference_w - own_w, 0.0) + cfg.noise_w)
             below[mode[i]] += sinr_lin < db_to_linear(cfg.snr_threshold_db)
             counted[mode[i]] += 1
@@ -435,7 +437,7 @@ def scalar_run(cfg):
     }
     return out, moves, log, (
         *outage, total, active_last * (active_last - 1) / 2, density, e_field, ers
-    )
+    ), levels
 
 
 # Standards for the scalar reference: one band at the configs' carrier, and
@@ -468,9 +470,12 @@ class TestScalarReference:
             hysteresis_db=data.draw(st.sampled_from([0.0, 1.0, 3.0])),
             observer_distance_m=data.draw(st.sampled_from([0.5, 1.0, 3.0])),
             standards=data.draw(st.sampled_from([(ICNIRP,), (IEEE, ICNIRP)])),
+            # at 0.0 or 1.0 two levels have equal watts, which only the level tells apart
+            always_on_fraction=data.draw(st.sampled_from([0.0, 0.1, 1.0])),
         )
         result = run_scenario(cfg)
         expected = scalar_run(cfg)
+        assert result.ul_level.tolist() == expected[4]
         assert samples(result) == expected[0]
         assert transitions(result) == expected[1]
         assert rrc_log(result) == expected[2]
@@ -618,7 +623,7 @@ class TestBuildDevices:
         assert build_devices(replace(cfg, devices=specs)) == devices
         synthesized = run_scenario(cfg)
         explicit = run_scenario(replace(cfg, devices=specs))
-        assert synthesized.mode_transitions, "scenario never switched a device"
+        assert synthesized.mode_transitions.slot.size, "scenario never switched a device"
         assert samples(explicit) == samples(synthesized)
         assert transitions(explicit) == transitions(synthesized)
         assert rrc_log(explicit) == rrc_log(synthesized)
@@ -665,7 +670,7 @@ class TestEngineOutageOracle:
     def test_cohort_outage_matches_closed_form(self, duplex, mu, seed):
         cfg = self.config(duplex, mu, seed)
         result = run_scenario(cfg)
-        assert not result.mode_transitions
+        assert not result.mode_transitions.slot.size
         num = make_numerology(mu)
         if duplex == "fdd":
             frame = build_fdd_pair(num, tr_active=False)[1]
@@ -1023,7 +1028,7 @@ class TestRunMatchesOutageCommand:
     def test_am_outage_is_the_silenced_tr_curve(self, duplex, mu, seed):
         cfg = self.config(duplex, mu, seed)
         result = run_scenario(cfg)
-        assert not result.mode_transitions
+        assert not result.mode_transitions.slot.size
         expected = outage_curve(cfg, [self.MEAN_SNR_DB])[0].outage_tr
         n = (cfg.n_users - cfg.n_tr) * cfg.n_slots
         sigma = math.sqrt(expected * (1.0 - expected) / n)
