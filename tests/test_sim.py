@@ -634,6 +634,37 @@ class TestBuildDevices:
             assert getattr(explicit, metric) == getattr(synthesized, metric)
 
 
+class TestUplinkLevels:
+    @pytest.mark.parametrize("always_on_fraction", [0.0, 0.1, 1.0])
+    def test_rows_are_silent_always_on_and_data(self, always_on_fraction):
+        """Row 0 is +0.0 for every device, also one of tx power -0.0; row 1
+        is always_on_fraction x tx_power_w and row 2 tx_power_w, bit for bit."""
+        power = np.array([-0.0, 0.0, 0.3, 0.2])
+        devices = sim.Devices(
+            ("a", "b", "c", "d"), np.full(4, 100.0), power, np.full(4, 3.5e9),
+            np.zeros(4, np.int8),
+        )
+        levels = devices.uplink_levels_w(always_on_fraction)
+        assert levels.shape == (3, 4)
+        assert not levels[0].view(np.uint64).any()
+        assert np.array_equal(
+            levels[1].view(np.uint64), (always_on_fraction * power).view(np.uint64)
+        )
+        assert np.array_equal(levels[2].view(np.uint64), power.view(np.uint64))
+
+    def test_a_device_in_tr_mode_is_silent(self):
+        """TR mode transmits no uplink, so every TR device-slot of a run
+        that switches is at level 0 and emits +0.0 W, while AM ones emit."""
+        result = run_scenario(switching_config())
+        tr = result.mode == MODES.index(Mode.TR)
+        assert tr.any() and (~tr).any()
+        assert result.ul_level.dtype == np.int8
+        assert not result.ul_level[tr].any()
+        assert not result.ul_tx_w[tr].view(np.uint64).any()
+        assert (result.ul_level[~tr] > 0).any()
+        assert set(np.unique(result.ul_level[~tr]).tolist()) <= {0, 1, 2}
+
+
 class TestEngineOutageOracle:
     """The engine's cohort outage against the closed form. On a ring with
     demand 1 and no switching, every AM device transmits in every slot, so
