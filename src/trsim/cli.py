@@ -81,10 +81,9 @@ NETWORK_TOTAL = "network-total"
 class Coded(NamedTuple):
     """A column of labels given as an array of codes into a table, so that
     an encoder writes each distinct label once per run rather than once per
-    record. The labels are a tuple, each escaped, or a float64 array, whose
-    text textcols renders at once, as that of a float column."""
+    record, as its format's escape writes it."""
 
-    labels: tuple | np.ndarray
+    labels: tuple
     codes: np.ndarray
 
 
@@ -113,12 +112,13 @@ def _chunk(kind: str, records: list[tuple]) -> tuple[str, tuple]:
 
 def _tx_table(levels_w: np.ndarray) -> tuple:
     """ul_tx_w's labels, the distinct bit patterns of the (3, n) table of
-    each device's uplink levels (Devices.uplink_levels_w), so that -0.0
-    keeps its text, and each level's code into them, a (3, n) table."""
+    each device's uplink levels (Devices.uplink_levels_w) as Python floats,
+    which keep -0.0 apart from 0.0, and each level's code into them, a
+    (3, n) table."""
     bits = np.sort(levels_w.view(np.uint64).ravel(), kind="stable")
     labels = bits[np.r_[True, bits[1:] != bits[:-1]]]
     codes = np.searchsorted(labels, levels_w.view(np.uint64)).astype(np.int32)
-    return labels.view(np.float64), codes
+    return tuple(labels.view(np.float64).tolist()), codes
 
 
 def _run_chunks(devices: Devices, run: Iterator, always_on_fraction: float) -> Chunks:
@@ -206,8 +206,7 @@ def _write_chunks(fh: IO[bytes], layouts: dict, chunks: Chunks, escape) -> None:
     and the floats of an array as str and repr do, which is what both
     escapes write for them, and leaves the floats that repr writes in
     exponent form, and non-finite ones, to `escape`. A Coded column's labels
-    are written once per run: a tuple's each by `escape`, a float array's
-    by textcols, as it writes a float column.
+    are escaped once per run, one at a time into their table.
     """
     pad = bytes([textcols.PAD])
     # id of a Coded column's labels -> the labels (held, so that the id stays
@@ -231,10 +230,7 @@ def _write_chunks(fh: IO[bytes], layouts: dict, chunks: Chunks, escape) -> None:
             for j, column in enumerate(columns):
                 if isinstance(column, Coded):
                     if id(column.labels) not in tables:
-                        if isinstance(column.labels, np.ndarray):
-                            texts = textcols.float_labels(column.labels, escape)
-                        else:
-                            texts = textcols.labels([escape(label) for label in column.labels])
+                        texts = textcols.labels(escape(label) for label in column.labels)
                         tables[id(column.labels)] = column.labels, texts
                     coded = tables[id(column.labels)][1].take(column.codes)
                     blocks[j] = coded.view(np.uint8).reshape(len(coded), -1)
@@ -361,8 +357,11 @@ def _cmd_exposure(args: argparse.Namespace) -> int:
     if any(spec.device_id == NETWORK_TOTAL for spec in cfg.devices):
         raise ConfigError([f"[devices]: device id {NETWORK_TOTAL!r} is reserved"])
     devices = build_devices(cfg)
+    # each device's data level where its starting mode transmits uplink, else silent
+    uplink = 2 * np.array(MODE_UPLINK)[devices.mode]
     report = network_exposure(
-        devices.freq_hz, devices.uplink_w(devices.mode), cfg.standards, cfg.observer_distance_m
+        devices.freq_hz, np.choose(uplink, devices.uplink_levels_w(cfg.always_on_fraction)),
+        cfg.standards, cfg.observer_distance_m,
     )
     kinds = exposure_kinds(cfg.standards)
     chunks = _exposure_chunks(devices.device_id, report, cfg.standards)

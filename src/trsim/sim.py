@@ -55,12 +55,13 @@ from .trmode import Mode, hold_modes, uplink_enabled
 
 
 # Upper bound on a run's population x n_slots, refused by iter_run as a
-# configuration error before any work. Memory does not set it: a run holds
-# one chunk of slots (ENGINE_ROWS), two bits per device-slot and its
-# mode-transition log, and `trsim run` at the cap peaked at 40 MiB RSS on a
-# 1000-device ring and 54 MiB on a switching disk. Run time and output do:
-# there it took 29-44 s and wrote 2.2 GB (CSV) to 3.8 GB (JSON-lines) on a
-# 2-CPU x86 host.
+# configuration error before any work. A run holds one chunk of slots
+# (ENGINE_ROWS), two bits per device-slot and its mode-transition log, and
+# `trsim run` at the cap peaked at 40 MiB RSS on a 1000-device ring and 54
+# MiB on a switching disk, taking 29-44 s and writing 2.2 GB (CSV) to 3.8 GB
+# (JSON-lines) on a 2-CPU x86 host. Memory grows by about 460 B per device:
+# a ring of 2x10^5 devices x 1 slot peaked at 119 MiB and one of 10^6 at 469
+# MiB, so 10^7 devices x 1 slot would need about 4.3 GiB (not run).
 MAX_DEVICE_SLOTS = 10**7
 
 # Device-slots per engine chunk: iter_run computes ceil(ENGINE_ROWS / n)
@@ -179,11 +180,6 @@ class Devices:
     def __post_init__(self) -> None:
         for f in fields(self)[1:]:
             getattr(self, f.name).flags.writeable = False
-
-    def uplink_w(self, mode: np.ndarray) -> np.ndarray:
-        """Each device's emitted uplink power in `mode` (indexes MODES): its
-        tx_power_w where the mode transmits uplink (MODE_UPLINK), else 0."""
-        return np.where(_MODE_UPLINK[mode], self.tx_power_w, 0.0)
 
     def uplink_levels_w(self, always_on_fraction: float) -> np.ndarray:
         """Each device's three uplink levels, the rows of a (3, n) table that
@@ -443,8 +439,11 @@ def iter_run(cfg: ScenarioConfig) -> Iterator:
     totals = RunTotals(
         *(outages[m] / members[m] if members[m] else None for m in (0, 1)),
         interference_total,
+        # each device's data level where its last mode transmits uplink, else silent
         network_exposure(
-            devices.freq_hz, devices.uplink_w(mode[-1]), cfg.standards, cfg.observer_distance_m
+            devices.freq_hz,
+            np.choose(2 * ul_active[-1], devices.uplink_levels_w(cfg.always_on_fraction)),
+            cfg.standards, cfg.observer_distance_m,
         ),
         complexity_metric(int(np.count_nonzero(ul_active[-1]))),
     )

@@ -17,6 +17,8 @@ zeros as PAD; then a sign and a point.
 
 from __future__ import annotations
 
+from typing import Iterable
+
 import numpy as np
 
 PAD = 0xFF
@@ -169,39 +171,8 @@ def floats(values: np.ndarray, escape) -> np.ndarray:
     return text.reshape(*values.shape, width)
 
 
-def labels(texts: list[str]) -> np.ndarray:
+def labels(texts: Iterable[str]) -> np.ndarray:
     """A table of texts, one padded block each, to gather with `take`."""
     raw = [text.encode() for text in texts]
     width = max([1, *map(len, raw)])
     return np.frombuffer(b"".join(r.ljust(width, b"\xff") for r in raw), f"V{width}")
-
-
-# the floats a table is written from at once: those of four float columns of
-# a 2048-record piece
-TABLE_ROWS = 8192
-
-
-def _packed(blocks: np.ndarray) -> np.ndarray:
-    """Blocks with their PAD moved after their text, only as wide as the
-    longest text."""
-    keep = blocks != PAD
-    packed = np.full((len(blocks), keep.sum(axis=1).max(initial=1)), PAD, np.uint8)
-    rows, at = np.arange(len(blocks)), np.zeros(len(blocks), np.intp)
-    for j in range(blocks.shape[1]):
-        kept = keep[:, j]
-        packed[rows[kept], at[kept]] = blocks[kept, j]
-        at += kept
-    return packed
-
-
-def float_labels(values: np.ndarray, escape) -> np.ndarray:
-    """A table of floats, as `labels` makes one of texts: each value as
-    `floats` writes it, TABLE_ROWS at a time, so that a long table takes no
-    more memory to write than a piece of float columns."""
-    starts = range(0, len(values), TABLE_ROWS)
-    pieces = [_packed(floats(values[i:i + TABLE_ROWS], escape)) for i in starts]
-    width = max([1, *(piece.shape[1] for piece in pieces)])
-    table = np.full((len(values), width), PAD, np.uint8)
-    for i, piece in zip(starts, pieces):
-        table[i:i + len(piece), :piece.shape[1]] = piece
-    return table.view(f"V{width}").ravel()
