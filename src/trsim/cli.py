@@ -177,16 +177,15 @@ def _run_chunks(devices: Devices, run: Iterator, always_on_fraction: float) -> C
             yield _chunk("metric", list(metrics.items()))
 
 
-def _exposure_chunks(ids: tuple, report: ExposureReport, standards: tuple) -> Chunks:
+def _exposure_chunks(ids: tuple, report: ExposureReport) -> Chunks:
     """A device-exposure record per device, `ids` naming them, then the
-    network-exposure record."""
-    names = [std.name for std in standards]
+    network-exposure record; the ER columns in the report's order."""
     columns = (report.power_density_w_m2, report.e_field_v_per_m,
-               *(report.er_per_standard[name] for name in names))
+               *report.er_per_standard.values())
     yield "device-exposure", (Coded(ids, np.arange(len(ids))), *columns)
     total = (report.network_total_power_density_w_m2, report.network_e_field_v_per_m)
-    ers = (report.network_er_per_standard[name] for name in names)
-    yield _chunk("network-exposure", [(NETWORK_TOTAL, *total, *ers)])
+    yield _chunk("network-exposure", [(NETWORK_TOTAL, *total,
+                                       *report.network_er_per_standard.values())])
 
 
 def _write_chunks(fh: IO[bytes], layouts: dict, chunks: Chunks, escape) -> None:
@@ -357,14 +356,10 @@ def _cmd_exposure(args: argparse.Namespace) -> int:
     if any(spec.device_id == NETWORK_TOTAL for spec in cfg.devices):
         raise ConfigError([f"[devices]: device id {NETWORK_TOTAL!r} is reserved"])
     devices = build_devices(cfg)
-    # each device's data level where its starting mode transmits uplink, else silent
-    uplink = 2 * np.array(MODE_UPLINK)[devices.mode]
-    report = network_exposure(
-        devices.freq_hz, np.choose(uplink, devices.uplink_levels_w(cfg.always_on_fraction)),
-        cfg.standards, cfg.observer_distance_m,
-    )
+    report = network_exposure(devices.freq_hz, devices.emitted_w(devices.mode), cfg.standards,
+                              cfg.observer_distance_m)
     kinds = exposure_kinds(cfg.standards)
-    chunks = _exposure_chunks(devices.device_id, report, cfg.standards)
+    chunks = _exposure_chunks(devices.device_id, report)
     return _emit(args, kinds["device-exposure"], kinds, chunks)
 
 

@@ -107,7 +107,8 @@ def complexity_metric(n_active_ul: int) -> float:
 @dataclass(frozen=True, eq=False)
 class ExposureReport:
     """Each device's exposure, as columns in device order, and the network's.
-    `er_per_standard` holds a column per standard name."""
+    `er_per_standard` holds a column per standard name, and
+    `network_er_per_standard` a value, both in the order of the standards."""
 
     power_density_w_m2: np.ndarray
     e_field_v_per_m: np.ndarray
@@ -126,7 +127,7 @@ def network_exposure(
     observer_distance_m: float,
 ) -> ExposureReport:
     """Per-device and network exposure at a common observer distance, from
-    each device's carrier and emitted uplink power (0 for a device in TR).
+    each device's carrier and emitted uplink power (Devices.emitted_w).
 
     Uplink emission only: base-station downlink exposure is not part of
     this report. A device's density and E-field are power_density (gain 1)

@@ -59,9 +59,9 @@ from .trmode import Mode, hold_modes, uplink_enabled
 # (ENGINE_ROWS), two bits per device-slot and its mode-transition log, and
 # `trsim run` at the cap peaked at 40 MiB RSS on a 1000-device ring and 54
 # MiB on a switching disk, taking 29-44 s and writing 2.2 GB (CSV) to 3.8 GB
-# (JSON-lines) on a 2-CPU x86 host. Memory grows by about 460 B per device:
-# a ring of 2x10^5 devices x 1 slot peaked at 119 MiB and one of 10^6 at 469
-# MiB, so 10^7 devices x 1 slot would need about 4.3 GiB (not run).
+# (JSON-lines) on a 2-CPU x86 host. Memory grows by about 420 B per device:
+# a ring of 2x10^5 devices x 1 slot peaked at 116 MiB and one of 10^6 at 438
+# MiB, so 10^7 devices x 1 slot would need about 4.0 GiB (not run).
 MAX_DEVICE_SLOTS = 10**7
 
 # Device-slots per engine chunk: iter_run computes ceil(ENGINE_ROWS / n)
@@ -187,6 +187,12 @@ class Devices:
         (always_on_fraction x tx_power_w) and data (tx_power_w)."""
         power = self.tx_power_w
         return np.stack([np.zeros_like(power), always_on_fraction * power, power])
+
+    def emitted_w(self, mode: np.ndarray) -> np.ndarray:
+        """What each device emits for the exposure, in modes `mode` (indexes
+        MODES): its tx_power_w where the mode transmits uplink (MODE_UPLINK),
+        else +0.0. The always-on level is not counted."""
+        return np.where(_MODE_UPLINK[mode], self.tx_power_w, 0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -439,12 +445,8 @@ def iter_run(cfg: ScenarioConfig) -> Iterator:
     totals = RunTotals(
         *(outages[m] / members[m] if members[m] else None for m in (0, 1)),
         interference_total,
-        # each device's data level where its last mode transmits uplink, else silent
-        network_exposure(
-            devices.freq_hz,
-            np.choose(2 * ul_active[-1], devices.uplink_levels_w(cfg.always_on_fraction)),
-            cfg.standards, cfg.observer_distance_m,
-        ),
+        network_exposure(devices.freq_hz, devices.emitted_w(mode[-1]), cfg.standards,
+                         cfg.observer_distance_m),
         complexity_metric(int(np.count_nonzero(ul_active[-1]))),
     )
     yield from transitions

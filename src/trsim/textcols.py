@@ -174,5 +174,9 @@ def floats(values: np.ndarray, escape) -> np.ndarray:
 def labels(texts: Iterable[str]) -> np.ndarray:
     """A table of texts, one padded block each, to gather with `take`."""
     raw = [text.encode() for text in texts]
-    width = max([1, *map(len, raw)])
-    return np.frombuffer(b"".join(r.ljust(width, b"\xff") for r in raw), f"V{width}")
+    size = np.fromiter(map(len, raw), np.intp, len(raw))
+    width = max(1, int(size.max(initial=0)))
+    # numpy pads with NULs; PAD goes past each text's length, so its own NULs stay
+    table = np.array(raw, f"S{width}").view(np.uint8).reshape(len(raw), width)
+    table[np.arange(width) >= size[:, None]] = PAD
+    return table.ravel().view(f"V{width}")

@@ -371,6 +371,41 @@ class TestExposureCommand:
         zero_rows = [line for line in lines[1:-1] if ",0.0,0.0," in line]
         assert len(zero_rows) == 20  # the TR cohort emits nothing
 
+    @staticmethod
+    def network_texts(config, tmp_path) -> tuple[dict, dict]:
+        """The network-total row of `exposure` and the matching network_*
+        metrics of `run`, as CSV text keyed by the exposure's column."""
+        exposure_out, run_out = tmp_path / "exposure.csv", tmp_path / "run.csv"
+        assert run_cli(["exposure", "--config", str(config), "--out", str(exposure_out)]) == 0
+        assert run_cli(["run", "--config", str(config), "--out", str(run_out)]) == 0
+        with exposure_out.open(newline="") as fh:
+            total = list(csv.DictReader(fh))[-1]
+        assert total.pop("device_id") == "network-total"
+        with run_out.open(newline="") as fh:
+            metrics = {row["metric"]: row["value"]
+                       for row in csv.DictReader(fh) if row["kind"] == "metric"}
+        names = {"power_density_w_m2": "network_total_power_density_w_m2"}
+        return total, {key: metrics[names.get(key, f"network_{key}")] for key in total}
+
+    def test_network_total_is_runs_network_metrics_without_switching(self, tmp_path):
+        """With a 200 dB dead band no device leaves its starting mode, so
+        `run`'s network metrics, from the modes after the last slot, are
+        the text of the exposure's network-total row."""
+        total, metrics = self.network_texts(SCENARIO_TR50, tmp_path)
+        assert total == metrics
+        assert total["power_density_w_m2"] == "0.47746482927568606"
+        assert total["e_field_v_per_m"] == "13.411760702198247"
+        assert set(total) == {"power_density_w_m2", "e_field_v_per_m",
+                              "er_ICNIRP", "er_IEEE-C95"}
+
+    def test_run_counts_the_modes_after_the_last_slot(self, tmp_path):
+        """Where devices switch, `run`'s network metrics differ from the
+        exposure's network-total row, which counts the starting modes."""
+        total, metrics = self.network_texts(SWITCH_TDD, tmp_path)
+        assert set(total) == set(metrics)
+        for key in total:
+            assert total[key] != metrics[key], key
+
     def test_device_id_of_the_network_total_is_refused(self, tmp_path, capsys):
         """A device named network-total would make its row and the network's
         last row alike."""
@@ -603,13 +638,10 @@ class TestEncoderEqualsReference:
     def test_exposure(self, observer_distance_m):
         cfg = id_config(1, 1, 0.0)
         devices = sim.build_devices(cfg)
-        uplink = 2 * np.array(sim.MODE_UPLINK)[devices.mode]  # the data level, else silent
-        report = network_exposure(
-            devices.freq_hz, np.choose(uplink, devices.uplink_levels_w(cfg.always_on_fraction)),
-            cfg.standards, observer_distance_m,
-        )
+        report = network_exposure(devices.freq_hz, devices.emitted_w(devices.mode),
+                                  cfg.standards, observer_distance_m)
         kinds = exposure_kinds(cfg.standards)
-        chunks = cli._exposure_chunks(devices.device_id, report, cfg.standards)
+        chunks = cli._exposure_chunks(devices.device_id, report)
         check_encoder(kinds["device-exposure"], kinds, chunks)
 
 
@@ -690,10 +722,11 @@ class _Discard:
 class TestLabelTableMemory:
     def test_ids_are_escaped_without_a_list_of_texts(self):
         """Writing a Coded column of 5e4 distinct ids as CSV peaks at about
-        151 B per label (tracemalloc, Python 3.11): the label table, the
-        bytes it is joined from and the kept matrix. An encoder that also
-        holds the list of every escaped id text beside the table peaks at
-        about 218 B per label."""
+        82 B per label (tracemalloc, Python 3.11): the label table, the
+        encoded texts it is copied from and the kept matrix. A label table
+        built by joining padded texts into one bytes object first peaks at
+        about 151 B per label, and an encoder that also holds the list of
+        every escaped id text beside the table at about 149 B."""
         n = 50_000
         labels = tuple(f"ue-{i:06d}" for i in range(n))
         chunks = [("k", (Coded(labels, np.arange(n, dtype=np.int32)),))]
@@ -703,7 +736,7 @@ class TestLabelTableMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / n < 185, f"{peak / n:.1f} B per label"
+        assert peak / n < 115, f"{peak / n:.1f} B per label"
 
 
 class TestChunkRows:

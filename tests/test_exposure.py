@@ -14,7 +14,7 @@ from trsim.exposure import (
     network_exposure,
     power_density,
 )
-from trsim.sim import MODE_UPLINK, MODES, Devices
+from trsim.sim import MODES, Devices
 from trsim.trmode import Mode
 
 
@@ -156,11 +156,8 @@ def _exposure(fleet: list[tuple], observer_distance_m: float):
     ids, power, freq, modes = zip(*fleet)
     devices = Devices(ids, np.ones(len(ids)), np.array(power), np.array(freq),
                       np.array([MODES.index(m) for m in modes], np.int8))
-    uplink = 2 * np.array(MODE_UPLINK)[devices.mode]  # the data level, else silent
-    report = network_exposure(
-        devices.freq_hz, np.choose(uplink, devices.uplink_levels_w(0.5)), (STANDARD,),
-        observer_distance_m,
-    )
+    report = network_exposure(devices.freq_hz, devices.emitted_w(devices.mode), (STANDARD,),
+                              observer_distance_m)
     return devices, report
 
 

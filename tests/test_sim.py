@@ -652,6 +652,22 @@ class TestUplinkLevels:
         )
         assert np.array_equal(levels[2].view(np.uint64), power.view(np.uint64))
 
+    @pytest.mark.parametrize("always_on_fraction", [0.0, 0.1, 1.0])
+    def test_emitted_is_the_data_row_where_the_mode_transmits(self, always_on_fraction):
+        """emitted_w gives bit for bit the level an AM device emits at, the
+        data row, and the silent row for a TR device: -0.0 stays -0.0 in AM
+        and is +0.0 in TR."""
+        power = np.tile([-0.0, 0.0, 0.3], 2)
+        mode = np.repeat([MODES.index(Mode.AM), MODES.index(Mode.TR)], 3).astype(np.int8)
+        devices = sim.Devices(
+            tuple("abcdef"), np.full(6, 100.0), power, np.full(6, 3.5e9), mode,
+        )
+        reference = np.choose(2 * np.array(MODE_UPLINK)[mode],
+                              devices.uplink_levels_w(always_on_fraction))
+        emitted = devices.emitted_w(mode)
+        assert np.array_equal(emitted.view(np.uint64), reference.view(np.uint64))
+        assert np.signbit(emitted).tolist() == [True] + [False] * 5
+
     def test_a_device_in_tr_mode_is_silent(self):
         """TR mode transmits no uplink, so every TR device-slot of a run
         that switches is at level 0 and emits +0.0 W, while AM ones emit."""

@@ -77,3 +77,16 @@ def test_labels_are_padded_utf8():
     table = textcols.labels(["a", "ü-1", ""])
     rows = table.take(np.array([1, 0, 2, 1])).view(np.uint8).reshape(4, -1)
     assert texts(rows) == ["ü-1", "a", "", "ü-1"]
+
+
+@pytest.mark.parametrize("labels", [
+    [], [""], ["\x00"], ["a", "ü-1", "", "nul\x00", 'q"x'], ["x\x00y", "\x00\x00", "z"],
+])
+def test_label_table_keeps_every_byte_of_each_text(labels):
+    """A text's bytes, NULs inside and at its end too, then PAD to the
+    widest text's length, at least 1."""
+    raw = [label.encode() for label in labels]
+    width = max([1, *map(len, raw)])
+    table = textcols.labels(iter(labels))
+    assert table.dtype == np.dtype(f"V{width}")
+    assert table.tobytes() == b"".join(r.ljust(width, bytes([textcols.PAD])) for r in raw)
