@@ -40,7 +40,6 @@ from .sim import (
     MODE_UPLINK,
     MODES,
     RRC_EVENTS,
-    RRC_STATES,
     ConfigError,
     Devices,
     ModeTransitions,
@@ -131,9 +130,8 @@ def _run_chunks(devices: Devices, run: Iterator, always_on_fraction: float) -> C
     # `_value_` is `.value` without its property call
     modes = tuple(m._value_ for m in MODES)
     flipped = modes[::-1]  # a transition's from, coded by its to
-    states = tuple(s._value_ for s in RRC_STATES)
     events = tuple(e._value_ for e in RRC_EVENTS)
-    # rrc_state and ul_active are labels of the mode codes
+    # rrc_state, ul_active and the RRC log's states are labels of the mode codes
     mode_states = tuple(s._value_ for s in MODE_STATES)
     mode_uplink = tuple(map(int, MODE_UPLINK))
     first = 0  # the part's first slot
@@ -160,7 +158,7 @@ def _run_chunks(devices: Devices, run: Iterator, always_on_fraction: float) -> C
         elif isinstance(part, RrcEvents):
             yield "rrc_event", (
                 part.slot, Coded(ids, part.device), Coded(events, part.event),
-                Coded(states, part.old), Coded(states, part.new),
+                Coded(mode_states, part.old), Coded(mode_states, part.new),
             )
         else:
             report = part.exposure

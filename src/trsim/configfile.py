@@ -126,8 +126,8 @@ def parse_config(text: str) -> ScenarioConfig:
         elif bands:
             try:
                 standards.append(ExposureStandard(name, bands))
-            except ValueError as exc:
-                errors.append(f"line {band_rows[0][0]}: {exc}")
+            except ConfigError as exc:
+                errors += [f"line {band_rows[0][0]}: {e}" for e in exc.errors]
 
     if errors:
         raise ConfigError(errors)
@@ -150,8 +150,8 @@ def _parse_row(kind: str, lineno: int, value: str, errors: list[str]):
     if None not in args:
         try:
             return _ROWS[kind](*args)
-        except ValueError as exc:
-            errors.append(f"line {lineno}: {exc}")
+        except ConfigError as exc:
+            errors += [f"line {lineno}: {e}" for e in exc.errors]
     return None
 
 

@@ -15,7 +15,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .schema import FREQ_HZ, check, equal_fields, key
+from .schema import FREQ_HZ, Columns, check, key
 
 FREE_SPACE_IMPEDANCE_OHM = 376.73
 
@@ -32,32 +32,33 @@ class FrequencyBand:
     note: str = ""
 
     def __post_init__(self) -> None:
-        check(self)
+        errors = []
         if self.high_hz <= self.low_hz:
-            raise ValueError(
+            errors.append(
                 f"band edges must satisfy low < high, got [{self.low_hz}, {self.high_hz})"
             )
+        check(self, *errors)
 
 
 @dataclass(frozen=True)
 class ExposureStandard:
     """A named exposure guideline: sorted, non-overlapping bands, each with
-    a reference-level E-field. Bands are half-open [low, high)."""
+    a reference-level E-field. Bands are half-open [low, high). Building one
+    raises ConfigError listing every finding: an empty name, and each two
+    neighbouring bands that overlap."""
 
     name: str
     bands: tuple[FrequencyBand, ...]
 
     def __post_init__(self) -> None:
-        if not self.name:
-            raise ValueError("standard name must be non-empty")
+        errors = [] if self.name else ["standard name must be non-empty"]
         ordered = tuple(sorted(self.bands, key=lambda b: b.low_hz))
-        for prev, nxt in zip(ordered, ordered[1:]):
-            if nxt.low_hz < prev.high_hz:
-                raise ValueError(
-                    f"standard {self.name!r}: bands"
-                    f" [{prev.low_hz}, {prev.high_hz}) and"
-                    f" [{nxt.low_hz}, {nxt.high_hz}) overlap"
-                )
+        errors += [
+            f"standard {self.name!r}: bands [{prev.low_hz}, {prev.high_hz}) and"
+            f" [{nxt.low_hz}, {nxt.high_hz}) overlap"
+            for prev, nxt in zip(ordered, ordered[1:]) if nxt.low_hz < prev.high_hz
+        ]
+        check(self, *errors)
         object.__setattr__(self, "bands", ordered)
 
     def band_for(self, freq_hz: float) -> FrequencyBand:
@@ -105,7 +106,7 @@ def complexity_metric(n_active_ul: int) -> float:
 
 
 @dataclass(frozen=True, eq=False)
-class ExposureReport:
+class ExposureReport(Columns):
     """Each device's exposure, as columns in device order, and the network's.
     `er_per_standard` holds a column per standard name, and
     `network_er_per_standard` a value, both in the order of the standards."""
@@ -116,8 +117,6 @@ class ExposureReport:
     network_total_power_density_w_m2: float
     network_e_field_v_per_m: float
     network_er_per_standard: Mapping[str, float]
-
-    __eq__ = equal_fields
 
 
 def network_exposure(

@@ -1,4 +1,4 @@
-"""Declared bounds of configuration values, and field-wise equality.
+"""Declared bounds of configuration values, and the base of the engine's records.
 
 A dataclass field made with `key` carries the config-file section it is
 read from and the closed range, or the choices, its value must lie in.
@@ -7,6 +7,10 @@ bound is written once, on the field it applies to. Every float field has
 a finite range, which also rules out NaN and infinities. A config
 dataclass calls `check` from `__post_init__`, so no instance that breaks
 its declarations exists.
+
+`Columns` is the base of every dataclass that holds numpy arrays: it
+makes each of them read-only when the record is built, and compares two
+records field by field, arrays by value.
 """
 
 from __future__ import annotations
@@ -71,15 +75,26 @@ def check(obj, *more: str) -> None:
         raise ConfigError(found)
 
 
-def equal_fields(a, b) -> bool:
-    """Field-by-field equality of two dataclasses of one type: numpy array
-    fields, and arrays held as the values of a dict field, compared by value."""
+class Columns:
+    """Base of a frozen dataclass that holds numpy arrays, as fields or as
+    the values of a dict field. Building one marks each of those arrays
+    read-only, so no holder of the record can change what it reads. Two
+    records are equal when they are of one type and equal field by field,
+    arrays compared by value."""
 
-    def same(x, y) -> bool:
-        if isinstance(x, dict):
-            return x.keys() == y.keys() and all(same(x[k], y[k]) for k in x)
-        return np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            for x in value.values() if isinstance(value, dict) else (value,):
+                if isinstance(x, np.ndarray):
+                    x.flags.writeable = False
 
-    return type(a) is type(b) and all(
-        same(getattr(a, f.name), getattr(b, f.name)) for f in fields(a)
-    )
+    def __eq__(self, other) -> bool:
+        def same(x, y) -> bool:
+            if isinstance(x, dict):
+                return x.keys() == y.keys() and all(same(x[k], y[k]) for k in x)
+            return np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
+
+        return type(self) is type(other) and all(
+            same(getattr(self, f.name), getattr(other, f.name)) for f in fields(self)
+        )

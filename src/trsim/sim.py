@@ -49,7 +49,7 @@ from .frames import (
     build_tdd_frame,
     make_numerology,
 )
-from .schema import DISTANCE_M, FREQ_HZ, MU, POWER_W, SNR_DB, ConfigError, check, equal_fields, key
+from .schema import DISTANCE_M, FREQ_HZ, MU, POWER_W, SNR_DB, Columns, ConfigError, check, key
 from .streams import Streams
 from .trmode import Mode, hold_modes, uplink_enabled
 
@@ -139,9 +139,8 @@ class ScenarioConfig:
         check(self, *errors)
 
 
-# Codes of the columns: the mode column and the mode-transition log index
-# MODES, the RRC log's states index RRC_STATES, and its events index
-# RRC_EVENTS.
+# Codes of the columns: the mode column, the mode-transition log and the
+# RRC log's states index MODES, and the RRC log's events index RRC_EVENTS.
 MODES = (Mode.AM, Mode.TR)
 # The RRC state each mode holds, indexed like MODES: a device enters
 # EnergyEfficient as it enters TR and returns to Connected as it leaves, and
@@ -150,21 +149,18 @@ MODE_STATES = (rrc.RrcState.CONNECTED, rrc.RrcState.ENERGY_EFFICIENT)
 # Whether a device in each mode, in the state it holds, transmits uplink.
 MODE_UPLINK = tuple(uplink_enabled(mode) and rrc.uplink_grant_allowed(state)
                     for mode, state in zip(MODES, MODE_STATES))
-RRC_STATES = tuple(rrc.RrcState)
 RRC_EVENTS = tuple(rrc.RrcEvent)
-# The RRC log's codes: the event of each of its event columns for a device
-# in AM and in TR, and MODE_STATES as codes into RRC_STATES.
+# The event of each of the RRC log's event columns for a device in AM and in TR.
 _COLUMN_EVENTS = np.array([[RRC_EVENTS.index(e) for e in pair] for pair in (
     (rrc.RrcEvent.TR_MODE_EXIT, rrc.RrcEvent.TR_MODE_ENTER),
     (rrc.RrcEvent.UPLINK_DATA_PENDING,) * 2,
     (rrc.RrcEvent.DOWNLINK_DATA_ARRIVAL,) * 2,
 )], np.int8)
-_MODE_STATES = np.array([RRC_STATES.index(s) for s in MODE_STATES], np.int8)
 _MODE_UPLINK = np.array(MODE_UPLINK)
 
 
 @dataclass(frozen=True, eq=False)
-class Devices:
+class Devices(Columns):
     """The device population as read-only columns, one row per device,
     named after the fields of DeviceSpec. `mode` is each device's starting
     mode; a run's modes after a slot are in its Samples."""
@@ -174,12 +170,6 @@ class Devices:
     tx_power_w: np.ndarray
     freq_hz: np.ndarray
     mode: np.ndarray  # int8, indexes MODES
-
-    __eq__ = equal_fields
-
-    def __post_init__(self) -> None:
-        for f in fields(self)[1:]:
-            getattr(self, f.name).flags.writeable = False
 
     def uplink_levels_w(self, always_on_fraction: float) -> np.ndarray:
         """Each device's three uplink levels, the rows of a (3, n) table that
@@ -196,7 +186,7 @@ class Devices:
 
 
 @dataclass(frozen=True, eq=False)
-class ModeTransitions:
+class ModeTransitions(Columns):
     """One row per mode transition, in slot, then device order. `device`
     indexes the rows of Devices and `new` indexes MODES; the mode before is
     the other one, since a transition flips the mode."""
@@ -206,14 +196,12 @@ class ModeTransitions:
     rss_dbm: np.ndarray
     new: np.ndarray
 
-    __eq__ = equal_fields
-
 
 @dataclass(frozen=True, eq=False)
-class RrcEvents:
+class RrcEvents(Columns):
     """One row per RRC event, in slot, then device, then event order.
     `device` indexes the rows of Devices, `event` indexes RRC_EVENTS, and `old`
-    and `new` index RRC_STATES."""
+    and `new` index MODES: each is the state its mode holds (MODE_STATES)."""
 
     slot: np.ndarray
     device: np.ndarray
@@ -221,11 +209,9 @@ class RrcEvents:
     old: np.ndarray
     new: np.ndarray
 
-    __eq__ = equal_fields
-
 
 @dataclass(frozen=True, eq=False)
-class Samples:
+class Samples(Columns):
     """The per-device-slot columns of a chunk of consecutive slots, each a
     (slots, n) array: row t is the chunk's slot t and column i is row i
     of Devices."""
@@ -236,11 +222,9 @@ class Samples:
     sinr_db: np.ndarray
     ul_level: np.ndarray  # int8: 0 silent, 1 always-on, 2 data (Devices.uplink_levels_w)
 
-    __eq__ = equal_fields
 
-
-@dataclass(frozen=True)
-class RunTotals:
+@dataclass(frozen=True, eq=False)
+class RunTotals(Columns):
     """What a run finalizes after its last slot."""
 
     outage_am: float | None
@@ -261,8 +245,6 @@ class SimResult(RunTotals, Samples):
     devices: Devices
     mode_transitions: ModeTransitions
     rrc_events: RrcEvents
-
-    __eq__ = equal_fields
 
     @property
     def ul_tx_w(self) -> np.ndarray:
@@ -343,8 +325,7 @@ def _rrc_log(
     tr = in_tr[slot, device].view(np.int8)
     return RrcEvents(
         (slot + t0).astype(np.int32), device.astype(np.int32), _COLUMN_EVENTS[column, tr],
-        _MODE_STATES[tr ^ (column == 0)],  # the TR enter or exit flips the mode
-        _MODE_STATES[tr],
+        tr ^ (column == 0), tr,  # the TR enter or exit flips the mode
     )
 
 
@@ -362,9 +343,9 @@ def iter_run(cfg: ScenarioConfig) -> Iterator:
     Samples of each chunk of ceil(ENGINE_ROWS / n) slots; then the
     ModeTransitions of each chunk; then its RrcEvents, their `slot` counted
     from the run's start; last the RunTotals. The Devices are not changed:
-    the modes after the last slot are the last Samples' mode[-1]. The run is
-    a pure function of the config, as long as no consumer changes a
-    ModeTransitions: the RRC log reads them back.
+    the modes after the last slot are the last Samples' mode[-1]. Every
+    record's arrays are read-only (schema.Columns), so the run is a pure
+    function of the config whatever its consumer does with them.
 
     Each slot, for every device: draw fading, evaluate the mode switch on
     the downlink received signal strength, log the RRC events that follow

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import ER_TABLE_FIXTURE, SCENARIO_TR50
+from trsim import cli
 from trsim.configfile import format_config, parse_config
 from trsim.exposure import ExposureStandard, FrequencyBand
 from trsim.sim import ConfigError, DeviceSpec
@@ -127,6 +128,33 @@ class TestParseErrors:
         with pytest.raises(ConfigError) as err:
             parse_config(broken)
         assert any("overlap" in e for e in err.value.errors)
+
+    @pytest.mark.parametrize("bands,found", [
+        # an inverted band whose reference level is also out of bounds
+        (["4e9 3e9 0"], ["line {0}: e_ref_v_per_m must be", "line {0}: band edges must"]),
+        # three bands, each two neighbours overlapping
+        (["1e9 3e9 40.0", "2e9 4e9 61.0", "3.5e9 5e9 61.0"],
+         ["line {0}: standard 'X': bands [1000000000.0, 3000000000.0) and"
+          " [2000000000.0, 4000000000.0) overlap",
+          "line {0}: standard 'X': bands [2000000000.0, 4000000000.0) and"
+          " [3500000000.0, 5000000000.0) overlap"]),
+    ])
+    def test_every_finding_of_a_standard_is_listed(self, bands, found, tmp_path, capsys):
+        """Each finding of a band or of its standard is a finding of its
+        own, on its own `line N:`, and the command line exits 2 listing them."""
+        text = MINIMAL + "\n[standards.X]\n" + "".join(f"band = {b}\n" for b in bands)
+        line = MINIMAL.count("\n") + 3  # the first band line
+        found = [f.format(line) for f in found]
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert len(err.value.errors) == len(found)
+        for got, start in zip(err.value.errors, found):
+            assert got.startswith(start), got
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        assert cli.main(["run", "--config", str(path)]) == cli.EXIT_CONFIG
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == [f"trsim: error: {e}" for e in err.value.errors]
 
     def test_malformed_device_line_reported(self):
         broken = MINIMAL + "\n[devices]\ndevice = a 1.0 0.1\n"

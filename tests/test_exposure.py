@@ -14,6 +14,7 @@ from trsim.exposure import (
     network_exposure,
     power_density,
 )
+from trsim.schema import ConfigError
 from trsim.sim import MODES, Devices
 from trsim.trmode import Mode
 
@@ -124,18 +125,18 @@ class TestStandardValidation:
         assert [b.low_hz for b in std.bands] == [1e8, 2e9]
 
     def test_overlapping_bands_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             ExposureStandard(
                 name="X",
                 bands=(FrequencyBand(1e8, 2.5e9, 40.0), FrequencyBand(2e9, 3e9, 61.0)),
             )
 
     def test_bad_band_fields_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             FrequencyBand(0.0, 1e9, 40.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             FrequencyBand(2e9, 1e9, 40.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             FrequencyBand(1e8, 1e9, 0.0)
 
     def test_band_edges_half_open(self):

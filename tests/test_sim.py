@@ -3,7 +3,7 @@ import math
 import re
 import tracemalloc
 from collections import namedtuple
-from dataclasses import fields, replace
+from dataclasses import fields, is_dataclass, replace
 from io import BytesIO
 from unittest import mock
 
@@ -12,13 +12,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import REPO_ROOT, make_config
-from trsim import channel, rrc, sim
+from trsim import channel, exposure, rrc, schema, sim
 from trsim.channel import db_to_linear, free_space_path_loss, outage_analytic, watts_to_dbm
 from trsim.cli import RUN_CSV_COLUMNS, RUN_KINDS, Coded, _run_chunks, _write_csv
 from trsim.exposure import (
     ExposureStandard,
     FrequencyBand,
     e_field_from_density,
+    network_exposure,
     power_density,
 )
 from trsim.frames import SlotKind, build_fdd_pair, build_tdd_frame, make_numerology
@@ -28,7 +29,6 @@ from trsim.sim import (
     MODE_UPLINK,
     MODES,
     RRC_EVENTS,
-    RRC_STATES,
     ConfigError,
     DeviceSpec,
     _am_uplink_mask,
@@ -79,8 +79,8 @@ def transitions(result) -> list[Transition]:
 def rrc_log(result) -> list[RrcEntry]:
     log = result.rrc_events
     return [
-        RrcEntry(slot, result.devices.device_id[i], RRC_EVENTS[e], RRC_STATES[old],
-                 RRC_STATES[new])
+        RrcEntry(slot, result.devices.device_id[i], RRC_EVENTS[e], MODE_STATES[old],
+                 MODE_STATES[new])
         for slot, i, e, old, new in zip(
             log.slot.tolist(), log.device.tolist(), log.event.tolist(),
             log.old.tolist(), log.new.tolist(),
@@ -108,6 +108,21 @@ def path_losses(devices) -> list[float]:
         db_to_linear(free_space_path_loss(distance, freq))
         for distance, freq in zip(devices.distance_m.tolist(), devices.freq_hz.tolist())
     ]
+
+
+def array_fields(record, prefix=""):
+    """(name, array) for each numpy array a record holds: its array fields,
+    the arrays held as the values of a dict field, and those of the records
+    it holds, named by their path."""
+    for f in fields(record):
+        value, name = getattr(record, f.name), prefix + f.name
+        if is_dataclass(value):
+            yield from array_fields(value, f"{name}.")
+        elif isinstance(value, dict):
+            yield from ((f"{name}[{k!r}]", v) for k, v in value.items()
+                        if isinstance(v, np.ndarray))
+        elif isinstance(value, np.ndarray):
+            yield name, value
 
 
 def switching_config(**overrides):
@@ -562,6 +577,64 @@ class TestStreamedEngine:
         assert abs(long - short) <= 0.25 * short, (short, long)
 
 
+class TestReadOnlyRecords:
+    STANDARDS = (
+        ExposureStandard("ICNIRP", (FrequencyBand(1e9, 1e10, 61.0),)),
+        ExposureStandard("IEEE-C95", (FrequencyBand(1e8, 1e10, 61.4),)),
+    )
+
+    def test_no_record_takes_a_write(self):
+        """Every array of every record iter_run yields, of a run_scenario
+        result and of a network_exposure report refuses a write, the ER
+        columns held in a dict too; so no consumer can change the modes the
+        engine reads on, as writing into a yielded Samples.mode once did."""
+        cfg = switching_config(standards=self.STANDARDS)
+        with mock.patch.object(sim, "ENGINE_ROWS", 7 * cfg.n_users):  # 9 chunks
+            parts = list(iter_run(cfg))
+        devices = parts[0]
+        records = parts + [
+            run_scenario(cfg),
+            network_exposure(devices.freq_hz, devices.emitted_w(devices.mode),
+                             cfg.standards, cfg.observer_distance_m),
+        ]
+        assert {type(r).__name__ for r in records} == {
+            "Devices", "Samples", "ModeTransitions", "RrcEvents", "RunTotals", "SimResult",
+            "ExposureReport",
+        }
+        for record in records:
+            held = dict(array_fields(record))
+            assert held, type(record)
+            for array in held.values():
+                with pytest.raises(ValueError, match="read-only"):
+                    array[...] = 0
+        assert {"exposure.er_per_standard['ICNIRP']", "exposure.er_per_standard['IEEE-C95']"} \
+            <= set(dict(array_fields(parts[-1])))
+
+    def test_each_array_record_derives_from_columns(self):
+        """Each dataclass of the engine that holds arrays, in a field of its
+        own or through a record it holds, derives from schema.Columns and
+        compares with its __eq__, defining none of its own."""
+        classes = {
+            cls.__name__: cls for module in (sim, exposure) for cls in vars(module).values()
+            if isinstance(cls, type) and is_dataclass(cls) and cls.__module__ == module.__name__
+        }
+        holding = {"np.ndarray"}  # and the names of the records that hold arrays
+        while True:
+            found = {name for name, cls in classes.items()
+                     if any(holding & set(re.findall(r"[\w.]+", str(f.type))) for f in fields(cls))}
+            if found <= holding:
+                break
+            holding |= found
+        records = [cls for name, cls in classes.items() if name in holding]
+        assert {cls.__name__ for cls in records} == {
+            "Devices", "Samples", "ModeTransitions", "RrcEvents", "RunTotals", "SimResult",
+            "ExposureReport",
+        }
+        for cls in records:
+            assert issubclass(cls, schema.Columns), cls
+            assert cls.__eq__ is schema.Columns.__eq__, cls
+
+
 class TestDbColumns:
     def test_equal_channel_per_value_bit_for_bit(self):
         """The engine's dB columns are channel.linear_to_db (sinr_db) and
@@ -594,8 +667,12 @@ class TestBuildDevices:
         result = run_scenario(cfg)
         assert (result.mode[-1] != result.devices.mode).any()
         assert result.devices == build_devices(cfg)
-        assert not any(getattr(result.devices, f.name).flags.writeable
-                       for f in fields(sim.Devices)[1:])
+        held = dict(array_fields(result))
+        assert [name for name in held if name.startswith("devices.")] == [
+            f"devices.{f.name}" for f in fields(sim.Devices)[1:]
+        ]
+        assert "exposure.power_density_w_m2" in held and "rrc_events.old" in held
+        assert not any(array.flags.writeable for array in held.values())
 
     def test_ring_places_everyone_at_cell_radius(self):
         cfg = make_config(placement="ring")
