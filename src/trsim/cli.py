@@ -23,10 +23,15 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from contextlib import nullcontext
 from dataclasses import astuple, fields, replace
 from typing import IO, Iterable, Iterator, NamedTuple
+
+# trsim calls no BLAS routine, so OpenBLAS's thread pool only costs start-up;
+# set before numpy loads, and a value the user sets is kept
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 

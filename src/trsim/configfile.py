@@ -127,7 +127,9 @@ def parse_config(text: str) -> ScenarioConfig:
             try:
                 standards.append(ExposureStandard(name, bands))
             except ConfigError as exc:
-                errors += [f"line {band_rows[0][0]}: {e}" for e in exc.errors]
+                # a standard's findings name its bands, so they point at their lines
+                where = f"lines {band_rows[0][0]}-{band_rows[-1][0]}"
+                errors += [f"{where}: {e}" for e in exc.errors]
 
     if errors:
         raise ConfigError(errors)

@@ -9,13 +9,15 @@ dataclass calls `check` from `__post_init__`, so no instance that breaks
 its declarations exists.
 
 `Columns` is the base of every dataclass that holds numpy arrays: it
-makes each of them read-only when the record is built, and compares two
-records field by field, arrays by value.
+makes each of them, and each mapping field, read-only when the record is
+built, and compares two records field by field, arrays by value.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import MISSING, Field, field, fields
+from types import MappingProxyType
 from typing import Sequence
 
 import numpy as np
@@ -77,21 +79,26 @@ def check(obj, *more: str) -> None:
 
 class Columns:
     """Base of a frozen dataclass that holds numpy arrays, as fields or as
-    the values of a dict field. Building one marks each of those arrays
-    read-only, so no holder of the record can change what it reads. Two
-    records are equal when they are of one type and equal field by field,
-    arrays compared by value."""
+    the values of a mapping field. Building one marks each of those arrays
+    read-only and holds each mapping field as a read-only proxy of a copy
+    of it, so no holder of the record can change what it reads. Two records
+    are equal when they are of one type and equal field by field, mappings
+    key by key and arrays by value."""
 
     def __post_init__(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
-            for x in value.values() if isinstance(value, dict) else (value,):
+            held = (value,)
+            if isinstance(value, Mapping):
+                object.__setattr__(self, f.name, MappingProxyType(dict(value)))
+                held = value.values()
+            for x in held:
                 if isinstance(x, np.ndarray):
                     x.flags.writeable = False
 
     def __eq__(self, other) -> bool:
         def same(x, y) -> bool:
-            if isinstance(x, dict):
+            if isinstance(x, Mapping):
                 return x.keys() == y.keys() and all(same(x[k], y[k]) for k in x)
             return np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
 

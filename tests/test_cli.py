@@ -814,3 +814,43 @@ def test_stdout_gets_the_bytes_of_the_out_file(fmt, tmp_path):
     subprocess.run([*args, "--out", str(out)], env=env, check=True)
     assert piped.stdout == out.read_bytes()
     assert fmt != "csv" or "ü-1".encode() in piped.stdout  # json.dumps escapes it
+
+
+def child_env(openblas_threads: str | None) -> dict[str, str]:
+    """This process's environment with src/ on the path and
+    OPENBLAS_NUM_THREADS set to `openblas_threads`, or removed for None."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(REPO_ROOT / "src")
+    if openblas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = openblas_threads
+    return env
+
+
+class TestBlasThreads:
+    PROBE = (
+        "import trsim.cli, numpy, os, sys;"
+        " print(os.environ['OPENBLAS_NUM_THREADS'],"
+        " len(os.listdir('/proc/self/task')) if sys.platform.startswith('linux') else 1)"
+    )
+
+    def probe(self, openblas_threads: str | None) -> list[str]:
+        """OPENBLAS_NUM_THREADS and the number of threads of a child that
+        imports trsim.cli, then numpy."""
+        child = subprocess.run([sys.executable, "-c", self.PROBE], env=child_env(openblas_threads),
+                               capture_output=True, text=True, check=True)
+        return child.stdout.split()
+
+    def test_cli_runs_numpy_single_threaded_by_default(self):
+        """Importing trsim.cli before numpy sets OPENBLAS_NUM_THREADS to 1,
+        so numpy loads without OpenBLAS's worker threads."""
+        assert self.probe(None) == ["1", "1"]
+
+    def test_users_thread_count_is_kept(self):
+        assert self.probe("2")[0] == "2"
+
+    @pytest.mark.parametrize("openblas_threads", [None, "2"])
+    def test_output_does_not_depend_on_the_thread_count(self, openblas_threads, tmp_path):
+        out = tmp_path / "run.csv"
+        subprocess.run([sys.executable, "-m", "trsim", "run", "--config", str(SWITCH_TDD),
+                        "--out", str(out)], env=child_env(openblas_threads), check=True)
+        assert out.read_bytes() == (GOLDEN_DIR / "run_switch_tdd.csv").read_bytes()

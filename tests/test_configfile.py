@@ -134,17 +134,18 @@ class TestParseErrors:
         (["4e9 3e9 0"], ["line {0}: e_ref_v_per_m must be", "line {0}: band edges must"]),
         # three bands, each two neighbours overlapping
         (["1e9 3e9 40.0", "2e9 4e9 61.0", "3.5e9 5e9 61.0"],
-         ["line {0}: standard 'X': bands [1000000000.0, 3000000000.0) and"
+         ["lines {0}-{1}: standard 'X': bands [1000000000.0, 3000000000.0) and"
           " [2000000000.0, 4000000000.0) overlap",
-          "line {0}: standard 'X': bands [2000000000.0, 4000000000.0) and"
+          "lines {0}-{1}: standard 'X': bands [2000000000.0, 4000000000.0) and"
           " [3500000000.0, 5000000000.0) overlap"]),
     ])
     def test_every_finding_of_a_standard_is_listed(self, bands, found, tmp_path, capsys):
         """Each finding of a band or of its standard is a finding of its
-        own, on its own `line N:`, and the command line exits 2 listing them."""
+        own, a band's on its `line N:` and a standard's on the span of its
+        band lines, `lines N-M:`, and the command line exits 2 listing them."""
         text = MINIMAL + "\n[standards.X]\n" + "".join(f"band = {b}\n" for b in bands)
         line = MINIMAL.count("\n") + 3  # the first band line
-        found = [f.format(line) for f in found]
+        found = [f.format(line, line + len(bands) - 1) for f in found]
         with pytest.raises(ConfigError) as err:
             parse_config(text)
         assert len(err.value.errors) == len(found)

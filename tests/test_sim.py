@@ -3,6 +3,7 @@ import math
 import re
 import tracemalloc
 from collections import namedtuple
+from collections.abc import Mapping
 from dataclasses import fields, is_dataclass, replace
 from io import BytesIO
 from unittest import mock
@@ -112,13 +113,13 @@ def path_losses(devices) -> list[float]:
 
 def array_fields(record, prefix=""):
     """(name, array) for each numpy array a record holds: its array fields,
-    the arrays held as the values of a dict field, and those of the records
+    the arrays held as the values of a mapping field, and those of the records
     it holds, named by their path."""
     for f in fields(record):
         value, name = getattr(record, f.name), prefix + f.name
         if is_dataclass(value):
             yield from array_fields(value, f"{name}.")
-        elif isinstance(value, dict):
+        elif isinstance(value, Mapping):
             yield from ((f"{name}[{k!r}]", v) for k, v in value.items()
                         if isinstance(v, np.ndarray))
         elif isinstance(value, np.ndarray):
@@ -609,6 +610,25 @@ class TestReadOnlyRecords:
                     array[...] = 0
         assert {"exposure.er_per_standard['ICNIRP']", "exposure.er_per_standard['IEEE-C95']"} \
             <= set(dict(array_fields(parts[-1])))
+
+    def test_no_standard_of_a_report_can_be_replaced_or_added(self):
+        """A report holds its ER columns and values in read-only mappings of
+        its own, so no holder can replace a standard's or add one, not even
+        through the dict it was built from; two runs still compare equal."""
+        cfg = switching_config(standards=self.STANDARDS)
+        result = run_scenario(cfg)
+        report = result.exposure
+        column = np.zeros_like(report.e_field_v_per_m)
+        for held, value in ((report.er_per_standard, column),
+                            (report.network_er_per_standard, 0.0)):
+            for name in ("ICNIRP", "X"):
+                with pytest.raises(TypeError):
+                    held[name] = value
+        built_from = dict(report.er_per_standard)
+        copy = replace(report, er_per_standard=built_from)
+        built_from["X"] = column
+        assert "X" not in copy.er_per_standard and copy == report
+        assert run_scenario(cfg) == result
 
     def test_each_array_record_derives_from_columns(self):
         """Each dataclass of the engine that holds arrays, in a field of its
