@@ -15,7 +15,8 @@ frames and rrc-check emit fixed text layouts used as golden files.
 Exit codes: 0 success; 2 configuration or usage error; 3 domain error
 (invalid operation input); 4 frequency outside every configured band;
 5 I/O error. Every failure prints one `trsim: error: ...` line per
-finding on stderr.
+finding on stderr. The `trsim` command is console(), which ends the
+process as soon as main returns and its output is written.
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ import csv
 import json
 import os
 import sys
-from contextlib import nullcontext
+from contextlib import contextmanager
 from dataclasses import astuple, fields, replace
-from typing import IO, Iterable, Iterator, NamedTuple
+from typing import IO, Iterable, Iterator, NamedTuple, NoReturn
 
 # trsim calls no BLAS routine, so OpenBLAS's thread pool only costs start-up;
 # set before numpy loads, and a value the user sets is kept
@@ -321,10 +322,18 @@ def _emit(args: argparse.Namespace, columns, kinds: Kinds, chunks: Chunks) -> in
 
 def _out_stream(path: str):
     """The output, open for bytes; `-` is stdout."""
-    if path == "-":
-        sys.stdout.flush()  # text written before goes out first
-        return nullcontext(sys.stdout.buffer)
-    return open(path, "wb")
+    return _stdout() if path == "-" else open(path, "wb")
+
+
+@contextmanager
+def _stdout() -> Iterator[IO[bytes]]:
+    """stdout's bytes, flushed once written, so that a failed final write
+    raises here; after a failed write, what is left is not flushed again."""
+    if sys.stdout is None:
+        raise OSError("stdout is closed")
+    sys.stdout.flush()  # text written before goes out first
+    yield sys.stdout.buffer
+    sys.stdout.buffer.flush()
 
 
 def _load_config(args: argparse.Namespace) -> ScenarioConfig:
@@ -481,5 +490,14 @@ def main(argv: list[str] | None = None) -> int:
     return code
 
 
-if __name__ == "__main__":
-    sys.exit(main())
+def console() -> NoReturn:
+    """The `trsim` command: main(), then the process ends at its last byte.
+    An exception main does not catch, and argparse's exits, propagate as
+    usual."""
+    code = main()
+    if sys.stderr is not None:
+        sys.stderr.flush()
+    # main has written and flushed or closed its output, and trsim registers
+    # no atexit handler and starts no thread: interpreter teardown would
+    # change nothing trsim wrote, so skip it
+    os._exit(code)

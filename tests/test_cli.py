@@ -45,6 +45,16 @@ OUTAGE_DEMO = DATA_DIR / "outage_demo.cfg"
 SWITCH_TDD = DATA_DIR / "run_switch_tdd.cfg"
 
 
+# every device's frequency lies outside the one standard's band
+UNMAPPED_BAND_CONFIG = (
+    "[scenario]\nn_users = 2\nn_tr = 0\ncell_radius_m = 100.0\nn_slots = 5\n"
+    "seed = 1\nbs_tx_power_w = 10.0\nue_tx_power_w = 0.2\n"
+    "[channel]\nfreq_hz = 9.9e12\nnoise_w = 1e-12\nsnr_threshold_db = 0.0\n"
+    "[switching]\nrss_threshold_dbm = -90.0\n"
+    "[standards.X]\nband = 1e9 2e9 61.0 narrow\n"
+)
+
+
 def run_cli(args: list[str]) -> int:
     return main(args)
 
@@ -328,15 +338,8 @@ class TestErrorPaths:
         assert "standards" in capsys.readouterr().err
 
     def test_unmapped_band_exits_with_band_code(self, tmp_path, capsys):
-        text = (
-            "[scenario]\nn_users = 2\nn_tr = 0\ncell_radius_m = 100.0\nn_slots = 5\n"
-            "seed = 1\nbs_tx_power_w = 10.0\nue_tx_power_w = 0.2\n"
-            "[channel]\nfreq_hz = 9.9e12\nnoise_w = 1e-12\nsnr_threshold_db = 0.0\n"
-            "[switching]\nrss_threshold_dbm = -90.0\n"
-            "[standards.X]\nband = 1e9 2e9 61.0 narrow\n"
-        )
         cfg = tmp_path / "unmapped.cfg"
-        cfg.write_text(text)
+        cfg.write_text(UNMAPPED_BAND_CONFIG)
         assert run_cli(["exposure", "--config", str(cfg)]) == EXIT_BAND
         assert "outside every band" in capsys.readouterr().err
         # run streams its records, yet finds the band before the first one
@@ -802,28 +805,118 @@ def test_wide_ring_output_is_pinned(tmp_path):
     check_run_digest(text, "csv", WIDE_RING_DIGEST, "the wide ring", tmp_path)
 
 
+def child_env(**changes: str | None) -> dict[str, str]:
+    """This process's environment with src/ on the path and each variable
+    of `changes` set to its value, or removed where it is None."""
+    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+    for name, value in changes.items():
+        if value is None:
+            env.pop(name, None)
+        else:
+            env[name] = value
+    return env
+
+
+@pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize("fmt", OUTPUT_FORMATS)
-def test_stdout_gets_the_bytes_of_the_out_file(fmt, tmp_path):
+def test_stdout_gets_the_bytes_of_the_out_file(fmt, unbuffered, tmp_path):
     """`--out -` writes to stdout, here a pipe, the very bytes that `--out
-    FILE` writes: UTF-8, whatever the encoding of stdout's text layer."""
+    FILE` writes: UTF-8, whatever the encoding of stdout's text layer, and
+    every byte of them, whether stdout is buffered or not."""
     config, out = tmp_path / "ids.cfg", tmp_path / "out"
     config.write_text(format_config(id_config(3, 40, 3.0)), encoding="utf-8")
     args = [sys.executable, "-m", "trsim", "run", "--config", str(config), "--format", fmt]
-    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src"), "PYTHONIOENCODING": "ascii"}
+    env = child_env(PYTHONIOENCODING="ascii", PYTHONUNBUFFERED=unbuffered)
     piped = subprocess.run([*args, "--out", "-"], env=env, capture_output=True, check=True)
     subprocess.run([*args, "--out", str(out)], env=env, check=True)
     assert piped.stdout == out.read_bytes()
     assert fmt != "csv" or "ü-1".encode() in piped.stdout  # json.dumps escapes it
 
 
-def child_env(openblas_threads: str | None) -> dict[str, str]:
-    """This process's environment with src/ on the path and
-    OPENBLAS_NUM_THREADS set to `openblas_threads`, or removed for None."""
-    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-    env["PYTHONPATH"] = str(REPO_ROOT / "src")
-    if openblas_threads is not None:
-        env["OPENBLAS_NUM_THREADS"] = openblas_threads
-    return env
+def trsim_child(args: list[str], stdout=subprocess.PIPE, wrapper: tuple = ()):
+    """`python -m trsim` with `args`, run to its end in a child whose
+    stdout is buffered, as a shell gives it, with its stdout and stderr
+    as text; `wrapper`, if given, runs the command."""
+    return subprocess.run([*wrapper, sys.executable, "-m", "trsim", *args], stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, env=child_env(PYTHONUNBUFFERED=None))
+
+
+def one_error_line(stderr: str) -> bool:
+    return re.fullmatch(r"trsim: error: [^\n]*\n", stderr) is not None
+
+
+DEV_FULL = "/dev/full"  # a device every write to which fails, as on a full disk
+# each subcommand, on a small input
+COMMANDS = {
+    "run-csv": ["run", "--config", str(SWITCH_TDD)],
+    "run-json-lines": ["run", "--config", str(SWITCH_TDD), "--format", "json-lines"],
+    "outage": ["outage", "--config", str(OUTAGE_DEMO)],
+    "exposure": ["exposure", "--config", str(ER_TABLE_FIXTURE)],
+    "frames": ["frames", "--mu", "0", "--duplex", "tdd", "--tr", "on"],
+    "rrc-check": ["rrc-check"],
+}
+# runs `exec "$@" >&-`: the command after it with stdout closed
+CLOSED_STDOUT = ("sh", "-c", 'exec "$@" >&-', "sh")
+
+
+class TestCommandEnd:
+    """The command ends its process once main returns, without interpreter
+    teardown: each child here has a buffered stdout, so a write that fails
+    only when the last bytes are flushed fails inside main, as an I/O
+    error."""
+
+    @pytest.mark.skipif(not os.path.exists(DEV_FULL), reason=f"no {DEV_FULL}")
+    @pytest.mark.parametrize("args", COMMANDS.values(), ids=COMMANDS)
+    def test_full_stdout_is_io_error(self, args):
+        with open(DEV_FULL, "w") as full:
+            child = trsim_child(args, stdout=full)
+        assert child.returncode == EXIT_IO
+        assert one_error_line(child.stderr), child.stderr
+
+    def test_pipe_closed_early_is_io_error(self):
+        """The reader takes 100 bytes and closes the pipe; the run's 181 kB
+        are more than a pipe holds, so a write fails."""
+        argv = [sys.executable, "-m", "trsim", *COMMANDS["run-json-lines"]]
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                              env=child_env(PYTHONUNBUFFERED=None)) as child:
+            assert len(child.stdout.read(100)) == 100
+            child.stdout.close()
+            stderr = child.stderr.read()
+        assert child.returncode == EXIT_IO
+        assert one_error_line(stderr), stderr
+
+    def test_closed_stdout_is_io_error(self):
+        child = trsim_child(["rrc-check"], wrapper=CLOSED_STDOUT)
+        assert (child.returncode, child.stderr) == (EXIT_IO, "trsim: error: stdout is closed\n")
+
+    def test_closed_stdout_is_not_needed_for_out_file(self, tmp_path):
+        out = tmp_path / "run.csv"
+        child = trsim_child([*COMMANDS["run-csv"], "--out", str(out)], wrapper=CLOSED_STDOUT)
+        assert (child.returncode, child.stderr) == (0, "")
+        assert out.read_bytes() == (GOLDEN_DIR / "run_switch_tdd.csv").read_bytes()
+
+    @pytest.mark.parametrize("text, code", [
+        ("[scenario]\nn_users = nope\n", EXIT_CONFIG),
+        (UNMAPPED_BAND_CONFIG, EXIT_BAND),
+    ], ids=["config", "band"])
+    def test_findings_are_what_main_prints(self, text, code, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text(text)
+        args = ["run", "--config", str(config)]
+        child = trsim_child(args)
+        assert main(args) == code
+        assert (child.returncode, child.stdout, child.stderr) == (code, "", capsys.readouterr().err)
+
+    @pytest.mark.parametrize("args", [["--version"], ["run"]], ids=["version", "usage"])
+    def test_argparse_exits_as_in_process(self, args, capsys, monkeypatch):
+        """argparse's SystemExit propagates, with interpreter teardown, as
+        it does from main in process: the same exit code and text."""
+        monkeypatch.setenv("COLUMNS", "80")  # the width argparse wraps usage to
+        child = trsim_child(args)
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        out, err = capsys.readouterr()
+        assert (child.returncode, child.stdout, child.stderr) == (exc.value.code, out, err)
 
 
 class TestBlasThreads:
@@ -836,7 +929,8 @@ class TestBlasThreads:
     def probe(self, openblas_threads: str | None) -> list[str]:
         """OPENBLAS_NUM_THREADS and the number of threads of a child that
         imports trsim.cli, then numpy."""
-        child = subprocess.run([sys.executable, "-c", self.PROBE], env=child_env(openblas_threads),
+        child = subprocess.run([sys.executable, "-c", self.PROBE],
+                               env=child_env(OPENBLAS_NUM_THREADS=openblas_threads),
                                capture_output=True, text=True, check=True)
         return child.stdout.split()
 
@@ -852,5 +946,6 @@ class TestBlasThreads:
     def test_output_does_not_depend_on_the_thread_count(self, openblas_threads, tmp_path):
         out = tmp_path / "run.csv"
         subprocess.run([sys.executable, "-m", "trsim", "run", "--config", str(SWITCH_TDD),
-                        "--out", str(out)], env=child_env(openblas_threads), check=True)
+                        "--out", str(out)], env=child_env(OPENBLAS_NUM_THREADS=openblas_threads),
+                       check=True)
         assert out.read_bytes() == (GOLDEN_DIR / "run_switch_tdd.csv").read_bytes()
