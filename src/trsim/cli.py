@@ -15,8 +15,9 @@ frames and rrc-check emit fixed text layouts used as golden files.
 Exit codes: 0 success; 2 configuration or usage error; 3 domain error
 (invalid operation input); 4 frequency outside every configured band;
 5 I/O error. Every failure prints one `trsim: error: ...` line per
-finding on stderr. The `trsim` command is console(), which ends the
-process as soon as main returns and its output is written.
+finding on stderr; with stderr closed, the exit code alone reports it.
+The `trsim` command is console(), which ends the process as soon as main
+returns and its output is written.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import csv
 import json
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import astuple, fields, replace
 from typing import IO, Iterable, Iterator, NamedTuple, NoReturn
 
@@ -133,12 +134,11 @@ def _run_chunks(devices: Devices, run: Iterator, always_on_fraction: float) -> C
     ids = devices.device_id
     n = len(ids)
     tx_labels, tx_codes = _tx_table(devices.uplink_levels_w(always_on_fraction))
-    # `_value_` is `.value` without its property call
-    modes = tuple(m._value_ for m in MODES)
+    modes = tuple(m.value for m in MODES)
     flipped = modes[::-1]  # a transition's from, coded by its to
-    events = tuple(e._value_ for e in RRC_EVENTS)
+    events = tuple(e.value for e in RRC_EVENTS)
     # rrc_state, ul_active and the RRC log's states are labels of the mode codes
-    mode_states = tuple(s._value_ for s in MODE_STATES)
+    mode_states = tuple(s.value for s in MODE_STATES)
     mode_uplink = tuple(map(int, MODE_UPLINK))
     first = 0  # the part's first slot
     for part in run:
@@ -485,8 +485,12 @@ def main(argv: list[str] | None = None) -> int:
         findings, code = [exc], EXIT_DOMAIN
     except OSError as exc:
         findings, code = [exc], EXIT_IO
-    for finding in findings:
-        print(f"trsim: error: {finding}", file=sys.stderr)
+    # with stderr closed (None, or a write fails) the exit code alone reports
+    # the failure: print(file=None) would write the findings to stdout
+    if sys.stderr is not None:
+        with suppress(OSError):
+            for finding in findings:
+                print(f"trsim: error: {finding}", file=sys.stderr)
     return code
 
 
@@ -496,7 +500,8 @@ def console() -> NoReturn:
     usual."""
     code = main()
     if sys.stderr is not None:
-        sys.stderr.flush()
+        with suppress(OSError):
+            sys.stderr.flush()
     # main has written and flushed or closed its output, and trsim registers
     # no atexit handler and starts no thread: interpreter teardown would
     # change nothing trsim wrote, so skip it

@@ -1,4 +1,4 @@
-"""Radio frame construction and validation.
+"""Radio frame construction.
 
 A frame is 10 subframes of 1 ms; each subframe holds `slots_per_subframe`
 slots as set by the numerology (15 kHz * 2^mu subcarrier spacing gives
@@ -17,7 +17,6 @@ operation); with Hold active every uplink subframe is silenced.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -142,71 +141,6 @@ def build_tdd_frame(
     return _frame(
         Duplex.TDD, parse_pattern(dl_ul_pattern), toggle, tr_active, num.slots_per_subframe
     )
-
-
-def validate_frame(frame: RadioFrame) -> list[str]:
-    """Check every frame invariant; return one finding per violation.
-
-    Returns an empty list for valid frames. Never raises: callers feed it
-    arbitrary hand-built frames.
-    """
-    findings: list[str] = []
-    n_sub = len(frame.subframes)
-    if n_sub != SUBFRAMES_PER_FRAME:
-        findings.append(
-            f"subframe-count: expected {SUBFRAMES_PER_FRAME} subframes, found {n_sub}"
-        )
-    slot_counts = {len(sf) for sf in frame.subframes}
-    if len(slot_counts) > 1 or (slot_counts and min(slot_counts) < 1):
-        findings.append(
-            f"slot-count: subframes must hold one uniform positive slot count,"
-            f" found {sorted(slot_counts)}"
-        )
-
-    hold_at: list[tuple[int, int]] = []
-    release_at: list[tuple[int, int]] = []
-    for i, sf in enumerate(frame.subframes):
-        for j, slot in enumerate(sf):
-            if slot is SlotKind.UPLINK:
-                if frame.duplex is Duplex.FDD_DOWNLINK:
-                    findings.append(
-                        f"fdd-downlink-purity: Uplink slot at subframe {i} slot {j}"
-                    )
-                if frame.tr_active:
-                    findings.append(
-                        f"tr-suppression: Uplink slot at subframe {i} slot {j}"
-                        f" while TR is active"
-                    )
-            elif slot is SlotKind.DOWNLINK and frame.duplex is Duplex.FDD_UPLINK:
-                findings.append(
-                    f"fdd-uplink-purity: Downlink slot at subframe {i} slot {j}"
-                )
-            elif slot is SlotKind.HOLD:
-                hold_at.append((i, j))
-            elif slot is SlotKind.RELEASE:
-                release_at.append((i, j))
-
-    if hold_at and release_at:
-        findings.append(
-            "hold-release-exclusivity: frame contains both Hold and Release"
-        )
-    for name, where in (("Hold", hold_at), ("Release", release_at)):
-        if len(where) > 1:
-            findings.append(
-                f"hold-release-multiplicity: {name} occupies {len(where)} slots"
-                f" at {where}, expected exactly one"
-            )
-        if where and frame.duplex is not Duplex.TDD:
-            findings.append(
-                f"hold-release-duplex: {name} slot at subframe {where[0][0]}"
-                f" slot {where[0][1]} outside a TDD frame"
-            )
-    return findings
-
-
-def slot_census(frame: RadioFrame) -> Counter[SlotKind]:
-    """Exact multiset of slot kinds; counts sum to 10 * slots_per_subframe."""
-    return Counter(slot for sf in frame.subframes for slot in sf)
 
 
 def frame_dump(frame: RadioFrame) -> str:

@@ -1,9 +1,11 @@
 import importlib.util
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from trsim.frames import SUBFRAMES_PER_FRAME, Duplex, RadioFrame, SlotKind
 from trsim.sim import ScenarioConfig
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -56,3 +58,23 @@ def make_config(**overrides) -> ScenarioConfig:
 @pytest.fixture
 def small_config() -> ScenarioConfig:
     return make_config()
+
+
+def slot_census(frame: RadioFrame) -> Counter[SlotKind]:
+    """Exact multiset of the frame's slot kinds."""
+    return Counter(slot for sf in frame.subframes for slot in sf)
+
+
+def assert_frame_invariants(frame: RadioFrame, mu: int) -> None:
+    """The rules every frame built at numerology `mu` keeps: 10 subframes
+    of 2^mu slots; no Uplink slot with TR active or in the FDD downlink
+    frame; no Downlink slot in the FDD uplink frame; one Hold or Release
+    slot in a TDD frame and none in any other."""
+    assert [len(sf) for sf in frame.subframes] == [2**mu] * SUBFRAMES_PER_FRAME
+    census = slot_census(frame)
+    if frame.tr_active or frame.duplex is Duplex.FDD_DOWNLINK:
+        assert census[SlotKind.UPLINK] == 0, census
+    if frame.duplex is Duplex.FDD_UPLINK:
+        assert census[SlotKind.DOWNLINK] == 0, census
+    toggles = census[SlotKind.HOLD] + census[SlotKind.RELEASE]
+    assert toggles == (frame.duplex is Duplex.TDD), census

@@ -15,12 +15,12 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import ER_TABLE_FIXTURE, SCENARIO_TR50
+from conftest import ER_TABLE_FIXTURE, SCENARIO_TR50, assert_frame_invariants, slot_census
 from trsim.channel import db_to_linear, free_space_path_loss, outage_analytic, outage_monte_carlo
 from trsim.cli import main
 from trsim.configfile import parse_config
 from trsim.exposure import complexity_metric
-from trsim.frames import SlotKind, build_fdd_pair, build_tdd_frame, make_numerology, slot_census, validate_frame
+from trsim.frames import SlotKind, build_fdd_pair, build_tdd_frame, make_numerology
 from trsim.rrc import RrcEvent, RrcState, check_reachability, transition, uplink_grant_allowed
 from trsim.sim import outage_curve, run_scenario
 
@@ -168,13 +168,7 @@ def test_frame_invariants_property_cases():
             tdd = build_tdd_frame(num, pattern, tr_active)
 
             for frame in (dl, ul, tdd):
-                assert validate_frame(frame) == []
-                if tr_active:
-                    assert slot_census(frame)[SlotKind.UPLINK] == 0
-
-            census = slot_census(tdd)
-            assert census[SlotKind.HOLD] + census[SlotKind.RELEASE] == 1
-            assert (census[SlotKind.HOLD] == 1) != (census[SlotKind.RELEASE] == 1)
+                assert_frame_invariants(frame, mu)
 
             other = build_tdd_frame(num, pattern, not tr_active)
             assert (

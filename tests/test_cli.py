@@ -833,12 +833,14 @@ def test_stdout_gets_the_bytes_of_the_out_file(fmt, unbuffered, tmp_path):
     assert fmt != "csv" or "ü-1".encode() in piped.stdout  # json.dumps escapes it
 
 
-def trsim_child(args: list[str], stdout=subprocess.PIPE, wrapper: tuple = ()):
+def trsim_child(args: list[str], stdout=subprocess.PIPE, wrapper: tuple = (),
+                unbuffered: bool = False):
     """`python -m trsim` with `args`, run to its end in a child whose
-    stdout is buffered, as a shell gives it, with its stdout and stderr
-    as text; `wrapper`, if given, runs the command."""
+    stdout is buffered, as a shell gives it, unless `unbuffered`, with its
+    stdout and stderr as text; `wrapper`, if given, runs the command."""
+    env = child_env(PYTHONUNBUFFERED="1" if unbuffered else None)
     return subprocess.run([*wrapper, sys.executable, "-m", "trsim", *args], stdout=stdout,
-                          stderr=subprocess.PIPE, text=True, env=child_env(PYTHONUNBUFFERED=None))
+                          stderr=subprocess.PIPE, text=True, env=env)
 
 
 def one_error_line(stderr: str) -> bool:
@@ -857,6 +859,15 @@ COMMANDS = {
 }
 # runs `exec "$@" >&-`: the command after it with stdout closed
 CLOSED_STDOUT = ("sh", "-c", 'exec "$@" >&-', "sh")
+# the command after it with stderr closed, or open for reading only (as when
+# a launcher script opens its own file on the free descriptor 2): Python
+# makes sys.stderr None for the first, and for the second a stream every
+# write to which fails
+CLOSED_STDERR = ("sh", "-c", 'exec "$@" 2>&-', "sh")
+READ_ONLY_STDERR = ("sh", "-c", 'exec "$@" 2</dev/null', "sh")
+NO_STDERR = pytest.mark.parametrize(
+    "wrapper", [CLOSED_STDERR, READ_ONLY_STDERR], ids=["closed", "read-only"]
+)
 
 
 class TestCommandEnd:
@@ -895,10 +906,13 @@ class TestCommandEnd:
         assert (child.returncode, child.stderr) == (0, "")
         assert out.read_bytes() == (GOLDEN_DIR / "run_switch_tdd.csv").read_bytes()
 
-    @pytest.mark.parametrize("text, code", [
+    # a run's config text, and the exit code it fails with
+    FAILED_RUNS = pytest.mark.parametrize("text, code", [
         ("[scenario]\nn_users = nope\n", EXIT_CONFIG),
         (UNMAPPED_BAND_CONFIG, EXIT_BAND),
     ], ids=["config", "band"])
+
+    @FAILED_RUNS
     def test_findings_are_what_main_prints(self, text, code, tmp_path, capsys):
         config = tmp_path / "run.cfg"
         config.write_text(text)
@@ -906,6 +920,24 @@ class TestCommandEnd:
         child = trsim_child(args)
         assert main(args) == code
         assert (child.returncode, child.stdout, child.stderr) == (code, "", capsys.readouterr().err)
+
+    @NO_STDERR
+    @FAILED_RUNS
+    def test_closed_stderr_keeps_the_exit_code(self, text, code, wrapper, tmp_path):
+        """With nowhere to write the findings, the exit code alone reports
+        the failure; stdout is unbuffered, so a finding written there shows."""
+        config = tmp_path / "run.cfg"
+        config.write_text(text)
+        child = trsim_child(["run", "--config", str(config)], wrapper=wrapper, unbuffered=True)
+        assert (child.returncode, child.stdout) == (code, "")
+
+    @NO_STDERR
+    def test_closed_stderr_is_not_needed_for_a_run(self, wrapper, tmp_path):
+        out = tmp_path / "run.csv"
+        with open(out, "w") as stdout:
+            child = trsim_child(COMMANDS["run-csv"], stdout=stdout, wrapper=wrapper)
+        assert child.returncode == 0
+        assert out.read_bytes() == (GOLDEN_DIR / "run_switch_tdd.csv").read_bytes()
 
     @pytest.mark.parametrize("args", [["--version"], ["run"]], ids=["version", "usage"])
     def test_argparse_exits_as_in_process(self, args, capsys, monkeypatch):

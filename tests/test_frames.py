@@ -1,17 +1,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from trsim.frames import (
-    Duplex,
-    RadioFrame,
-    SlotKind,
-    build_fdd_pair,
-    build_tdd_frame,
-    frame_dump,
-    make_numerology,
-    slot_census,
-    validate_frame,
-)
+from conftest import assert_frame_invariants, make_config, slot_census
+from trsim.frames import SlotKind, build_fdd_pair, build_tdd_frame, frame_dump, make_numerology
+from trsim.sim import _am_uplink_mask
 
 
 def patterns():
@@ -106,74 +98,6 @@ class TestTddFrame:
             build_tdd_frame(make_numerology(0), pattern, tr_active=False)
 
 
-class TestValidateFrame:
-    def test_constructor_outputs_are_clean(self):
-        num = make_numerology(1)
-        dl, ul = build_fdd_pair(num, tr_active=True)
-        tdd = build_tdd_frame(num, "DSUUUDUUUU", tr_active=False)
-        for frame in (dl, ul, tdd):
-            assert validate_frame(frame) == []
-
-    def test_wrong_subframe_count_is_named(self):
-        frame = RadioFrame(
-            duplex=Duplex.TDD,
-            subframes=((SlotKind.DOWNLINK,),) * 9,
-            tr_active=False,
-        )
-        findings = validate_frame(frame)
-        assert any("subframe-count" in f for f in findings)
-
-    def test_injected_uplink_in_tr_frame_is_named(self):
-        frame = build_tdd_frame(make_numerology(0), "DSUUUDUUUU", tr_active=True)
-        patched = RadioFrame(
-            duplex=frame.duplex,
-            subframes=frame.subframes[:3] + ((SlotKind.UPLINK,),) + frame.subframes[4:],
-            tr_active=True,
-        )
-        findings = validate_frame(patched)
-        assert any("tr-suppression" in f for f in findings)
-
-    def test_uplink_in_fdd_downlink_frame_is_named(self):
-        frame = RadioFrame(
-            duplex=Duplex.FDD_DOWNLINK,
-            subframes=((SlotKind.UPLINK,),) + ((SlotKind.DOWNLINK,),) * 9,
-            tr_active=False,
-        )
-        assert any("fdd-downlink-purity" in f for f in validate_frame(frame))
-
-    def test_hold_and_release_together_is_named(self):
-        frame = RadioFrame(
-            duplex=Duplex.TDD,
-            subframes=((SlotKind.HOLD,), (SlotKind.RELEASE,)) + ((SlotKind.DOWNLINK,),) * 8,
-            tr_active=False,
-        )
-        assert any("hold-release-exclusivity" in f for f in validate_frame(frame))
-
-    def test_duplicated_hold_is_named(self):
-        frame = RadioFrame(
-            duplex=Duplex.TDD,
-            subframes=((SlotKind.HOLD,), (SlotKind.HOLD,)) + ((SlotKind.DOWNLINK,),) * 8,
-            tr_active=True,
-        )
-        assert any("hold-release-multiplicity" in f for f in validate_frame(frame))
-
-    def test_hold_outside_tdd_is_named(self):
-        frame = RadioFrame(
-            duplex=Duplex.FDD_UPLINK,
-            subframes=((SlotKind.HOLD,),) + ((SlotKind.UPLINK,),) * 9,
-            tr_active=False,
-        )
-        assert any("hold-release-duplex" in f for f in validate_frame(frame))
-
-    def test_ragged_subframes_are_named(self):
-        frame = RadioFrame(
-            duplex=Duplex.TDD,
-            subframes=((SlotKind.DOWNLINK, SlotKind.DOWNLINK),) + ((SlotKind.DOWNLINK,),) * 9,
-            tr_active=False,
-        )
-        assert any("slot-count" in f for f in validate_frame(frame))
-
-
 class TestCensusAndDump:
     def test_all_downlink_census(self):
         dl, _ = build_fdd_pair(make_numerology(0), tr_active=False)
@@ -208,12 +132,7 @@ def test_constructor_invariants(mu, pattern, tr_active, switch_subframe):
     dl, ul = build_fdd_pair(num, tr_active, switch_subframe=switch_subframe)
     tdd = build_tdd_frame(num, pattern, tr_active)
     for frame in (dl, ul, tdd):
-        assert validate_frame(frame) == []
-        if tr_active:
-            assert slot_census(frame)[SlotKind.UPLINK] == 0
-
-    census = slot_census(tdd)
-    assert census[SlotKind.HOLD] + census[SlotKind.RELEASE] == 1
+        assert_frame_invariants(frame, mu)
 
     # downlink slot counts never depend on the TR flag
     other_tdd = build_tdd_frame(num, pattern, not tr_active)
@@ -221,3 +140,13 @@ def test_constructor_invariants(mu, pattern, tr_active, switch_subframe):
     other_dl, other_ul = build_fdd_pair(num, not tr_active, switch_subframe=switch_subframe)
     assert slot_census(dl)[SlotKind.DOWNLINK] == slot_census(other_dl)[SlotKind.DOWNLINK]
     assert slot_census(ul)[SlotKind.DOWNLINK] == slot_census(other_ul)[SlotKind.DOWNLINK]
+
+
+@given(mu=st.integers(0, 4), pattern=patterns())
+def test_engine_uplink_mask_is_the_pattern(mu, pattern):
+    """The engine's AM uplink slots: in TDD each slot of a 'U' subframe, in
+    FDD each slot outside subframe 0, the frequency-switching subframe."""
+    tdd = make_config(numerology_mu=mu, duplex="tdd", tdd_pattern=pattern)
+    assert _am_uplink_mask(tdd) == [e == "U" for e in pattern for _ in range(2**mu)]
+    fdd = make_config(numerology_mu=mu, duplex="fdd")
+    assert _am_uplink_mask(fdd) == [sf != 0 for sf in range(10) for _ in range(2**mu)]
