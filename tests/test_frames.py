@@ -2,7 +2,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import assert_frame_invariants, make_config, slot_census
-from trsim.frames import SlotKind, build_fdd_pair, build_tdd_frame, frame_dump, make_numerology
+from trsim.frames import (
+    Duplex,
+    RadioFrame,
+    SlotKind,
+    build_fdd_pair,
+    build_tdd_frame,
+    frame_dump,
+    make_numerology,
+)
 from trsim.sim import _am_uplink_mask
 
 
@@ -96,6 +104,34 @@ class TestTddFrame:
     def test_bad_patterns_rejected(self, pattern):
         with pytest.raises(ValueError):
             build_tdd_frame(make_numerology(0), pattern, tr_active=False)
+
+
+class TestFrameInvariantsHelper:
+    """`assert_frame_invariants` is the one statement of the frame rules the
+    tests check built frames against, so each rule must reject a frame that
+    breaks it and only it."""
+
+    D, U, H, R = SlotKind.DOWNLINK, SlotKind.UPLINK, SlotKind.HOLD, SlotKind.RELEASE
+
+    @pytest.mark.parametrize(
+        "duplex,subframes,tr_active,mu",
+        [
+            pytest.param(Duplex.TDD, ((H,),) + ((D,),) * 8, False, 0, id="nine-subframes"),
+            pytest.param(Duplex.TDD, ((H,), (D, D)) + ((D,),) * 8, False, 0, id="ragged-subframes"),
+            pytest.param(Duplex.TDD, ((H, D),) + ((D, D),) * 9, False, 0, id="slot-count-not-2^mu"),
+            pytest.param(Duplex.TDD, ((H,), (U,)) + ((D,),) * 8, True, 0, id="uplink-with-tr-active"),
+            pytest.param(Duplex.FDD_DOWNLINK, ((U,),) + ((D,),) * 9, False, 0, id="uplink-in-fdd-downlink"),
+            pytest.param(Duplex.FDD_UPLINK, ((D,),) + ((U,),) * 9, False, 0, id="downlink-in-fdd-uplink"),
+            pytest.param(Duplex.TDD, ((H,), (R,)) + ((D,),) * 8, False, 0, id="hold-and-release-together"),
+            pytest.param(Duplex.TDD, ((H,), (H,)) + ((D,),) * 8, True, 0, id="duplicated-hold"),
+            pytest.param(Duplex.FDD_UPLINK, ((H,),) + ((U,),) * 9, False, 0, id="hold-outside-tdd"),
+            pytest.param(Duplex.TDD, ((D,),) * 10, False, 0, id="tdd-without-toggle"),
+        ],
+    )
+    def test_broken_frame_is_rejected(self, duplex, subframes, tr_active, mu):
+        frame = RadioFrame(duplex=duplex, subframes=subframes, tr_active=tr_active)
+        with pytest.raises(AssertionError):
+            assert_frame_invariants(frame, mu)
 
 
 class TestCensusAndDump:
