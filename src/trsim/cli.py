@@ -116,24 +116,23 @@ def _chunk(kind: str, records: list[tuple]) -> tuple[str, tuple]:
     return kind, tuple(Coded(column, codes) for column in zip(*records))
 
 
-def _tx_table(levels_w: np.ndarray) -> tuple:
-    """ul_tx_w's labels, the distinct bit patterns of the (3, n) table of
-    each device's uplink levels (Devices.uplink_levels_w) as Python floats,
-    which keep -0.0 apart from 0.0, and each level's code into them, a
-    (3, n) table."""
+def _tx_bits(levels_w: np.ndarray) -> np.ndarray:
+    """The distinct bit patterns of the (3, n) table of each device's uplink
+    levels (Devices.uplink_levels_w), sorted: ul_tx_w's labels, and the
+    table a level's code is found in with np.searchsorted."""
     bits = np.sort(levels_w.view(np.uint64).ravel(), kind="stable")
-    labels = bits[np.r_[True, bits[1:] != bits[:-1]]]
-    codes = np.searchsorted(labels, levels_w.view(np.uint64)).astype(np.int32)
-    return tuple(labels.view(np.float64).tolist()), codes
+    return bits[np.r_[True, bits[1:] != bits[:-1]]]
 
 
-def _run_chunks(devices: Devices, run: Iterator, always_on_fraction: float) -> Chunks:
+def _run_chunks(devices: Devices, run: Iterator) -> Chunks:
     """The records of sim.iter_run's stream, its columns labelled: `devices`
-    is its first item and `run` the rest, of a config with the given
-    always_on_fraction."""
-    ids = devices.device_id
+    is its first item and `run` the rest. Each record is let go before the
+    next is asked for."""
+    ids, levels_w = devices.device_id, devices.uplink_levels_w
     n = len(ids)
-    tx_labels, tx_codes = _tx_table(devices.uplink_levels_w(always_on_fraction))
+    tx_bits = _tx_bits(levels_w)
+    # Python floats keep -0.0 apart from 0.0, and both escapes write a float's repr
+    tx_labels = tuple(tx_bits.view(np.float64).tolist())
     modes = tuple(m.value for m in MODES)
     flipped = modes[::-1]  # a transition's from, coded by its to
     events = tuple(e.value for e in RRC_EVENTS)
@@ -145,15 +144,15 @@ def _run_chunks(devices: Devices, run: Iterator, always_on_fraction: float) -> C
         if isinstance(part, Samples):
             # in record order, slot by slot, then device by device
             slots = len(part.mode)
-            mode, gain, rss, sinr = (
-                c.ravel() for c in (part.mode, part.fading_gain, part.rss_dbm, part.sinr_db)
-            )
-            tx = np.take_along_axis(tx_codes, part.ul_level, 0).ravel()
             yield "sample", (
                 np.arange(first, first + slots, dtype=np.int32).repeat(n),
-                Coded(ids, np.tile(np.arange(n, dtype=np.int32), slots)), Coded(modes, mode),
-                Coded(mode_states, mode), gain, rss, sinr, Coded(mode_uplink, mode),
-                Coded(tx_labels, tx),
+                Coded(ids, np.tile(np.arange(n, dtype=np.int32), slots)),
+                Coded(modes, part.mode.ravel()), Coded(mode_states, part.mode.ravel()),
+                part.fading_gain.ravel(), part.rss_dbm.ravel(), part.sinr_db.ravel(),
+                Coded(mode_uplink, part.mode.ravel()),
+                Coded(tx_labels, np.searchsorted(
+                    tx_bits, np.take_along_axis(levels_w, part.ul_level, 0).view(np.uint64)
+                ).astype(np.int32).ravel()),
             )
             first += slots
         elif isinstance(part, ModeTransitions):
@@ -179,6 +178,7 @@ def _run_chunks(devices: Devices, run: Iterator, always_on_fraction: float) -> C
             for name, er in report.network_er_per_standard.items():
                 metrics[f"network_er_{name}"] = er
             yield _chunk("metric", list(metrics.items()))
+        del part
 
 
 def _exposure_chunks(ids: tuple, report: ExposureReport) -> Chunks:
@@ -222,25 +222,9 @@ def _write_chunks(fh: IO[bytes], layouts: dict, chunks: Chunks, escape) -> None:
             # views of the chunk's columns; a Coded one keeps its labels, so
             # their text stays cached
             cut = slice(r0, r0 + CHUNK_ROWS)
-            columns = [c._replace(codes=c.codes[cut]) if isinstance(c, Coded) else c[cut]
-                       for c in chunk]
-            floats = [j for j, c in enumerate(columns)
-                      if not isinstance(c, Coded) and c.dtype.kind == "f"]
-            blocks = {}
-            if floats:
-                text = textcols.floats(np.stack([columns[j] for j in floats]), escape)
-                blocks.update(zip(floats, text))
-            for j, column in enumerate(columns):
-                if isinstance(column, Coded):
-                    if id(column.labels) not in tables:
-                        texts = textcols.labels(escape(label) for label in column.labels)
-                        tables[id(column.labels)] = column.labels, texts
-                    coded = tables[id(column.labels)][1].take(column.codes)
-                    blocks[j] = coded.view(np.uint8).reshape(len(coded), -1)
-                elif j not in blocks:
-                    blocks[j] = textcols.ints(column)
-            rows = len(blocks[0])
-            widths = tuple(blocks[j].shape[1] for j in range(len(columns)))
+            blocks = _blocks([c._replace(codes=c.codes[cut]) if isinstance(c, Coded) else c[cut]
+                              for c in chunk], escape, tables)
+            rows, widths = len(blocks[0]), tuple(block.shape[1] for block in blocks)
             if shape != (kind, widths):
                 shape, spans, at, literals = (kind, widths), [], 0, []
                 for item in layouts[kind]:
@@ -257,8 +241,32 @@ def _write_chunks(fh: IO[bytes], layouts: dict, chunks: Chunks, escape) -> None:
                     matrix[:, a:a + len(literal)] = np.frombuffer(literal, np.uint8)
             for j, a, b in spans:
                 matrix[:rows, a:b] = blocks[j]
-            piece = buffer if rows == CHUNK_ROWS else buffer[:rows * matrix.shape[1]]
-            fh.write(piece.translate(None, pad))
+            del blocks  # the next piece's blocks are made without these
+            fh.write((buffer if rows == CHUNK_ROWS else buffer[:rows * matrix.shape[1]])
+                     .translate(None, pad))
+        del chunk  # let go before the next is made
+
+
+def _blocks(columns: list, escape, tables: dict) -> list:
+    """Each column's values as the rows of a matrix of fixed-width blocks, as
+    _write_chunks writes them; `tables` caches each Coded column's labels'
+    text."""
+    blocks = [None] * len(columns)
+    floats = [j for j, c in enumerate(columns) if not isinstance(c, Coded) and c.dtype.kind == "f"]
+    if floats:
+        text = textcols.floats(np.stack([columns[j] for j in floats]), escape)
+        for j, block in zip(floats, text):
+            blocks[j] = block
+    for j, column in enumerate(columns):
+        if isinstance(column, Coded):
+            if id(column.labels) not in tables:
+                texts = textcols.labels(escape(label) for label in column.labels)
+                tables[id(column.labels)] = column.labels, texts
+            coded = tables[id(column.labels)][1].take(column.codes)
+            blocks[j] = coded.view(np.uint8).reshape(len(coded), -1)
+        elif blocks[j] is None:
+            blocks[j] = textcols.ints(column)
+    return blocks
 
 
 class _Echo:
@@ -351,7 +359,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     run = iter_run(cfg)
     devices = next(run)  # the config is checked by now, before the output is opened
-    chunks = _run_chunks(devices, run, cfg.always_on_fraction)
+    chunks = _run_chunks(devices, run)
     return _emit(args, RUN_CSV_COLUMNS, RUN_KINDS, chunks)
 
 
@@ -413,8 +421,19 @@ def _snr_points(text: str) -> tuple[float, ...]:
     return points
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, except that a usage error with stderr closed
+    (sys.stderr None) writes nothing: argparse would print the usage with
+    print_usage(None), which writes to stdout."""
+
+    def error(self, message: str) -> NoReturn:
+        if sys.stderr is None:
+            self.exit(EXIT_CONFIG)
+        super().error(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="trsim",
         description=(
             "Deterministic single-cell link simulator with a half-duplex"
@@ -485,20 +504,36 @@ def main(argv: list[str] | None = None) -> int:
         findings, code = [exc], EXIT_DOMAIN
     except OSError as exc:
         findings, code = [exc], EXIT_IO
-    # with stderr closed (None, or a write fails) the exit code alone reports
-    # the failure: print(file=None) would write the findings to stdout
+    _report(findings)
+    return code
+
+
+def _report(findings: list) -> None:
+    """One `trsim: error:` line per finding on stderr. With stderr closed
+    (None, or a write fails) the exit code alone reports the failure:
+    print(file=None) would write the findings to stdout."""
     if sys.stderr is not None:
         with suppress(OSError):
             for finding in findings:
                 print(f"trsim: error: {finding}", file=sys.stderr)
-    return code
 
 
 def console() -> NoReturn:
-    """The `trsim` command: main(), then the process ends at its last byte.
-    An exception main does not catch, and argparse's exits, propagate as
+    """The `trsim` command: main(), then the process ends at its last byte,
+    with main's exit code or that of argparse's exit (2 for a usage error,
+    0 for --help and --version, whose text is flushed to stdout first; if
+    that flush fails, 5). An exception main does not catch propagates as
     usual."""
-    code = main()
+    try:
+        code = main()
+    except SystemExit as exc:  # raised only by argparse, with an int code
+        code = exc.code
+        try:
+            if sys.stdout is not None:
+                sys.stdout.flush()
+        except OSError as err:
+            code = EXIT_IO
+            _report([err])
     if sys.stderr is not None:
         with suppress(OSError):
             sys.stderr.flush()

@@ -30,7 +30,7 @@ Modeling choices, at desk scale:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import InitVar, dataclass, field, fields
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -56,12 +56,13 @@ from .trmode import Mode, hold_modes, uplink_enabled
 
 # Upper bound on a run's population x n_slots, refused by iter_run as a
 # configuration error before any work. A run holds one chunk of slots
-# (ENGINE_ROWS), two bits per device-slot and its mode-transition log, and
-# `trsim run` at the cap peaked at 40 MiB RSS on a 1000-device ring and 54
-# MiB on a switching disk, taking 29-44 s and writing 2.2 GB (CSV) to 3.8 GB
-# (JSON-lines) on a 2-CPU x86 host. Memory grows by about 420 B per device:
-# a ring of 2x10^5 devices x 1 slot peaked at 116 MiB and one of 10^6 at 438
-# MiB, so 10^7 devices x 1 slot would need about 4.0 GiB (not run).
+# (ENGINE_ROWS), two bits per device-slot and its mode-transition log. On a
+# 2-CPU x86 host `trsim run` peaked at 33-34 MiB RSS on the 10^5
+# device-slot benchmark workloads, and at the cap at 37 MiB on a 1000-device
+# ring (CSV) and 51 MiB on a switching disk (JSON-lines), taking 16-21 s and
+# writing 2.2 to 3.8 GB. Memory grows by 200-230 B per device: a ring of
+# 2x10^5 devices x 1 slot peaked at 78 MiB, one of 10^6 at 255 MiB and one
+# of 10^7 at 2.0 GiB (CSV, 29 s of CPU).
 MAX_DEVICE_SLOTS = 10**7
 
 # Device-slots per engine chunk: iter_run computes ceil(ENGINE_ROWS / n)
@@ -163,20 +164,26 @@ _MODE_UPLINK = np.array(MODE_UPLINK)
 class Devices(Columns):
     """The device population as read-only columns, one row per device,
     named after the fields of DeviceSpec. `mode` is each device's starting
-    mode; a run's modes after a slot are in its Samples."""
+    mode; a run's modes after a slot are in its Samples. `uplink_levels_w`
+    is the one table of each device's three uplink levels, the rows of a
+    (3, n) array that Samples.ul_level indexes: silent (+0.0), always-on
+    (always_on_fraction x tx_power_w) and data (tx_power_w, which is this
+    row)."""
 
     device_id: tuple[str, ...]
     distance_m: np.ndarray
     tx_power_w: np.ndarray
     freq_hz: np.ndarray
     mode: np.ndarray  # int8, indexes MODES
+    always_on_fraction: InitVar[float]
+    uplink_levels_w: np.ndarray = field(init=False)
 
-    def uplink_levels_w(self, always_on_fraction: float) -> np.ndarray:
-        """Each device's three uplink levels, the rows of a (3, n) table that
-        Samples.ul_level indexes: silent (+0.0), always-on
-        (always_on_fraction x tx_power_w) and data (tx_power_w)."""
+    def __post_init__(self, always_on_fraction: float) -> None:
         power = self.tx_power_w
-        return np.stack([np.zeros_like(power), always_on_fraction * power, power])
+        levels = np.stack([np.zeros_like(power), always_on_fraction * power, power])
+        object.__setattr__(self, "uplink_levels_w", levels)
+        object.__setattr__(self, "tx_power_w", levels[2])  # one copy of the powers
+        super().__post_init__()
 
     def emitted_w(self, mode: np.ndarray) -> np.ndarray:
         """What each device emits for the exposure, in modes `mode` (indexes
@@ -250,8 +257,7 @@ class SimResult(RunTotals, Samples):
     def ul_tx_w(self) -> np.ndarray:
         """Each device-slot's emitted uplink power, in W: the row of
         Devices.uplink_levels_w that its ul_level names."""
-        levels = self.devices.uplink_levels_w(self.config.always_on_fraction)
-        return np.take_along_axis(levels, self.ul_level, 0)
+        return np.take_along_axis(self.devices.uplink_levels_w, self.ul_level, 0)
 
 
 def build_devices(cfg: ScenarioConfig) -> Devices:
@@ -263,7 +269,8 @@ def build_devices(cfg: ScenarioConfig) -> Devices:
             tuple(getattr(s, f.name) for s in cfg.devices) for f in fields(DeviceSpec)
         )
         return Devices(ids, np.array(distances), np.array(tx_power), np.array(freq),
-                       np.array([MODES.index(m) for m in modes], np.int8))
+                       np.array([MODES.index(m) for m in modes], np.int8),
+                       cfg.always_on_fraction)
     n = cfg.n_users
     if cfg.placement == "ring":
         distances = np.full(n, cfg.cell_radius_m)
@@ -275,7 +282,8 @@ def build_devices(cfg: ScenarioConfig) -> Devices:
     mode[np.argsort(-distances, kind="stable")[: cfg.n_tr]] = MODES.index(Mode.TR)
     width = len(str(n - 1))
     ids = tuple(f"ue-{i:0{width}d}" for i in range(n))
-    return Devices(ids, distances, np.full(n, cfg.ue_tx_power_w), np.full(n, cfg.freq_hz), mode)
+    return Devices(ids, distances, np.full(n, cfg.ue_tx_power_w), np.full(n, cfg.freq_hz), mode,
+                   cfg.always_on_fraction)
 
 
 def _am_uplink_mask(cfg: ScenarioConfig) -> list[bool]:
@@ -303,15 +311,16 @@ def _db(values: np.ndarray) -> np.ndarray:
     return logs.reshape(values.shape)
 
 
-def _rrc_log(
-    t0: int, in_tr: np.ndarray, switches: ModeTransitions, ul_demand: np.ndarray,
-    dl_demand: np.ndarray,
-) -> RrcEvents:
+def _rrc_log(t0: int, packed: np.ndarray, switches: ModeTransitions,
+             dl_demand: np.ndarray) -> RrcEvents:
     """The log of every RRC event of the given slots, the first of which is
-    the run's slot t0. A device-slot's events, in order: TR enter or exit
-    where the mode switched (the chunk's ModeTransitions, `switches`), uplink
-    data pending where it has uplink demand in AM (TR gates uplink traffic
-    generation entirely), downlink arrival where it has downlink demand.
+    the run's slot t0: `packed` holds each device-slot's mode (in TR or not)
+    and uplink demand, a bit each (np.packbits of the two (slots, n) arrays),
+    and `dl_demand` its downlink demand. A device-slot's events, in order:
+    TR enter or exit where the mode switched (the chunk's ModeTransitions,
+    `switches`), uplink data pending where it has uplink demand in AM (TR
+    gates uplink traffic generation entirely), downlink arrival where it has
+    downlink demand.
 
     Every event leads to MODE_STATES of the mode after the slot. It starts
     from that of the mode before the slot if it is the TR enter or exit,
@@ -319,12 +328,20 @@ def _rrc_log(
     TestModeStates steps rrc.transition through all 16 slot cases, in each
     of which some event is the last, and TestScalarReference checks the log
     row by row against rrc.transition."""
+    shape = (2, *dl_demand.shape)
+    in_tr, ul_demand = np.unpackbits(packed, count=math.prod(shape)).view(bool).reshape(shape)
     happened = np.stack([np.zeros_like(in_tr), ~in_tr & ul_demand, dl_demand], axis=-1)
     happened[switches.slot - t0, switches.device, 0] = True
-    slot, device, column = np.nonzero(happened)
+    # one index per event, split into slot, device and column as int32
+    # (happened has at most 3 MAX_DEVICE_SLOTS cells)
+    cell, column = np.divmod(np.flatnonzero(happened).astype(np.int32), 3)
+    del happened
+    slot, device = np.divmod(cell, shape[2])
+    del cell
     tr = in_tr[slot, device].view(np.int8)
+    slot += t0
     return RrcEvents(
-        (slot + t0).astype(np.int32), device.astype(np.int32), _COLUMN_EVENTS[column, tr],
+        slot, device, _COLUMN_EVENTS[column, tr],
         tr ^ (column == 0), tr,  # the TR enter or exit flips the mode
     )
 
@@ -334,6 +351,91 @@ def _demand(traffic: Streams, slots: int, n: int, prob: float) -> np.ndarray:
     [slot, device] in row-major order: random() < prob. The stream's first
     n_slots x n draws are the uplink's, and the rest the downlink's."""
     return traffic.random(slots * n).reshape(slots, n) < prob
+
+
+def _path_loss_lin(distance_m: np.ndarray, freq_hz: np.ndarray) -> np.ndarray:
+    """Each device's free-space path loss as a linear ratio, computed once
+    per distinct (distance_m, freq_hz) pair: a stable sort puts equal pairs
+    side by side (np.unique's first call adds 0.9-1.6 MiB of RSS)."""
+    order = np.lexsort((freq_hz, distance_m))
+    distance_m, freq_hz = distance_m[order], freq_hz[order]
+    first = np.r_[True, (distance_m[1:] != distance_m[:-1]) | (freq_hz[1:] != freq_hz[:-1])]
+    pairs = np.flatnonzero(first)
+
+    def loss(d: float, f: float) -> float:
+        return channel.db_to_linear(channel.free_space_path_loss(d, f))
+
+    # a memoryview hands the values to the scalar functions as Python floats
+    values = np.fromiter(
+        map(loss, memoryview(distance_m[pairs]), memoryview(freq_hz[pairs])), float, len(pairs)
+    )
+    path_loss_lin = np.empty(len(order))
+    path_loss_lin[order] = values[np.cumsum(first) - 1]
+    return path_loss_lin
+
+
+def _slot_loop(cfg: ScenarioConfig, devices: Devices, traffic: Streams, kept: list) -> Iterator:
+    """The Samples of each chunk of ceil(ENGINE_ROWS / n) slots, in order.
+    It appends to `kept` each chunk's first and end slot, ModeTransitions,
+    and modes and uplink demand packed a bit each, and returns the
+    device-slots in outage and in all, per mode, the running interference
+    total and whether each device is in TR after the last slot. `step`
+    computes a chunk, and its frame ends before the chunk's Samples are
+    handed on; the fading streams end with their last draw."""
+    n, n_slots = len(devices.device_id), cfg.n_slots
+    slots = -(-ENGINE_ROWS // n)  # per chunk
+    path_loss_lin = _path_loss_lin(devices.distance_m, devices.freq_hz)
+    uplink_frame = np.array(_am_uplink_mask(cfg))
+    outage_lin = channel.db_to_linear(cfg.snr_threshold_db)
+    fading = Streams(cfg.seed, 2, np.arange(n))  # device i's stream is (seed, 2, i)
+    fading_rows = slots * -(-FADING_ROWS // slots)  # whole chunks
+    buffered = np.empty((0, n))
+    before = devices.mode == MODES.index(Mode.TR)
+    outages, members = [0, 0], [0, 0]  # device-slots in outage and in all, per mode
+    interference_total = 0.0
+
+    def step(t0: int, t1: int, gain: np.ndarray) -> Samples:
+        nonlocal before, interference_total
+        ul_demand = _demand(traffic, t1 - t0, n, cfg.ul_demand_prob)
+        rx_w = cfg.bs_tx_power_w / path_loss_lin * gain
+        rss_dbm = _db(rx_w)
+        rss_dbm += 30.0  # channel.watts_to_dbm
+
+        in_tr = hold_modes(rss_dbm, cfg.rss_threshold_dbm, cfg.hysteresis_db, before)
+        mode = in_tr.view(np.int8)  # indexes MODES
+        slot, device = np.nonzero(in_tr != np.vstack([before, in_tr[:-1]]))
+        switches = ModeTransitions(
+            (slot + t0).astype(np.int32), device.astype(np.int32), rss_dbm[slot, device],
+            mode[slot, device],
+        )
+        kept.append((t0, t1, switches, np.packbits([in_tr, ul_demand])))
+        before = in_tr[-1].copy()
+
+        ul_active = _MODE_UPLINK[mode]
+        uplink_slot = uplink_frame[np.arange(t0, t1) % len(uplink_frame), None]
+        ul_level = ul_active.view(np.int8) + (ul_active & ul_demand & uplink_slot)
+        own_w = np.take_along_axis(devices.uplink_levels_w, ul_level, 0)
+        own_w /= path_loss_lin
+        # a running sum in device order: a pairwise sum would reorder the additions
+        interference_w = np.cumsum(own_w, axis=1)[:, -1]
+        sinr_lin = rx_w / (np.maximum(interference_w[:, None] - own_w, 0.0) + cfg.noise_w)
+        in_outage = sinr_lin < outage_lin
+        for m, cohort in enumerate((~in_tr, in_tr)):
+            outages[m] += int(np.count_nonzero(in_outage & cohort))
+            members[m] += int(np.count_nonzero(cohort))
+        # the total so far is the running sum's first term, as if not chunked
+        interference_total = float(np.cumsum(np.r_[interference_total, interference_w])[-1])
+        return Samples(mode, gain, rss_dbm, _db(sinr_lin), ul_level)
+
+    for t0 in range(0, n_slots, slots):
+        t1 = min(t0 + slots, n_slots)
+        if not len(buffered):
+            buffered = fading.exponential(min(fading_rows, n_slots - t0))
+            if t0 + fading_rows >= n_slots:
+                fading = None  # drawn to the end: the streams are let go
+        gain, buffered = buffered[:t1 - t0], buffered[t1 - t0:]
+        yield step(t0, t1, gain)
+    return outages, members, interference_total, before
 
 
 def iter_run(cfg: ScenarioConfig) -> Iterator:
@@ -356,7 +458,10 @@ def iter_run(cfg: ScenarioConfig) -> Iterator:
     the running totals. The RRC log is rebuilt after the last sample from the
     modes and the uplink demand, kept as a bit each per device-slot, the kept
     ModeTransitions and the downlink demand, drawn then: the one traffic
-    stream goes on where the slot loop's uplink draws stopped.
+    stream goes on where the slot loop's uplink draws stopped. Each record
+    is built in a frame that ends before it is handed on, and the totals
+    after the RRC log, so that a run holds little beyond the record its
+    consumer holds.
     """
     population = len(cfg.devices) or cfg.n_users
     if population * cfg.n_slots > MAX_DEVICE_SLOTS:
@@ -370,73 +475,23 @@ def iter_run(cfg: ScenarioConfig) -> Iterator:
         for std in cfg.standards:
             std.band_for(freq)
     yield devices
-    n, n_slots = len(devices.device_id), cfg.n_slots
-    slots = -(-ENGINE_ROWS // n)  # per chunk
-    chunks = [(t0, min(t0 + slots, n_slots)) for t0 in range(0, n_slots, slots)]
-    path_loss_lin = np.array([
-        channel.db_to_linear(channel.free_space_path_loss(d, f))
-        for d, f in zip(devices.distance_m.tolist(), devices.freq_hz.tolist())
-    ])
-    own_levels_w = devices.uplink_levels_w(cfg.always_on_fraction) / path_loss_lin
-    uplink_frame = np.array(_am_uplink_mask(cfg))
-    outage_lin = channel.db_to_linear(cfg.snr_threshold_db)
-    fading = Streams(cfg.seed, 2, np.arange(n))  # device i's stream is (seed, 2, i)
-    fading_rows = slots * -(-FADING_ROWS // slots)  # whole chunks
-    buffered = np.empty((0, n))
     traffic = Streams(cfg.seed, 1)
-    before = devices.mode == MODES.index(Mode.TR)
-    bits, transitions = [], []  # each chunk's modes and uplink demand, a bit each
-    outages, members = [0, 0], [0, 0]  # device-slots in outage and in all, per mode
-    interference_total = 0.0
-
-    for t0, t1 in chunks:
-        if not len(buffered):
-            buffered = fading.exponential(min(fading_rows, n_slots - t0))
-        gain, buffered = buffered[:t1 - t0], buffered[t1 - t0:]
-        ul_demand = _demand(traffic, t1 - t0, n, cfg.ul_demand_prob)
-        rx_w = cfg.bs_tx_power_w / path_loss_lin * gain
-        rss_dbm = _db(rx_w)
-        rss_dbm += 30.0  # channel.watts_to_dbm
-
-        in_tr = hold_modes(rss_dbm, cfg.rss_threshold_dbm, cfg.hysteresis_db, before)
-        mode = in_tr.view(np.int8)  # indexes MODES
-        slot, device = np.nonzero(in_tr != np.vstack([before, in_tr[:-1]]))
-        transitions.append(ModeTransitions(
-            (slot + t0).astype(np.int32), device.astype(np.int32), rss_dbm[slot, device],
-            mode[slot, device],
-        ))
-        before = in_tr[-1]
-
-        ul_active = _MODE_UPLINK[mode]
-        bits.append(np.packbits([in_tr, ul_demand]))
-        uplink_slot = uplink_frame[np.arange(t0, t1) % len(uplink_frame), None]
-        ul_level = ul_active.view(np.int8) + (ul_active & ul_demand & uplink_slot)
-        own_w = np.take_along_axis(own_levels_w, ul_level, 0)
-        # a running sum in device order: a pairwise sum would reorder the additions
-        interference_w = np.cumsum(own_w, axis=1)[:, -1]
-        sinr_lin = rx_w / (np.maximum(interference_w[:, None] - own_w, 0.0) + cfg.noise_w)
-        in_outage = sinr_lin < outage_lin
-        for m, cohort in enumerate((~in_tr, in_tr)):
-            outages[m] += int(np.count_nonzero(in_outage & cohort))
-            members[m] += int(np.count_nonzero(cohort))
-        # the total so far is the running sum's first term, as if not chunked
-        interference_total = float(np.cumsum(np.r_[interference_total, interference_w])[-1])
-        yield Samples(mode, gain, rss_dbm, _db(sinr_lin), ul_level)
-
-    totals = RunTotals(
+    kept = []  # (t0, t1, ModeTransitions, packed bits) of each chunk
+    outages, members, interference_total, in_tr = yield from _slot_loop(
+        cfg, devices, traffic, kept
+    )
+    yield from (switches for _, _, switches, _ in kept)
+    n = len(devices.device_id)
+    for t0, t1, switches, packed in kept:
+        yield _rrc_log(t0, packed, switches, _demand(traffic, t1 - t0, n, cfg.dl_demand_prob))
+    mode = in_tr.view(np.int8)  # after the last slot
+    yield RunTotals(
         *(outages[m] / members[m] if members[m] else None for m in (0, 1)),
         interference_total,
-        network_exposure(devices.freq_hz, devices.emitted_w(mode[-1]), cfg.standards,
+        network_exposure(devices.freq_hz, devices.emitted_w(mode), cfg.standards,
                          cfg.observer_distance_m),
-        complexity_metric(int(np.count_nonzero(ul_active[-1]))),
+        complexity_metric(int(np.count_nonzero(_MODE_UPLINK[mode]))),
     )
-    yield from transitions
-    for (t0, t1), packed, switches in zip(chunks, bits, transitions):
-        shape = (2, t1 - t0, n)
-        in_tr, ul_demand = np.unpackbits(packed, count=math.prod(shape)).view(bool).reshape(shape)
-        dl_demand = _demand(traffic, t1 - t0, n, cfg.dl_demand_prob)
-        yield _rrc_log(t0, in_tr, switches, ul_demand, dl_demand)
-    yield totals
 
 
 def run_scenario(cfg: ScenarioConfig) -> SimResult:

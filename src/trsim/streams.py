@@ -339,13 +339,18 @@ class Streams:
 
     def __init__(self, *entropy):
         self.n = max((np.size(value) for value in entropy), default=1)
-        w0, w1, w2, w3 = (np.full(self.n, w, np.uint64) for w in _seed(entropy))
-        # numpy's pcg64_set_seed: inc = 2 seq + 1 and s = (inc + state) a + inc,
-        # from state = w0:w1 and seq = w2:w3
-        self.inc_hi, self.inc_lo = (w2 << 1) | (w3 >> 63), (w3 << 1) | 1
-        self.hi, self.lo = _affine(
-            *_affine(self.inc_hi, self.inc_lo, 1, w0, w1), MULTIPLIER, self.inc_hi, self.inc_lo
-        )
+        self.hi, self.lo, self.inc_hi, self.inc_lo = np.empty((4, self.n), np.uint64)
+        array = bool(entropy) and isinstance(entropy[-1], np.ndarray)
+        for c0 in range(0, self.n, TILE):  # TILE streams at a time: small temporaries
+            cols = slice(c0, c0 + TILE)
+            tile = (*entropy[:-1], entropy[-1][cols]) if array else entropy
+            w0, w1, w2, w3 = (np.full(len(self.hi[cols]), w, np.uint64) for w in _seed(tile))
+            # numpy's pcg64_set_seed: inc = 2 seq + 1 and s = (inc + state) a + inc,
+            # from state = w0:w1 and seq = w2:w3
+            inc = self.inc_hi[cols], self.inc_lo[cols]
+            np.bitwise_or(w2 << 1, w3 >> 63, out=inc[0])
+            np.bitwise_or(w3 << 1, 1, out=inc[1])
+            _affine(*_affine(*inc, 1, w0, w1), MULTIPLIER, *inc, self.hi[cols], self.lo[cols])
         self._pluses = []  # each stream's addends of jumps of 1, 2, 4, ... steps
         self._base = None  # each stream's addends of 1..BASE_ROWS steps
 
@@ -365,13 +370,7 @@ class Streams:
         if self._base is None:
             rows = max(1, min(BASE_ROWS, BASE_BYTES // (16 * self.n)))
             rows = 1 << (rows.bit_length() - 1)
-            self._base = np.empty((self.n, rows), np.uint64), np.empty((self.n, rows), np.uint64)
-            width = max(1, TILE // rows)  # streams at a time: small temporaries
-            for c0 in range(0, self.n, width):
-                part = slice(c0, c0 + width)
-                inc = self.inc_hi[part, None], self.inc_lo[part, None]
-                _affine(g_hi[:rows], g_lo[:rows], inc, 0, 0,
-                        self._base[0][part], self._base[1][part])
+            self._base = self._addends(g_hi[:rows], g_lo[:rows])
         done = min(steps, self._base[0].shape[1])
 
         def laid(x):  # x in the memory order of the states
@@ -382,9 +381,26 @@ class Streams:
                 laid(self._base[0][cols, :done]), laid(self._base[1][cols, :done]),
                 laid(out_hi[:, :done]), laid(out_lo[:, :done]))
         for plus in _JUMP_PLUSES[len(self._pluses):(steps - 1).bit_length()]:
-            self._pluses.append(_affine(self.inc_hi, self.inc_lo, plus, 0, 0))
+            hi, lo = self._addends(np.uint64(plus >> 64), np.uint64(plus & M64))
+            self._pluses.append((hi[:, 0], lo[:, 0]))
         _walk(out_hi, out_lo, done, [(hi[cols], lo[cols]) for hi, lo in self._pluses])
         return out_hi, out_lo
+
+    def _addends(self, g_hi, g_lo):
+        """Each stream's addends inc G of the jumps whose sums G are the
+        (hi, lo) words g_hi, g_lo (arrays of `rows`, or scalars: one jump),
+        as two (streams, rows) arrays, computed TILE values at a time. The
+        addend of one step, G = 1, is inc itself, a view of it."""
+        if np.size(g_hi) == 1 and g_hi == 0 and g_lo == 1:
+            return self.inc_hi[:, None], self.inc_lo[:, None]
+        rows = np.size(g_hi)
+        hi, lo = np.empty((2, self.n, rows), np.uint64)
+        width = max(1, TILE // rows)  # streams at a time: small temporaries
+        for c0 in range(0, self.n, width):
+            part = slice(c0, c0 + width)
+            _affine(g_hi, g_lo, (self.inc_hi[part, None], self.inc_lo[part, None]), 0, 0,
+                    hi[part], lo[part])
+        return hi, lo
 
     def _keep(self, cols, hi, lo, used) -> None:
         """Set the streams `cols` to their states after `used` steps, from
@@ -476,7 +492,8 @@ class Streams:
         self._keep(cols, hi, lo, used)
         offset = np.arange(take.sum()) - np.repeat(np.cumsum(take) - take, take)
         row = np.repeat(made[cols], take) + offset
-        out.ravel()[row * self.n + np.repeat(np.arange(self.n)[cols], take)] = (
+        streams = np.arange(cols.start, cols.stop) if isinstance(cols, slice) else cols
+        out.ravel()[row * self.n + np.repeat(streams, take)] = (
             value.ravel()[at[np.repeat(first, take) + offset]]
         )
         made[cols] += take

@@ -17,11 +17,14 @@ zeros as PAD; then a sign and a point.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Iterable
 
 import numpy as np
 
 PAD = 0xFF
+# Texts that labels() encodes at a time.
+LABEL_ROWS = 8192
 
 _U64 = np.uint64
 
@@ -73,37 +76,55 @@ def _rop(high: np.ndarray, low: np.ndarray, shift: np.ndarray, back: np.ndarray)
 def shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Shortest round-trip digits d and exponent e, x = d 10^e, of positive
     doubles 1e-4 <= x < 1e16 given as their bits. Of several shortest, d is
-    the nearest to x, the even one on a tie. d may end in zeros."""
-    fraction = bits & _U64(2**52 - 1)
-    irregular = fraction == 0  # the next double down is nearer than the next up
-    row = (bits >> 52).astype(np.intp) + irregular * 2048
+    the nearest to x, the even one on a tie. d may end in zeros. Each
+    intermediate ends at its last use, as a whole float block holds many."""
+    cp = bits & _U64(2**52 - 1)
+    irregular = cp == 0  # the next double down is nearer than the next up
+    row = (bits >> 52).astype(np.intp)
+    row += irregular * 2048
     k, shift, pow5 = _K[row], _SHIFT[row], _POW5[row]
+    del row
     # The paper's vb is cb 2^q 10^-k rounded to odd, cb = 4c. Here 10^-k is
     # 2^-k 5^-k, so vb is 2 cb 5^-k / 2^shift, shift = 1 - q + k <= 47. The
     # product 2 cb 5^-k < 2^103 is exact in two words: the low one wraps,
     # and the float product is within 2^51 of it, so the high one is a rint.
-    cp = (fraction | _U64(2**52)) << 3
-    f = pow5.astype(_U64)
-    low = cp * f
-    high = np.rint((cp.astype(np.float64) * pow5 - low.astype(np.float64)) * 2.0**-64)
-    high = high.astype(_U64)
+    cp |= _U64(2**52)
+    cp <<= 3
+    step = pow5.astype(_U64)
+    low = cp * step
+    high = cp.astype(np.float64)
+    del cp
+    high *= pow5
+    del pow5
+    high -= low.astype(np.float64)
+    high *= 2.0**-64
+    high = np.rint(high).astype(_U64)
     # 2 cbl 5^-k and 2 cbr 5^-k, with cbl = cb - 2 (cb - 1 for a power of
     # two) and cbr = cb + 2
-    step = f << 2
+    step <<= 2
     down = step >> irregular
-    low_l, low_r = low - down, low + step
+    del irregular
     back = 64 - shift
     vb = _rop(high, low, shift, back)
-    lower = _rop(high - (low < down), low_l, shift, back) + (bits & 1)
-    upper = _rop(high + (low_r < step), low_r, shift, back) - (bits & 1)
-    # s = vb / 4 and s' = s / 10, at one digit fewer; u = 4 s, w = u + 4
-    u = vb & _U64(2**64 - 4)
+    lower = _rop(high - (low < down), low - down, shift, back)
+    del down
+    lower += bits & 1
+    low += step
+    upper = _rop(high + (low < step), low, shift, back)
+    del high, low, step, shift, back
+    upper -= bits & 1
+    # s = vb / 4 and s' = s / 10, at one digit fewer; u = 4 s, w = u + 4,
+    # and u' = 40 s', w' = u' + 40
     sp = vb // 40
-    shorter = (lower <= sp * 40) != (sp * 40 + 40 <= upper)
+    u1_in, w1_in = lower <= sp * 40, sp * 40 + 40 <= upper
+    shorter = u1_in != w1_in
+    del u1_in
+    u = vb & _U64(2**64 - 4)
     u_in, w_in = lower <= u, u + 4 <= upper
+    del lower, upper
     near = (vb > u + 2) | ((vb == u + 2) & ((vb & 4) != 0))
-    d = np.where(shorter, sp + (sp * 40 + 40 <= upper),
-                 (vb >> 2) + np.where(u_in != w_in, w_in, near))
+    del u
+    d = np.where(shorter, sp + w1_in, (vb >> 2) + np.where(u_in != w_in, w_in, near))
     return d, k + shorter
 
 
@@ -119,20 +140,23 @@ def _groups(values: np.ndarray, n: int) -> list[np.ndarray]:
 
 
 def _trim(groups: list, form: int, form0: int) -> list:
-    """Codes of groups taken from the side whose zeros are left out: a group
-    with only zero groups before it in `form` (_LEAD or _TRAIL), the last in
-    `form0`, which writes all zeros as 0."""
-    codes, zero = [], True
+    """Turn groups, taken from the side whose zeros are left out, into their
+    codes in place: a group with only zero groups before it in `form`
+    (_LEAD or _TRAIL), the last in `form0`, which writes all zeros as 0."""
+    zero = True
     for j, group in enumerate(groups):
-        codes.append(group + zero * (form0 if j == len(groups) - 1 else form))
-        zero = zero & (group == 0)
-    return codes
+        was_zero = group == 0
+        group += zero * (form0 if j == len(groups) - 1 else form)
+        zero = zero & was_zero
+    return groups
 
 
 def _gather(columns: list) -> np.ndarray:
-    """Rows of the table entries whose codes are the columns."""
+    """Rows of the table entries whose codes are the columns. Each column
+    is let go once gathered, so the list ends up holding None."""
     text = np.empty((len(columns[0]), len(columns)), np.uint32)
     for j, column in enumerate(columns):
+        columns[j] = None
         text[:, j] = _GROUPS[column]
     return text.view(np.uint8)
 
@@ -150,21 +174,32 @@ def ints(values: np.ndarray) -> np.ndarray:
 
 def floats(values: np.ndarray, escape) -> np.ndarray:
     """Blocks of at least 32 bytes: each value as repr writes it, or as
-    `escape` writes it where repr would not write it positionally."""
+    `escape` writes it where repr would not write it positionally. Each
+    intermediate ends at its last use."""
     x = values.ravel()
     magnitude = np.abs(x)
     fast = (magnitude >= 1e-4) & (magnitude < 1e16)
+    others = np.flatnonzero(~fast & (magnitude != 0))
     d, e = shortest(np.where(fast, magnitude.view(_U64), _U64(0x3FF0000000000000)))  # 1.0
-    d = d.astype(np.int64) * (magnitude != 0)
-    scale, whole_up, part, top_up, bottom_up = (row[e + 20] for row in _SPLIT)
-    head = d // scale
-    rest = d - head * scale  # the fraction's digits, the last -e of d
-    top = rest // part
-    bottom = (rest - top * part) * bottom_up
-    fraction = _groups(top * top_up, 3) + _groups(bottom, 2)  # its first 20 digits
-    text = _gather([_PLUS + (x.view(_U64) >> 63), *_digits(head * whole_up), _POINT,
-                    *_trim(fraction[::-1], _TRAIL, _TRAIL0)[::-1]])
-    width, others = text.shape[-1], np.flatnonzero(~fast & (magnitude != 0))
+    del fast
+    d = d.view(np.int64)
+    d *= magnitude != 0
+    del magnitude
+    e += 20  # the column of _SPLIT
+    whole, d = np.divmod(d, _SPLIT[0][e])  # d: the fraction's digits, the last -e of them
+    whole *= _SPLIT[1][e]
+    top, d = np.divmod(d, _SPLIT[2][e])
+    top *= _SPLIT[3][e]
+    d *= _SPLIT[4][e]
+    del e
+    codes = [_PLUS + (x.view(_U64) >> 63), *_digits(whole), _POINT]
+    del whole
+    fraction = _groups(top, 3) + _groups(d, 2)  # its first 20 digits
+    del top, d
+    codes += _trim(fraction[::-1], _TRAIL, _TRAIL0)[::-1]
+    del fraction
+    text = _gather(codes)
+    width = text.shape[-1]
     if others.size:
         raw = [escape(v).encode().ljust(width, b"\xff") for v in x[others].tolist()]
         text[others] = np.frombuffer(b"".join(raw), np.uint8).reshape(others.size, width)
@@ -172,11 +207,21 @@ def floats(values: np.ndarray, escape) -> np.ndarray:
 
 
 def labels(texts: Iterable[str]) -> np.ndarray:
-    """A table of texts, one padded block each, to gather with `take`."""
-    raw = [text.encode() for text in texts]
-    size = np.fromiter(map(len, raw), np.intp, len(raw))
-    width = max(1, int(size.max(initial=0)))
-    # numpy pads with NULs; PAD goes past each text's length, so its own NULs stay
-    table = np.array(raw, f"S{width}").view(np.uint8).reshape(len(raw), width)
-    table[np.arange(width) >= size[:, None]] = PAD
+    """A table of texts, one padded block each, to gather with `take`. The
+    texts are encoded LABEL_ROWS at a time, so that no list of the bytes of
+    them all is held."""
+    texts, parts = iter(texts), []
+    while raw := [text.encode() for text in islice(texts, LABEL_ROWS)]:
+        size = np.fromiter(map(len, raw), np.intp, len(raw))
+        # numpy pads with NULs; PAD goes past each text's length, so its own NULs stay
+        part = np.array(raw, f"S{max(1, int(size.max()))}").view(np.uint8).reshape(len(raw), -1)
+        del raw
+        part[np.arange(part.shape[1]) >= size[:, None]] = PAD
+        parts.append(part)
+    width = max((part.shape[1] for part in parts), default=1)
+    table = np.full((sum(map(len, parts)), width), PAD, np.uint8)
+    at = 0
+    for part in parts:
+        table[at:at + len(part), :part.shape[1]] = part
+        at += len(part)
     return table.ravel().view(f"V{width}")

@@ -153,10 +153,11 @@ def _fleet(n_am: int, n_tr: int, power: float = 0.2, freq: float = 3.5e9) -> lis
 
 def _exposure(fleet: list[tuple], observer_distance_m: float):
     """The devices of the rows, all 1 m out, and their exposure in their
-    modes, as `trsim exposure` reports a population in its starting modes."""
+    modes, as `trsim exposure` reports a population in its starting modes
+    (which the always-on level, here 0.1 of the power, does not enter)."""
     ids, power, freq, modes = zip(*fleet)
     devices = Devices(ids, np.ones(len(ids)), np.array(power), np.array(freq),
-                      np.array([MODES.index(m) for m in modes], np.int8))
+                      np.array([MODES.index(m) for m in modes], np.int8), 0.1)
     report = network_exposure(devices.freq_hz, devices.emitted_w(devices.mode), (STANDARD,),
                               observer_distance_m)
     return devices, report

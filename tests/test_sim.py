@@ -93,7 +93,7 @@ def run_records(cfg):
     """The records of `trsim run` as cli._run_chunks gives them, each as its
     kind and a dict of its keys, with coded columns decoded to labels."""
     run = iter_run(cfg)
-    for kind, columns in _run_chunks(next(run), run, cfg.always_on_fraction):
+    for kind, columns in _run_chunks(next(run), run):
         values = [
             [c.labels[j] for j in c.codes] if isinstance(c, Coded)
             else c.tolist() if isinstance(c, np.ndarray) else c
@@ -543,7 +543,7 @@ class TestStreamedEngine:
             with mock.patch.object(sim, "ENGINE_ROWS", slots_per_chunk * n_users):
                 out = BytesIO()
                 stream = iter_run(cfg)
-                chunks = _run_chunks(next(stream), stream, cfg.always_on_fraction)
+                chunks = _run_chunks(next(stream), stream)
                 _write_csv(out, RUN_CSV_COLUMNS, RUN_KINDS, chunks)
                 return run_scenario(cfg), out.getvalue().decode()
 
@@ -679,10 +679,12 @@ class TestBuildDevices:
         assert modes == [Mode.TR] * 3 + [Mode.AM] * 5
 
     def test_run_leaves_the_table_as_built(self):
-        """The table's columns are DeviceSpec's fields, read-only, and a run
-        that switches devices leaves it as built: the modes after the last
-        slot are the run's mode[-1]."""
-        assert [f.name for f in fields(sim.Devices)] == [f.name for f in fields(DeviceSpec)]
+        """The table's columns are DeviceSpec's fields and the uplink levels,
+        read-only, and a run that switches devices leaves it as built: the
+        modes after the last slot are the run's mode[-1]."""
+        assert [f.name for f in fields(sim.Devices)] == [
+            *(f.name for f in fields(DeviceSpec)), "uplink_levels_w"
+        ]
         cfg = switching_config()
         result = run_scenario(cfg)
         assert (result.mode[-1] != result.devices.mode).any()
@@ -739,9 +741,9 @@ class TestUplinkLevels:
         power = np.array([-0.0, 0.0, 0.3, 0.2])
         devices = sim.Devices(
             ("a", "b", "c", "d"), np.full(4, 100.0), power, np.full(4, 3.5e9),
-            np.zeros(4, np.int8),
+            np.zeros(4, np.int8), always_on_fraction,
         )
-        levels = devices.uplink_levels_w(always_on_fraction)
+        levels = devices.uplink_levels_w
         assert levels.shape == (3, 4)
         assert not levels[0].view(np.uint64).any()
         assert np.array_equal(
@@ -758,9 +760,9 @@ class TestUplinkLevels:
         mode = np.repeat([MODES.index(Mode.AM), MODES.index(Mode.TR)], 3).astype(np.int8)
         devices = sim.Devices(
             tuple("abcdef"), np.full(6, 100.0), power, np.full(6, 3.5e9), mode,
+            always_on_fraction,
         )
-        reference = np.choose(2 * np.array(MODE_UPLINK)[mode],
-                              devices.uplink_levels_w(always_on_fraction))
+        reference = np.choose(2 * np.array(MODE_UPLINK)[mode], devices.uplink_levels_w)
         emitted = devices.emitted_w(mode)
         assert np.array_equal(emitted.view(np.uint64), reference.view(np.uint64))
         assert np.signbit(emitted).tolist() == [True] + [False] * 5
