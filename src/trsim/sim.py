@@ -374,12 +374,13 @@ def _path_loss_lin(distance_m: np.ndarray, freq_hz: np.ndarray) -> np.ndarray:
     return path_loss_lin
 
 
-def _slot_loop(cfg: ScenarioConfig, devices: Devices, traffic: Streams, kept: list) -> Iterator:
+def _slot_loop(cfg: ScenarioConfig, devices: Devices, traffic: Streams) -> Iterator:
     """The Samples of each chunk of ceil(ENGINE_ROWS / n) slots, in order.
-    It appends to `kept` each chunk's first and end slot, ModeTransitions,
-    and modes and uplink demand packed a bit each, and returns the
-    device-slots in outage and in all, per mode, the running interference
-    total and whether each device is in TR after the last slot. `step`
+    It returns what the RRC log and the totals need: each chunk's first and
+    end slot, ModeTransitions, and modes and uplink demand packed a bit
+    each; the device-slots in outage and in all, per mode; the running
+    interference total; and whether each device is in TR after the last
+    slot. `step`
     computes a chunk, and its frame ends before the chunk's Samples are
     handed on; the fading streams end with their last draw."""
     n, n_slots = len(devices.device_id), cfg.n_slots
@@ -391,6 +392,7 @@ def _slot_loop(cfg: ScenarioConfig, devices: Devices, traffic: Streams, kept: li
     fading_rows = slots * -(-FADING_ROWS // slots)  # whole chunks
     buffered = np.empty((0, n))
     before = devices.mode == MODES.index(Mode.TR)
+    kept = []  # (t0, t1, ModeTransitions, packed bits) of each chunk
     outages, members = [0, 0], [0, 0]  # device-slots in outage and in all, per mode
     interference_total = 0.0
 
@@ -435,7 +437,7 @@ def _slot_loop(cfg: ScenarioConfig, devices: Devices, traffic: Streams, kept: li
                 fading = None  # drawn to the end: the streams are let go
         gain, buffered = buffered[:t1 - t0], buffered[t1 - t0:]
         yield step(t0, t1, gain)
-    return outages, members, interference_total, before
+    return kept, outages, members, interference_total, before
 
 
 def iter_run(cfg: ScenarioConfig) -> Iterator:
@@ -476,9 +478,8 @@ def iter_run(cfg: ScenarioConfig) -> Iterator:
             std.band_for(freq)
     yield devices
     traffic = Streams(cfg.seed, 1)
-    kept = []  # (t0, t1, ModeTransitions, packed bits) of each chunk
-    outages, members, interference_total, in_tr = yield from _slot_loop(
-        cfg, devices, traffic, kept
+    kept, outages, members, interference_total, in_tr = yield from _slot_loop(
+        cfg, devices, traffic
     )
     yield from (switches for _, _, switches, _ in kept)
     n = len(devices.device_id)

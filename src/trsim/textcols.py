@@ -90,7 +90,7 @@ def shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # and the float product is within 2^51 of it, so the high one is a rint.
     cp |= _U64(2**52)
     cp <<= 3
-    step = pow5.astype(_U64)
+    step = pow5.astype(_U64)  # 5^-k, then 4 5^-k below
     low = cp * step
     high = cp.astype(np.float64)
     del cp
@@ -109,7 +109,7 @@ def shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     lower = _rop(high - (low < down), low - down, shift, back)
     del down
     lower += bits & 1
-    low += step
+    low += step  # now 2 cbr 5^-k
     upper = _rop(high + (low < step), low, shift, back)
     del high, low, step, shift, back
     upper -= bits & 1

@@ -968,9 +968,9 @@ class TestCommandEnd:
         assert child.returncode == 0
         assert out.read_bytes() == (GOLDEN_DIR / "run_switch_tdd.csv").read_bytes()
 
-    @pytest.mark.parametrize("args", [["--version"], ["--help"], ["run"]],
+    @pytest.mark.parametrize("args, code", [(["--version"], 0), (["--help"], 0), (["run"], 2)],
                              ids=["version", "help", "usage"])
-    def test_argparse_exits_as_in_process(self, args, capsys, monkeypatch):
+    def test_argparse_exits_as_in_process(self, args, code, capsys, monkeypatch):
         """main raises argparse's SystemExit in process, and the command
         ends with its exit code and the same text: --version and --help
         exit 0 with their text on stdout, a usage error exits 2 with the
@@ -981,8 +981,7 @@ class TestCommandEnd:
             main(args)
         out, err = capsys.readouterr()
         assert (child.returncode, child.stdout, child.stderr) == (exc.value.code, out, err)
-        assert (exc.value.code, bool(out), bool(err)) == ((2, False, True) if args == ["run"]
-                                                          else (0, True, False))
+        assert (exc.value.code, bool(out), bool(err)) == (code, code == 0, code != 0)
 
     @NO_STDERR
     def test_usage_error_without_stderr_is_exit_2(self, wrapper):
