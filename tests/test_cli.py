@@ -96,6 +96,20 @@ class TestGoldenOutputs:
             tmp_path,
         )
 
+    def test_outage_jsonl(self, tmp_path):
+        self.check(
+            ["outage", "--config", str(OUTAGE_DEMO), "--format", "json-lines"],
+            "outage_demo.jsonl",
+            tmp_path,
+        )
+
+    def test_exposure_jsonl(self, tmp_path):
+        self.check(
+            ["exposure", "--config", str(ER_TABLE_FIXTURE), "--format", "json-lines"],
+            "exposure_er_table.jsonl",
+            tmp_path,
+        )
+
     @pytest.mark.parametrize("duplex", ["fdd", "tdd"])
     def test_run_switching_csv(self, duplex, tmp_path):
         self.check(
