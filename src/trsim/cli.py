@@ -2,14 +2,15 @@
 
 Subcommands: run, outage, frames, rrc-check, exposure. Output goes to
 --out (default stdout). run, outage and exposure each build one stream of
-records, in chunks of any length of records of one kind held as one column
-per key of the kind, and either encoder writes that stream: csv puts each
-record's kind and keys under the columns of the same names in a frozen
-column order (see the README) and leaves the other columns empty;
-json-lines writes each record as one object of its kind and keys. Both
-write up to CHUNK_ROWS records at once, as the rows of one byte matrix kept
-from piece to piece (_write_chunks), with the text of the numbers computed a
-whole column at a time (textcols), and write the output as UTF-8 bytes.
+records, in chunks of any length of records of one kind, each a dict of
+the kind's keys, in order, to their columns, built where the columns are.
+Either encoder writes that stream: csv puts each record's kind and keys
+under the columns of the same names (run's in a frozen order, see the
+README) and leaves the other columns empty; json-lines writes each record
+as one object of its kind and keys. Both write up to CHUNK_ROWS records at
+once, as the rows of one byte matrix kept from piece to piece
+(_write_chunks), with the text of the numbers computed a whole column at a
+time (textcols), and write the output as UTF-8 bytes.
 frames and rrc-check emit fixed text layouts used as golden files.
 
 Exit codes: 0 success; 2 configuration or usage error; 3 domain error
@@ -28,7 +29,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager, suppress
-from dataclasses import astuple, fields, replace
+from dataclasses import fields, replace
 from typing import IO, Iterable, Iterator, NamedTuple, NoReturn
 
 # trsim calls no BLAS routine, so OpenBLAS's thread pool only costs start-up;
@@ -72,11 +73,11 @@ RUN_CSV_COLUMNS = (
     "sinr_db", "ul_active", "ul_tx_w", "event", "from", "to", "metric", "value",
 )
 
-Kinds = dict[str, tuple[str, ...]]  # record kind -> its keys, in column order
-# (kind, columns): a run of records of one kind, one column per key in the
-# order of the kind's keys, all of one length, which may be any. A column is
-# Coded, a numpy array of non-negative ints or a numpy array of floats.
-Chunks = Iterable[tuple[str, tuple]]
+# (kind, {key: column}): a run of records of one kind, one column per key in
+# the order of the kind's keys, all of one length, which may be any. A column
+# is Coded, a numpy array of non-negative ints, a numpy array of floats or a
+# tuple of values, each written as the format's escape writes it.
+Chunks = Iterable[tuple[str, dict]]
 
 CHUNK_ROWS = 2048  # records per byte matrix: _write_chunks cuts chunks of any length to it
 
@@ -85,35 +86,12 @@ NETWORK_TOTAL = "network-total"
 
 
 class Coded(NamedTuple):
-    """A column of labels given as an array of codes into a table, so that
-    an encoder writes each distinct label once per run rather than once per
-    record, as its format's escape writes it."""
+    """A column of labels repeated across records, as codes into a table of
+    them, so that an encoder writes each distinct label once per run, as its
+    format's escape writes it."""
 
     labels: tuple
     codes: np.ndarray
-
-
-RUN_KINDS: Kinds = {
-    "sample": RUN_CSV_COLUMNS[1:10],
-    "mode_transition": ("slot", "device_id", "rss_dbm", "from", "to"),
-    "rrc_event": ("slot", "device_id", "event", "from", "to"),
-    "metric": ("metric", "value"),
-}
-OUTAGE_KINDS: Kinds = {"outage_point": tuple(f.name for f in fields(OutagePoint))}
-
-
-def exposure_kinds(standards: tuple) -> Kinds:
-    """Both exposure kinds have these keys, with one `er_<std>` per standard."""
-    keys = ("device_id", "power_density_w_m2", "e_field_v_per_m")
-    keys += tuple(f"er_{std.name}" for std in standards)
-    return {"device-exposure": keys, "network-exposure": keys}
-
-
-def _chunk(kind: str, records: list[tuple]) -> tuple[str, tuple]:
-    """A chunk of records given as value tuples: each column codes its own
-    values."""
-    codes = np.arange(len(records))
-    return kind, tuple(Coded(column, codes) for column in zip(*records))
 
 
 def _tx_bits(levels_w: np.ndarray) -> np.ndarray:
@@ -144,27 +122,29 @@ def _run_chunks(devices: Devices, run: Iterator) -> Chunks:
         if isinstance(part, Samples):
             # in record order, slot by slot, then device by device
             slots = len(part.mode)
-            yield "sample", (
-                np.arange(first, first + slots, dtype=np.int32).repeat(n),
-                Coded(ids, np.tile(np.arange(n, dtype=np.int32), slots)),
-                Coded(modes, part.mode.ravel()), Coded(mode_states, part.mode.ravel()),
-                part.fading_gain.ravel(), part.rss_dbm.ravel(), part.sinr_db.ravel(),
-                Coded(mode_uplink, part.mode.ravel()),
-                Coded(tx_labels, np.searchsorted(
+            yield "sample", {
+                "slot": np.arange(first, first + slots, dtype=np.int32).repeat(n),
+                "device_id": Coded(ids, np.tile(np.arange(n, dtype=np.int32), slots)),
+                "mode": Coded(modes, part.mode.ravel()),
+                "rrc_state": Coded(mode_states, part.mode.ravel()),
+                "fading_gain": part.fading_gain.ravel(), "rss_dbm": part.rss_dbm.ravel(),
+                "sinr_db": part.sinr_db.ravel(), "ul_active": Coded(mode_uplink, part.mode.ravel()),
+                "ul_tx_w": Coded(tx_labels, np.searchsorted(
                     tx_bits, np.take_along_axis(levels_w, part.ul_level, 0).view(np.uint64)
                 ).astype(np.int32).ravel()),
-            )
+            }
             first += slots
         elif isinstance(part, ModeTransitions):
-            yield "mode_transition", (
-                part.slot, Coded(ids, part.device), part.rss_dbm, Coded(flipped, part.new),
-                Coded(modes, part.new),
-            )
+            yield "mode_transition", {
+                "slot": part.slot, "device_id": Coded(ids, part.device), "rss_dbm": part.rss_dbm,
+                "from": Coded(flipped, part.new), "to": Coded(modes, part.new),
+            }
         elif isinstance(part, RrcEvents):
-            yield "rrc_event", (
-                part.slot, Coded(ids, part.device), Coded(events, part.event),
-                Coded(mode_states, part.old), Coded(mode_states, part.new),
-            )
+            yield "rrc_event", {
+                "slot": part.slot, "device_id": Coded(ids, part.device),
+                "event": Coded(events, part.event),
+                "from": Coded(mode_states, part.old), "to": Coded(mode_states, part.new),
+            }
         else:
             report = part.exposure
             metrics = {
@@ -177,28 +157,35 @@ def _run_chunks(devices: Devices, run: Iterator) -> Chunks:
             }
             for name, er in report.network_er_per_standard.items():
                 metrics[f"network_er_{name}"] = er
-            yield _chunk("metric", list(metrics.items()))
+            yield "metric", {"metric": tuple(metrics), "value": tuple(metrics.values())}
         del part
 
 
 def _exposure_chunks(ids: tuple, report: ExposureReport) -> Chunks:
     """A device-exposure record per device, `ids` naming them, then the
-    network-exposure record; the ER columns in the report's order."""
-    columns = (report.power_density_w_m2, report.e_field_v_per_m,
-               *report.er_per_standard.values())
-    yield "device-exposure", (Coded(ids, np.arange(len(ids))), *columns)
-    total = (report.network_total_power_density_w_m2, report.network_e_field_v_per_m)
-    yield _chunk("network-exposure", [(NETWORK_TOTAL, *total,
-                                       *report.network_er_per_standard.values())])
+    network-exposure record; both kinds have these keys, with the ER
+    columns in the report's order."""
+
+    def columns(device_id, power_density, e_field, er_per_standard) -> dict:
+        return {"device_id": device_id, "power_density_w_m2": power_density,
+                "e_field_v_per_m": e_field,
+                **{f"er_{name}": er for name, er in er_per_standard.items()}}
+
+    yield "device-exposure", columns(ids, report.power_density_w_m2, report.e_field_v_per_m,
+                                     report.er_per_standard)
+    yield "network-exposure", columns(
+        (NETWORK_TOTAL,), (report.network_total_power_density_w_m2,),
+        (report.network_e_field_v_per_m,),
+        {name: (er,) for name, er in report.network_er_per_standard.items()})
 
 
-def _write_chunks(fh: IO[bytes], layouts: dict, chunks: Chunks, escape) -> None:
+def _write_chunks(fh: IO[bytes], layout, chunks: Chunks, escape) -> None:
     """Write each chunk in pieces of at most CHUNK_ROWS records, each piece
-    as the rows of one matrix of bytes, one row per record. A kind's layout
-    is its record's text as literal pieces with, between each two, the index
-    of the chunk's column whose value goes there. In a row, each value is a
-    fixed-width block padded with textcols.PAD, which the bytes written
-    leave out.
+    as the rows of one matrix of bytes, one row per record. A kind's layout,
+    `layout(kind, keys)` of the keys of its first chunk, is its record's
+    text as literal pieces with, between each two, the index of the key
+    whose value goes there. In a row, each value is a fixed-width block
+    padded with textcols.PAD, which the bytes written leave out.
 
     The matrix is kept from piece to piece: it is laid out again, its
     literal pieces written into every row, only when the kind or the width
@@ -215,8 +202,12 @@ def _write_chunks(fh: IO[bytes], layouts: dict, chunks: Chunks, escape) -> None:
     # id of a Coded column's labels -> the labels (held, so that the id stays
     # their own) and their padded text
     tables: dict[int, tuple] = {}
+    layouts: dict[str, list] = {}
     shape = spans = buffer = matrix = None  # the kept matrix, by kind and block widths
     for kind, chunk in chunks:
+        if kind not in layouts:
+            layouts[kind] = layout(kind, tuple(chunk))
+        chunk = list(chunk.values())
         size = len(chunk[0].codes if isinstance(chunk[0], Coded) else chunk[0])
         for r0 in range(0, size, CHUNK_ROWS):
             # views of the chunk's columns; a Coded one keeps its labels, so
@@ -252,18 +243,21 @@ def _blocks(columns: list, escape, tables: dict) -> list:
     _write_chunks writes them; `tables` caches each Coded column's labels'
     text."""
     blocks = [None] * len(columns)
-    floats = [j for j, c in enumerate(columns) if not isinstance(c, Coded) and c.dtype.kind == "f"]
+    floats = [j for j, c in enumerate(columns) if isinstance(c, np.ndarray) and c.dtype.kind == "f"]
     if floats:
         text = textcols.floats(np.stack([columns[j] for j in floats]), escape)
         for j, block in zip(floats, text):
             blocks[j] = block
     for j, column in enumerate(columns):
-        if isinstance(column, Coded):
-            if id(column.labels) not in tables:
-                texts = textcols.labels(escape(label) for label in column.labels)
-                tables[id(column.labels)] = column.labels, texts
-            coded = tables[id(column.labels)][1].take(column.codes)
-            blocks[j] = coded.view(np.uint8).reshape(len(coded), -1)
+        if isinstance(column, tuple):  # a Coded is a tuple too
+            if not isinstance(column, Coded):
+                texts = textcols.labels(map(escape, column))
+            else:
+                if id(column.labels) not in tables:
+                    texts = textcols.labels(map(escape, column.labels))
+                    tables[id(column.labels)] = column.labels, texts
+                texts = tables[id(column.labels)][1].take(column.codes)
+            blocks[j] = texts.view(np.uint8).reshape(len(texts), -1)
         elif blocks[j] is None:
             blocks[j] = textcols.ints(column)
     return blocks
@@ -278,7 +272,7 @@ class _Echo:
         return text
 
 
-def _write_csv(fh: IO[bytes], columns: tuple[str, ...], kinds: Kinds, chunks: Chunks):
+def _write_csv(fh: IO[bytes], columns: tuple[str, ...], chunks: Chunks):
     """A header of `columns`, then one row per record. A record fills the
     `kind` column, if there is one, and its keys' columns; it leaves the
     rest empty. Each cell is what csv.writer writes: a float as its repr,
@@ -289,42 +283,43 @@ def _write_csv(fh: IO[bytes], columns: tuple[str, ...], kinds: Kinds, chunks: Ch
         # the cell as it stands in a row of several cells
         return writerow((value, ""))[:-2]
 
-    layouts = {}
-    for kind, keys in kinds.items():
-        layout = [""]
+    def layout(kind: str, keys: tuple) -> list:
+        pieces = [""]
         for i, c in enumerate(columns):
             if i:
-                layout[-1] += ","
+                pieces[-1] += ","
             if c in keys:
-                layout += [keys.index(c), ""]
+                pieces += [keys.index(c), ""]
             elif c == "kind":
-                layout[-1] += cell(kind)
-        layout[-1] += "\n"
-        layouts[kind] = layout
+                pieces[-1] += cell(kind)
+        pieces[-1] += "\n"
+        return pieces
+
     fh.write((",".join(map(cell, columns)) + "\n").encode())
-    _write_chunks(fh, layouts, chunks, cell)
+    _write_chunks(fh, layout, chunks, cell)
 
 
-def _write_jsonl(fh: IO[bytes], kinds: Kinds, chunks: Chunks) -> None:
+def _write_jsonl(fh: IO[bytes], chunks: Chunks) -> None:
     """One JSON object per record, as json.dumps writes it: its `kind`, then
     its keys in order."""
-    layouts = {}
-    for kind, keys in kinds.items():
-        layout = [f'{{"kind": {json.dumps(kind)}']
+
+    def layout(kind: str, keys: tuple) -> list:
+        pieces = [f'{{"kind": {json.dumps(kind)}']
         for j, key in enumerate(keys):
-            layout[-1] += f", {json.dumps(key)}: "
-            layout += [j, ""]
-        layout[-1] += "}\n"
-        layouts[kind] = layout
-    _write_chunks(fh, layouts, chunks, json.dumps)
+            pieces[-1] += f", {json.dumps(key)}: "
+            pieces += [j, ""]
+        pieces[-1] += "}\n"
+        return pieces
+
+    _write_chunks(fh, layout, chunks, json.dumps)
 
 
-def _emit(args: argparse.Namespace, columns, kinds: Kinds, chunks: Chunks) -> int:
+def _emit(args: argparse.Namespace, columns: tuple[str, ...], chunks: Chunks) -> int:
     with _out_stream(args.out) as fh:
         if args.format == "csv":
-            _write_csv(fh, columns, kinds, chunks)
+            _write_csv(fh, columns, chunks)
         else:
-            _write_jsonl(fh, kinds, chunks)
+            _write_jsonl(fh, chunks)
     return EXIT_OK
 
 
@@ -359,14 +354,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     run = iter_run(cfg)
     devices = next(run)  # the config is checked by now, before the output is opened
-    chunks = _run_chunks(devices, run)
-    return _emit(args, RUN_CSV_COLUMNS, RUN_KINDS, chunks)
+    return _emit(args, RUN_CSV_COLUMNS, _run_chunks(devices, run))
 
 
 def _cmd_outage(args: argparse.Namespace) -> int:
     points = outage_curve(_load_config(args), args.snr_db)
-    chunks = [_chunk("outage_point", [astuple(p) for p in points])]
-    return _emit(args, OUTAGE_KINDS["outage_point"], OUTAGE_KINDS, chunks)
+    columns = {f.name: tuple(getattr(p, f.name) for p in points) for f in fields(OutagePoint)}
+    return _emit(args, tuple(columns), [("outage_point", columns)])
 
 
 def _cmd_exposure(args: argparse.Namespace) -> int:
@@ -378,9 +372,8 @@ def _cmd_exposure(args: argparse.Namespace) -> int:
     devices = build_devices(cfg)
     report = network_exposure(devices.freq_hz, devices.emitted_w(devices.mode), cfg.standards,
                               cfg.observer_distance_m)
-    kinds = exposure_kinds(cfg.standards)
-    chunks = _exposure_chunks(devices.device_id, report)
-    return _emit(args, kinds["device-exposure"], kinds, chunks)
+    chunks = list(_exposure_chunks(devices.device_id, report))
+    return _emit(args, tuple(chunks[0][1]), chunks)
 
 
 def _cmd_frames(args: argparse.Namespace) -> int:

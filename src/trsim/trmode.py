@@ -1,11 +1,10 @@
-"""Adaptive duplex-mode switching and the service gating it implies.
+"""Adaptive duplex-mode switching.
 
 A device runs full duplex in active mode (AM). When the received signal
 strength drops below a threshold it switches to the half-duplex TR mode:
-uplink transmission stops, downlink reception continues, and only
-low-rate services stay admitted. A symmetric hysteresis band around the
-threshold suppresses chattering; set it to 0 to recover the bare
-threshold rule.
+uplink transmission stops and downlink reception continues. A symmetric
+hysteresis band around the threshold suppresses chattering; set it to 0
+to recover the bare threshold rule.
 """
 
 from __future__ import annotations
@@ -19,12 +18,6 @@ import numpy as np
 class Mode(Enum):
     AM = "AM"
     TR = "TR"
-
-
-class ServiceClass(Enum):
-    VOICE_CALL = "voice-call"
-    TEXT_MESSAGE = "text-message"
-    HIGH_BANDWIDTH = "high-bandwidth"
 
 
 def evaluate_switch(
@@ -67,10 +60,3 @@ def hold_modes(
 def uplink_enabled(mode: Mode) -> bool:
     """Uplink information-transfer signals exist only in active mode."""
     return mode is Mode.AM
-
-
-def service_admitted(mode: Mode, svc: ServiceClass) -> bool:
-    """AM admits everything; TR admits only low-rate services."""
-    if mode is Mode.AM:
-        return True
-    return svc is not ServiceClass.HIGH_BANDWIDTH

@@ -7,7 +7,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import astuple
+from dataclasses import astuple, fields
 from io import BytesIO, StringIO
 
 import numpy as np
@@ -29,12 +29,9 @@ from trsim.cli import (
     EXIT_CONFIG,
     EXIT_DOMAIN,
     EXIT_IO,
-    OUTAGE_KINDS,
     OUTPUT_FORMATS,
     RUN_CSV_COLUMNS,
-    RUN_KINDS,
     Coded,
-    exposure_kinds,
     main,
 )
 from trsim.configfile import format_config, parse_config
@@ -478,15 +475,6 @@ class TestOutageCommand:
         assert first["outage_tr"] < first["outage_am"]
 
 
-def _declared_kinds(args: list[str]) -> dict[str, tuple[str, ...]]:
-    if args[0] == "run":
-        return RUN_KINDS
-    if args[0] == "outage":
-        return OUTAGE_KINDS
-    with open(args[2], encoding="utf-8") as fh:
-        return exposure_kinds(parse_config(fh.read()).standards)
-
-
 class TestJsonLinesMatchesCsv:
     """Both formats encode the same records: row i of the CSV and object i of
     the JSON-lines output carry the same kind, keys and values."""
@@ -509,20 +497,33 @@ class TestJsonLinesMatchesCsv:
             header, *rows = csv.reader(fh)
         objects = [json.loads(line) for line in jsonl_out.read_text().splitlines()]
         assert len(objects) == len(rows)
-        kinds = _declared_kinds(args)
+        kinds = {}  # kind -> the keys of its first object
         for row, obj in zip(rows, objects):
             cells = dict(zip(header, row))
             kind = obj.pop("kind")
             assert cells.pop("kind", kind) == kind
-            assert tuple(obj) == kinds[kind]
+            assert list(obj) == [column for column in header if column in obj]
+            assert tuple(obj) == kinds.setdefault(kind, tuple(obj))
             as_text = {key: "" if v is None else str(v) for key, v in obj.items()}
             assert as_text == {key: cells.pop(key) for key in obj}
             assert set(cells.values()) <= {""}  # columns of other kinds stay empty
 
-    def test_readme_lists_each_kinds_keys(self):
+    def test_readme_lists_each_kinds_keys(self, capsys):
+        """README lists each kind's keys as the JSON-lines output writes them,
+        with `er_<standard>...` standing for an exposure kind's ER keys."""
+        kinds = {}  # kind -> the keys of its first object
+        for args in (["run", "--config", str(SWITCH_TDD)],
+                     ["outage", "--config", str(OUTAGE_DEMO)],
+                     ["exposure", "--config", str(ER_TABLE_FIXTURE)]):
+            assert run_cli(args + ["--format", "json-lines"]) == 0
+            for line in capsys.readouterr().out.splitlines():
+                obj = json.loads(line)
+                kinds.setdefault(obj.pop("kind"), tuple(obj))
+        assert len(kinds) == 7, sorted(kinds)
         readme = (REPO_ROOT / "README.md").read_text()
-        for kind, keys in {**RUN_KINDS, **OUTAGE_KINDS}.items():
-            assert f"{kind}: {','.join(keys)}\n" in readme
+        for kind, keys in kinds.items():
+            listed = re.sub(r"(,er_[^,]+)+$", ",er_<standard>...", ",".join(keys))
+            assert f"{kind}: {listed}\n" in readme
 
 
 # The reference encoder: one %-template of a record per kind, filled with
@@ -531,14 +532,17 @@ class TestJsonLinesMatchesCsv:
 # name holds a `%`.) cli's byte-matrix encoder must write the same text.
 
 
-def reference_write_chunks(fh, layouts, chunks, escape, plain):
+def reference_write_chunks(fh, layout, chunks, escape, plain):
     for kind, columns in chunks:
-        template, order = layouts[kind]
+        template, order = layout(kind, tuple(columns))
+        columns = list(columns.values())
         texts = []
         for column in (columns[j] for j in order):
             if isinstance(column, Coded):
                 table = list(map(escape, column.labels))
                 texts.append(list(map(table.__getitem__, column.codes)))
+            elif isinstance(column, tuple):
+                texts.append(list(map(escape, column)))
             elif plain(column):
                 texts.append(column.tolist())
             else:
@@ -550,31 +554,30 @@ def reference_write_chunks(fh, layouts, chunks, escape, plain):
         fh.write((template * n_records) % tuple(flat))
 
 
-def reference_write_csv(fh, columns, kinds, chunks):
+def reference_write_csv(fh, columns, chunks):
     writerow = csv.writer(cli._Echo(), lineterminator="\n").writerow
 
     def cell(value):
         return writerow((value, ""))[:-2]
 
-    layouts = {}
-    for kind, keys in kinds.items():
+    def layout(kind, keys):
         cells = [cell(kind) if c == "kind" else "%s" if c in keys else "" for c in columns]
-        layouts[kind] = ",".join(cells) + "\n", [keys.index(c) for c in columns if c in keys]
+        return ",".join(cells) + "\n", [keys.index(c) for c in columns if c in keys]
+
     fh.write(",".join(map(cell, columns)) + "\n")
-    reference_write_chunks(fh, layouts, chunks, cell, lambda array: True)
+    reference_write_chunks(fh, layout, chunks, cell, lambda array: True)
 
 
-def reference_write_jsonl(fh, kinds, chunks):
-    layouts = {
-        kind: (
+def reference_write_jsonl(fh, chunks):
+    def layout(kind, keys):
+        return (
             "{" + ", ".join([f'"kind": {json.dumps(kind)}']
                             + [f"{json.dumps(key)}: %s" for key in keys]) + "}\n",
             range(len(keys)),
         )
-        for kind, keys in kinds.items()
-    }
+
     reference_write_chunks(
-        fh, layouts, chunks, json.dumps, lambda array: np.isfinite(array).all()
+        fh, layout, chunks, json.dumps, lambda array: np.isfinite(array).all()
     )
 
 
@@ -595,19 +598,19 @@ def id_config(seed: int, n_slots: int, hysteresis_db: float):
     return parse_config(text + "\n[devices]\n" + devices)
 
 
-def check_encoder(columns, kinds, chunks) -> list[str]:
+def check_encoder(columns, chunks) -> list[str]:
     """cli's encoders write `chunks` as the reference encoder does, in both
-    formats; the texts, CSV first."""
+    formats, a CSV under `columns`; the texts, CSV first."""
     chunks = list(chunks)
     texts = []
     for fmt in OUTPUT_FORMATS:
         got, want = BytesIO(), StringIO()
         if fmt == "csv":
-            cli._write_csv(got, columns, kinds, chunks)
-            reference_write_csv(want, columns, kinds, chunks)
+            cli._write_csv(got, columns, chunks)
+            reference_write_csv(want, columns, chunks)
         else:
-            cli._write_jsonl(got, kinds, chunks)
-            reference_write_jsonl(want, kinds, chunks)
+            cli._write_jsonl(got, chunks)
+            reference_write_jsonl(want, chunks)
         assert got.getvalue().decode() == want.getvalue(), fmt
         texts.append(want.getvalue())
     return texts
@@ -629,26 +632,28 @@ class TestEncoderEqualsReference:
         run = sim.iter_run(cfg)
         chunks = list(cli._run_chunks(next(run), run))
         kind, columns = chunks[0]
-        n = len(columns[0])
-        columns = list(columns)
-        for j in (4, 5, 6):  # fading_gain, rss_dbm, sinr_db
-            columns[j] = data.draw(arrays(np.float64, n, elements=ANY_FLOAT))
+        n = len(columns["slot"])
+        columns = dict(columns)
+        for key in ("fading_gain", "rss_dbm", "sinr_db"):
+            columns[key] = data.draw(arrays(np.float64, n, elements=ANY_FLOAT))
         labels = data.draw(st.lists(ANY_FLOAT, min_size=1, max_size=9).map(tuple))
         codes = data.draw(arrays(np.int32, n, elements=st.integers(0, len(labels) - 1)))
-        columns[8] = Coded(labels, codes)  # ul_tx_w
-        chunks[0] = kind, tuple(columns)
-        chunks.append(cli._chunk("metric", [
-            ("none", None), ("nan", math.nan), ("inf", -math.inf), ("int", 3),
-            ("float", data.draw(ANY_FLOAT)), ("id", data.draw(st.sampled_from(ESCAPED_IDS))),
-        ]))
-        check_encoder(RUN_CSV_COLUMNS, RUN_KINDS, chunks)
+        columns["ul_tx_w"] = Coded(labels, codes)
+        chunks[0] = kind, columns
+        metrics = {
+            "none": None, "nan": math.nan, "inf": -math.inf, "int": 3,
+            "float": data.draw(ANY_FLOAT), "id": data.draw(st.sampled_from(ESCAPED_IDS)),
+        }
+        chunks.append(("metric", {"metric": tuple(metrics), "value": tuple(metrics.values())}))
+        check_encoder(RUN_CSV_COLUMNS, chunks)
 
     @settings(max_examples=15, deadline=None)
     @given(points=st.lists(st.tuples(ANY_FLOAT, ANY_FLOAT, ANY_FLOAT), min_size=1, max_size=9))
     def test_outage(self, points):
         real = sim.outage_curve(parse_config(OUTAGE_DEMO.read_text()), (-5.0, 0.0, 12.5))
-        chunks = [cli._chunk("outage_point", [astuple(p) for p in real] + points)]
-        check_encoder(OUTAGE_KINDS["outage_point"], OUTAGE_KINDS, chunks)
+        keys = tuple(f.name for f in fields(sim.OutagePoint))
+        columns = dict(zip(keys, zip(*[astuple(p) for p in real] + points)))
+        check_encoder(keys, [("outage_point", columns)])
 
     @settings(max_examples=5, deadline=None)
     @given(observer_distance_m=st.floats(0.1, 10.0))
@@ -657,9 +662,8 @@ class TestEncoderEqualsReference:
         devices = sim.build_devices(cfg)
         report = network_exposure(devices.freq_hz, devices.emitted_w(devices.mode),
                                   cfg.standards, observer_distance_m)
-        kinds = exposure_kinds(cfg.standards)
-        chunks = cli._exposure_chunks(devices.device_id, report)
-        check_encoder(kinds["device-exposure"], kinds, chunks)
+        chunks = list(cli._exposure_chunks(devices.device_id, report))
+        check_encoder(tuple(chunks[0][1]), chunks)
 
 
 class TestTxPowerText:
@@ -694,12 +698,12 @@ class TestTxPowerText:
         cfg = self.config(always_on_fraction)
         devices, *parts = sim.iter_run(cfg)
         chunks = list(cli._run_chunks(devices, iter(parts)))
-        coded = [columns[8] for kind, columns in chunks if kind == "sample"]
+        coded = [columns["ul_tx_w"] for kind, columns in chunks if kind == "sample"]
         assert all(len(tx.labels) == labels for tx in coded)
         written = np.concatenate([np.array(tx.labels)[tx.codes] for tx in coded])
         ul_tx_w = sim.run_scenario(cfg).ul_tx_w.ravel()
         assert np.array_equal(written.view(np.uint64), ul_tx_w.view(np.uint64))
-        for text in check_encoder(RUN_CSV_COLUMNS, RUN_KINDS, chunks):
+        for text in check_encoder(RUN_CSV_COLUMNS, chunks):
             for value in ("-0.0", "0.0", "0.03", "0.3", "0.020000000000000004", "0.2"):
                 found = re.search(rf"[ ,]{re.escape(value)}[,}}]", text)
                 assert bool(found) == (value in values), value
@@ -710,22 +714,23 @@ class TestKeptMatrix:
         """In pieces of 4 records, the slot column crosses 9999 -> 10000 and
         two pieces alone hold a float >= 1e4, so the block widths go narrow,
         wide and narrow again, two layouts have one row width, and the last
-        piece of each chunk is short; a chunk of another kind comes between.
-        The encoder lays its matrix out again for each, as the reference
-        encoder's text shows."""
+        piece of each chunk is short; a chunk of another kind, with a column
+        of plain values, comes between. The encoder lays its matrix out again
+        for each, as the reference encoder's text shows."""
         monkeypatch.setattr(cli, "CHUNK_ROWS", 4)
         slots = np.arange(9990, 10007)
         values = np.linspace(0.5, 3.5, slots.size)
         values[[5, 15]] = 12345.678, -23456.5
         ids = Coded(("a", 'b,"c'), slots % 2)
-        kinds = {"k": ("slot", "value", "id"), "m": ("id",)}
         first, rest = slice(0, 11), slice(11, None)
         chunks = [
-            ("k", (slots[first], values[first], ids._replace(codes=ids.codes[first]))),
-            ("m", (ids._replace(codes=np.array([1, 0])),)),
-            ("k", (slots[rest], values[rest], ids._replace(codes=ids.codes[rest]))),
+            ("k", {"slot": slots[first], "value": values[first],
+                   "id": ids._replace(codes=ids.codes[first])}),
+            ("m", {"id": ids._replace(codes=np.array([1, 0])), "note": ('x"y', None)}),
+            ("k", {"slot": slots[rest], "value": values[rest],
+                   "id": ids._replace(codes=ids.codes[rest])}),
         ]
-        check_encoder(("kind", "slot", "value", "id"), kinds, chunks)
+        check_encoder(("kind", "slot", "value", "id", "note"), chunks)
 
 
 class _Discard:
@@ -746,10 +751,10 @@ class TestLabelTableMemory:
         every escaped id text beside the table at about 149 B."""
         n = 50_000
         labels = tuple(f"ue-{i:06d}" for i in range(n))
-        chunks = [("k", (Coded(labels, np.arange(n, dtype=np.int32)),))]
+        chunks = [("k", {"device_id": Coded(labels, np.arange(n, dtype=np.int32))})]
         tracemalloc.start()
         try:
-            cli._write_csv(_Discard(), ("device_id",), {"k": ("device_id",)}, chunks)
+            cli._write_csv(_Discard(), ("device_id",), chunks)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -827,11 +832,13 @@ def test_wide_ring_output_is_pinned(tmp_path):
 
 def test_traced_peak_per_device(tmp_path):
     """The traced peak of a one-slot `trsim run` in process grows by at
-    most 250 B per device from 10^4 to 5x10^4 devices of the tr50 ring
+    most 200 B per device from 10^4 to 5x10^4 devices of the tr50 ring
     (176 B on Python 3.11 and numpy 2.4). It grew by 375 B while the
     engine kept its fading streams, the last chunk's temporaries and the
     exposure report through the RRC log, and the ids' label table was
-    built from a list of every id's bytes."""
+    built from a list of every id's bytes; by 215 B with the fading streams
+    alone kept through the RRC log, and by 207 B with the label table alone
+    built from that list."""
 
     def peak(n_users: int) -> int:
         config = tmp_path / f"{n_users}.cfg"
@@ -845,7 +852,7 @@ def test_traced_peak_per_device(tmp_path):
 
     peak(10_000)  # what a process allocates once is made before either peak
     slope = (peak(50_000) - peak(10_000)) / 40_000
-    assert slope <= 250, f"{slope:.0f} B per device"
+    assert slope <= 200, f"{slope:.0f} B per device"
 
 
 def child_env(**changes: str | None) -> dict[str, str]:

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import REPO_ROOT, make_config
 from trsim import channel, exposure, rrc, schema, sim
 from trsim.channel import db_to_linear, free_space_path_loss, outage_analytic, watts_to_dbm
-from trsim.cli import RUN_CSV_COLUMNS, RUN_KINDS, Coded, _run_chunks, _write_csv
+from trsim.cli import RUN_CSV_COLUMNS, Coded, _run_chunks, _write_csv
 from trsim.exposure import (
     ExposureStandard,
     FrequencyBand,
@@ -94,13 +94,13 @@ def run_records(cfg):
     kind and a dict of its keys, with coded columns decoded to labels."""
     run = iter_run(cfg)
     for kind, columns in _run_chunks(next(run), run):
-        values = [
-            [c.labels[j] for j in c.codes] if isinstance(c, Coded)
+        values = {
+            key: [c.labels[j] for j in c.codes] if isinstance(c, Coded)
             else c.tolist() if isinstance(c, np.ndarray) else c
-            for c in columns
-        ]
-        for record in zip(*values):
-            yield kind, dict(zip(RUN_KINDS[kind], record))
+            for key, c in columns.items()
+        }
+        for record in zip(*values.values()):
+            yield kind, dict(zip(values, record))
 
 
 def path_losses(devices) -> list[float]:
@@ -544,7 +544,7 @@ class TestStreamedEngine:
                 out = BytesIO()
                 stream = iter_run(cfg)
                 chunks = _run_chunks(next(stream), stream)
-                _write_csv(out, RUN_CSV_COLUMNS, RUN_KINDS, chunks)
+                _write_csv(out, RUN_CSV_COLUMNS, chunks)
                 return run_scenario(cfg), out.getvalue().decode()
 
         whole = run(n_slots)

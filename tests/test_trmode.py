@@ -8,10 +8,8 @@ from conftest import make_config
 from trsim.sim import ConfigError
 from trsim.trmode import (
     Mode,
-    ServiceClass,
     evaluate_switch,
     hold_modes,
-    service_admitted,
     uplink_enabled,
 )
 
@@ -61,15 +59,6 @@ class TestGating:
     def test_uplink_disabled_after_subthreshold_sample(self):
         mode = evaluate_switch(THRESHOLD - 10.0, THRESHOLD, HYSTERESIS, Mode.AM)
         assert uplink_enabled(mode) is False
-
-    @pytest.mark.parametrize("svc", list(ServiceClass))
-    def test_am_admits_everything(self, svc):
-        assert service_admitted(Mode.AM, svc) is True
-
-    def test_tr_admits_low_rate_only(self):
-        assert service_admitted(Mode.TR, ServiceClass.VOICE_CALL) is True
-        assert service_admitted(Mode.TR, ServiceClass.TEXT_MESSAGE) is True
-        assert service_admitted(Mode.TR, ServiceClass.HIGH_BANDWIDTH) is False
 
 
 @given(
