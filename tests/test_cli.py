@@ -302,6 +302,32 @@ class TestEncoders:
         for token in ("NaN", "Infinity", "-Infinity", '"value": null'):
             assert token in body, token
 
+    @pytest.mark.parametrize("fmt", OUTPUT_FORMATS)
+    def test_tuple_columns_written_as_csv_writer_and_json_dumps(self, fmt, monkeypatch):
+        """A column of plain values has each value written as its format's
+        escape writes it, in pieces of 3 records that cut the columns alike:
+        a row is csv.writer's row of the record, a line json.dumps' object."""
+        monkeypatch.setattr(cli, "CHUNK_ROWS", 3)
+        names = ("a,b", 'q"x', "line\nbreak", "\u00fc-1", "back\\slash", "nul\x00", "", None)
+        values = (-0.0, 1e-300, 12345.678, math.nan, math.inf, -math.inf, 7, None)
+        chunks = [("point", {"name": names, "value": values}),
+                  ("total", {"name": ("all",), "value": (len(values),)})]
+        out = BytesIO()
+        if fmt == "csv":
+            cli._write_csv(out, ("kind", "name", "value"), chunks)
+            expected = StringIO()
+            writer = csv.writer(expected, lineterminator="\n")
+            writer.writerow(("kind", "name", "value"))
+            writer.writerows((kind, *row) for kind, chunk in chunks
+                             for row in zip(*chunk.values()))
+        else:
+            cli._write_jsonl(out, chunks)
+            expected = StringIO()
+            for kind, chunk in chunks:
+                for row in zip(*chunk.values()):
+                    expected.write(json.dumps({"kind": kind, **dict(zip(chunk, row))}) + "\n")
+        assert out.getvalue().decode() == expected.getvalue()
+
 
 class TestErrorPaths:
     def test_missing_config_file_is_io_error(self, tmp_path, capsys):
@@ -384,6 +410,16 @@ class TestExposureCommand:
         assert lines[-1].startswith("network-total,")
         zero_rows = [line for line in lines[1:-1] if ",0.0,0.0," in line]
         assert len(zero_rows) == 20  # the TR cohort emits nothing
+
+    def test_csv_header_is_the_records_keys(self, tmp_path):
+        """The header is a device record's keys: its id, power density and
+        E-field, then one ER column per standard, in the config's order."""
+        out = tmp_path / "exposure.csv"
+        assert run_cli(["exposure", "--config", str(ER_TABLE_FIXTURE), "--out", str(out)]) == 0
+        standards = parse_config(ER_TABLE_FIXTURE.read_text()).standards
+        header = out.read_text().splitlines()[0].split(",")
+        assert header == ["device_id", "power_density_w_m2", "e_field_v_per_m",
+                          *(f"er_{std.name}" for std in standards)]
 
     @staticmethod
     def network_texts(config, tmp_path) -> tuple[dict, dict]:
@@ -473,6 +509,19 @@ class TestOutageCommand:
         assert first["kind"] == "outage_point"
         assert first["mean_snr_db"] == 20.0
         assert first["outage_tr"] < first["outage_am"]
+
+    def test_csv_is_outage_points_fields(self, tmp_path):
+        """The header is OutagePoint's fields, and each row is a point of
+        outage_curve, as csv.writer writes it."""
+        out = tmp_path / "outage.csv"
+        args = ["outage", "--config", str(OUTAGE_DEMO), "--snr-db=-5,0.5,12.25,30"]
+        assert run_cli(args + ["--out", str(out)]) == 0
+        points = sim.outage_curve(parse_config(OUTAGE_DEMO.read_text()), (-5.0, 0.5, 12.25, 30.0))
+        expected = StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(f.name for f in fields(sim.OutagePoint))
+        writer.writerows(map(astuple, points))
+        assert out.read_text() == expected.getvalue()
 
 
 class TestJsonLinesMatchesCsv:
