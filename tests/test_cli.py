@@ -879,6 +879,31 @@ def test_wide_ring_output_is_pinned(tmp_path):
     check_run_digest(ring_text(20_000, 5), "csv", WIDE_RING_DIGEST, "the wide ring", tmp_path)
 
 
+# sha256 of `trsim run` on the switch-jsonl workload's config at other
+# (ul_demand_prob, dl_demand_prob), in each format: one direction's demand is
+# decided (0 or 1) and the other's drawn. Each direction takes 10^5 outputs
+# of the one traffic stream, past streams.TILE and BASE_ROWS, so a draw
+# after a decided direction starts where its 10^5 outputs end.
+DEMAND_DIGESTS = {
+    (1.0, 0.5, "csv"): "182ac9f88e3de8eb0210707720b7fb1b933df8328d494221dbe4b4217cbfe92a",
+    (1.0, 0.5, "json-lines"): "04b3a996712e28ea1d86ac695290f9f3631a09e97e3865e7b745598473b28904",
+    (0.0, 0.3, "csv"): "56abbf271f508c8a8bb0196dffc90359adba32ac6c4b34c66d31a3fe68d6aca8",
+    (0.0, 0.3, "json-lines"): "ad5d5dd1d036f134f1718c0b3787ff6ef44c0b37c8297292a5d352aafcfdfee1",
+    (0.5, 1.0, "csv"): "d08cb3f18d32dc6f777d2388931ffd26ff3f84c38db3cc8cb448230da374123b",
+    (0.5, 1.0, "json-lines"): "53c6f02d9ed13f5cff178f0c6980fd8489cf88c854a1f034e241105296876e47",
+}
+
+
+@pytest.mark.parametrize("ul, dl, fmt", list(DEMAND_DIGESTS))
+def test_decided_demand_output_is_pinned(ul, dl, fmt, tmp_path):
+    text = workload_config_text("switch-jsonl")
+    for key, value in (("ul_demand_prob", ul), ("dl_demand_prob", dl)):
+        text = re.sub(rf"(?m)^{key} = .*$", f"{key} = {value}", text)
+    check_run_digest(
+        text, fmt, DEMAND_DIGESTS[ul, dl, fmt], f"switch-jsonl at demand {ul}, {dl}", tmp_path
+    )
+
+
 def test_traced_peak_per_device(tmp_path):
     """The traced peak of a one-slot `trsim run` in process grows by at
     most 200 B per device from 10^4 to 5x10^4 devices of the tr50 ring
