@@ -349,7 +349,12 @@ def _rrc_log(t0: int, packed: np.ndarray, switches: ModeTransitions,
 def _demand(traffic: Streams, slots: int, n: int, prob: float) -> np.ndarray:
     """The next slots x n demand flags of the traffic stream, one draw each,
     [slot, device] in row-major order: random() < prob. The stream's first
-    n_slots x n draws are the uplink's, and the rest the downlink's."""
+    n_slots x n draws are the uplink's, and the rest the downlink's. A prob
+    of 0 or 1 decides every flag, since random() lies in [0, 1): the stream
+    skips its draws."""
+    if prob in (0.0, 1.0):
+        traffic.skip(slots * n)
+        return np.full((slots, n), prob == 1.0)
     return traffic.random(slots * n).reshape(slots, n) < prob
 
 

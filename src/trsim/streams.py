@@ -21,12 +21,13 @@ them against the installed numpy). What it ports:
     libm's exp and log1p, as numpy's C code does.
 
 The 128-bit arithmetic is on (hi, lo) pairs of uint64 arrays, through 32-bit
-limbs. A stream is only ever drawn forward. A draw computes its states at
-once: a jump of k steps is the affine map s -> a**k s + inc (1 + a + ... +
-a**(k-1)) mod 2**128, and the streams, each with its own inc, apply the jumps
-of 1..BASE_ROWS steps with their own addends, kept, then double from there by
+limbs. A stream only ever goes forward. A draw computes its states at once: a
+jump of k steps is the affine map s -> a**k s + inc (1 + a + ... + a**(k-1))
+mod 2**128, and the streams, each with its own inc, apply the jumps of
+1..BASE_ROWS steps with their own addends, kept, then double from there by
 jumps of powers of two: the states after k+1..2k steps are those after 1..k
-steps jumped k more.
+steps jumped k more. A skip of k outputs computes none of them: it is one
+jump of k steps.
 """
 
 from __future__ import annotations
@@ -49,7 +50,11 @@ MIX_MULT_L, MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 # Device-draws computed at once: each temporary array is at most 64 KiB.
 TILE = 8192
 # Each stream keeps its addends of 1..BASE_ROWS steps, all streams in at most
-# BASE_BYTES, and steps from them by one product per state.
+# BASE_BYTES, and steps from them by one product per state. Fewer kept rows
+# cost doublings: at 128 and 256 KiB, 200 streams keep 32 and 64 rows for
+# draws of 87 steps, against 128, and the fading draws of a 200-device x
+# 500-slot run took 3.4 and 2.8 ms (17% and 14%) longer, in 12 of 12 and 11 of
+# 12 interleaved rounds on a 2-CPU x86 host, to hold 300 and 200 KiB less.
 BASE_ROWS = TILE
 BASE_BYTES = 1 << 19
 
@@ -286,11 +291,22 @@ def _walk(out_hi, out_lo, done: int, pluses) -> None:
         done += cols
 
 
-# each jump _walk makes, of k = 2**i steps: a**k and G(k) = 1 + a + ... + a**(k-1)
-_JUMP_MULTS, _JUMP_PLUSES = [MULTIPLIER], [1]
-while len(_JUMP_MULTS) < (TILE - 1).bit_length():
-    _JUMP_PLUSES.append(_JUMP_PLUSES[-1] * (_JUMP_MULTS[-1] + 1) & M128)  # G(2k) = G(k) (a**k + 1)
-    _JUMP_MULTS.append(_JUMP_MULTS[-1] ** 2 & M128)
+def _jump(steps: int):
+    """a**steps and G(steps) = 1 + a + ... + a**(steps-1) mod 2**128, as ints:
+    the jumps of the powers of two in steps, composed (Brown, "Random Number
+    Generation with Arbitrary Strides", 1994)."""
+    mult, plus, power, power_plus = 1, 0, MULTIPLIER, 1
+    while steps:
+        if steps & 1:
+            mult, plus = mult * power & M128, (plus * power + power_plus) & M128
+        power_plus = power_plus * (power + 1) & M128  # G(2k) = G(k) (a**k + 1)
+        power = power * power & M128
+        steps >>= 1
+    return mult, plus
+
+
+# each jump _walk makes, of k = 2**i steps: a**k and G(k)
+_JUMP_MULTS, _JUMP_PLUSES = zip(*(_jump(1 << i) for i in range((TILE - 1).bit_length())))
 
 
 @lru_cache(maxsize=1)
@@ -333,8 +349,9 @@ class Streams:
     The entries of `entropy` are ints; the last may be an array of ints below
     2**32, one stream per element. A draw of k values from each stream gives
     a (k, streams) array, column j the next k values of stream j, and each
-    stream's draws go on where its last draw stopped: a stream is only ever
-    drawn forward, and its only jumps are of powers of two inside one draw.
+    stream's draws go on where its last draw stopped. A stream only ever goes
+    forward: by jumps of powers of two inside one draw, and by one jump of k
+    steps in skip(k), which passes over k outputs without computing them.
     """
 
     def __init__(self, *entropy):
@@ -353,6 +370,13 @@ class Streams:
             _affine(*_affine(*inc, 1, w0, w1), MULTIPLIER, *inc, self.hi[cols], self.lo[cols])
         self._pluses = []  # each stream's addends of jumps of 1, 2, 4, ... steps
         self._base = None  # each stream's addends of 1..BASE_ROWS steps
+
+    def skip(self, steps: int) -> None:
+        """Advance every stream by `steps` outputs without computing them: one
+        jump of each stream's state, s -> a**steps s + inc G(steps)."""
+        mult, plus = _jump(steps)
+        add = _affine(self.inc_hi, self.inc_lo, plus, 0, 0)
+        self.hi[:], self.lo[:] = _affine(self.hi, self.lo, mult, *add)
 
     def _states(self, cols, steps: int):
         """The states of the streams `cols` (a slice or an index array) after
@@ -436,8 +460,8 @@ class Streams:
         more outputs than they still need, and each stream goes on from the
         output after the last one its values used."""
         out = np.empty((k, self.n))
-        made = np.zeros(self.n, np.int64)
-        todo = np.arange(self.n) if k else np.arange(0)
+        made = np.zeros(self.n, np.int32)  # n and k are below 2**31 (MAX_DEVICE_SLOTS)
+        todo = np.arange(self.n if k else 0, dtype=np.int32)
         while todo.size:
             need = k - int(made[todo].min())
             steps = min(TILE, need + need // 32 + 3)

@@ -516,6 +516,27 @@ class TestDemand:
             got = sim._demand(Streams(seed, 1), 2, 3, float(prob))
             assert got.ravel().tolist() == expected.tolist(), prob
 
+    @pytest.mark.parametrize("prob", [0.0, 1.0])
+    def test_decided_flags_go_on_past_their_draws(self, prob):
+        """At a prob of 0 or 1 the flags are decided without a draw, and the
+        traffic stream goes on where the 6 draws would have left it: at
+        numpy's 7th value."""
+        seed = 20260808
+        drawn = np.random.default_rng(np.random.SeedSequence([seed, 1])).random(10)
+        traffic = Streams(seed, 1)
+        assert sim._demand(traffic, 2, 3, prob).tolist() == [[prob == 1.0] * 3] * 2
+        assert traffic.random(4)[:, 0].tolist() == drawn[6:].tolist()
+
+    @pytest.mark.parametrize("ul, dl", [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)])
+    def test_decided_demand_computes_no_traffic_output(self, ul, dl):
+        """A run whose demands are both decided computes no output of its
+        traffic stream: on a ring, which draws no distances, no stream's
+        raw(), through which random() draws, is called."""
+        cfg = switching_config(n_users=5, n_tr=2, n_slots=30, ul_demand_prob=ul, dl_demand_prob=dl)
+        with mock.patch.object(Streams, "raw", autospec=True, side_effect=Streams.raw) as raw:
+            run_scenario(cfg)
+        assert raw.call_count == 0
+
 
 class TestStreamedEngine:
     @settings(max_examples=20, deadline=None)

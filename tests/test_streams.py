@@ -164,6 +164,22 @@ class TestDraws:
         assert port.random(0).shape == (0, 4)
 
 
+class TestSkip:
+    @pytest.mark.parametrize("seed", (0, 2**64 + 5, 20260808))
+    @pytest.mark.parametrize("n", (1, 50))
+    @pytest.mark.parametrize("steps", (0, 1, 2, 8191, 8192, 8193, 10**5))
+    def test_draws_after_a_skip_are_numpys_after_those_outputs(self, steps, n, seed):
+        """skip(k), then a draw, gives numpy's values after its first k
+        outputs: of one stream, and of 50 streams of an entropy array."""
+        port = Streams(seed, 1) if n == 1 else Streams(seed, 2, np.arange(n))
+        numpy = [numpy_stream(seed, 1)] if n == 1 else [numpy_stream(seed, 2, i) for i in range(n)]
+        port.skip(steps)
+        for g in numpy:
+            g.bit_generator.random_raw(steps)
+        expected = np.stack([g.random(5) for g in numpy], axis=1)
+        assert port.random(5).tolist() == expected.tolist()
+
+
 def test_run_does_not_import_numpy_random():
     code = (
         "import sys\n"
