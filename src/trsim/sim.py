@@ -57,7 +57,7 @@ from .trmode import Mode, hold_modes, uplink_enabled
 # Upper bound on a run's population x n_slots, refused by iter_run as a
 # configuration error before any work. A run holds one chunk of slots
 # (ENGINE_ROWS), two bits per device-slot and its mode-transition log. On a
-# 2-CPU x86 host `trsim run` peaked at 33-34 MiB RSS on the 10^5
+# 2-CPU x86 host `trsim run` peaked at 32.9-33.7 MiB RSS on the 10^5
 # device-slot benchmark workloads, and at the cap at 37 MiB on a 1000-device
 # ring (CSV) and 51 MiB on a switching disk (JSON-lines), taking 16-21 s and
 # writing 2.2 to 3.8 GB. Memory grows by 200-230 B per device: a ring of

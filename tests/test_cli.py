@@ -907,7 +907,7 @@ def test_decided_demand_output_is_pinned(ul, dl, fmt, tmp_path):
 def test_traced_peak_per_device(tmp_path):
     """The traced peak of a one-slot `trsim run` in process grows by at
     most 200 B per device from 10^4 to 5x10^4 devices of the tr50 ring
-    (176 B on Python 3.11 and numpy 2.4). It grew by 375 B while the
+    (174 B on Python 3.11 and numpy 2.4). It grew by 375 B while the
     engine kept its fading streams, the last chunk's temporaries and the
     exposure report through the RRC log, and the ids' label table was
     built from a list of every id's bytes; by 215 B with the fading streams
