@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 import reference
-from trsim.channel import SPEED_OF_LIGHT_M_S, free_space_path_loss, outage_analytic
+from trsim.channel import (
+    SPEED_OF_LIGHT_M_S,
+    db_to_linear,
+    free_space_path_loss,
+    outage_analytic,
+)
+from trsim.sim import _db
 from trsim.streams import Streams
 
 
@@ -99,6 +105,33 @@ class TestOutageAnalytic:
         analytic = outage_analytic(ratio, 1.0)
         estimate = reference.outage_mc(ratio, 1.0, n, seed=202)
         assert abs(estimate - analytic) < 3.0 * math.sqrt(analytic * (1.0 - analytic) / n)
+
+    def test_threshold_far_below_mean(self):
+        # 1 - exp(-x) = x to first order; the subtraction keeps 6 digits at 1e-9
+        assert outage_analytic(1e-9, 1.0) == pytest.approx(1e-9, rel=1e-6)
+
+    @given(
+        st.floats(1e-3, 1e3),
+        st.floats(1e-3, 1e3),
+        st.floats(1e-6, 1e6),
+    )
+    def test_depends_only_on_ratio(self, threshold, mean, scale):
+        assert outage_analytic(threshold * scale, mean * scale) == pytest.approx(
+            outage_analytic(threshold, mean), rel=1e-9
+        )
+
+
+class TestDbToLinear:
+    def test_hand_evaluated_points(self):
+        assert db_to_linear(0.0) == 1.0
+        assert db_to_linear(10.0) == 10.0
+        assert db_to_linear(20.0) == 100.0
+        assert db_to_linear(-30.0) == pytest.approx(1e-3, rel=1e-15)
+        assert db_to_linear(3.0) == pytest.approx(1.9952623149688795, rel=1e-15)
+
+    @given(st.floats(1e-30, 1e6))
+    def test_inverts_the_engine_db(self, value):
+        assert db_to_linear(_db(np.array([value]))[0]) == pytest.approx(value, rel=1e-12)
 
 
 class TestHostLog10:

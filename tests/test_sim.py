@@ -718,6 +718,23 @@ class TestDbColumns:
             expected = np.array([scalar(v) for v in values.tolist()])
             assert (got.ravel().view(np.uint64) == expected.view(np.uint64)).all()
 
+    def test_watts_to_dbm_at_decades(self):
+        """1 W is 30 dBm and 1 mW is 0 dBm; each decade of power is 10 dB."""
+        watts = 10.0 ** np.arange(-15, 4)
+        assert (_db(watts) + 30.0).tolist() == pytest.approx(
+            list(range(-120, 70, 10)), abs=1e-12
+        )
+
+    def test_all_zero_is_minus_inf_in_shape(self):
+        col = _db(np.zeros((3, 4)))
+        assert col.shape == (3, 4)
+        assert (col == -np.inf).all()
+
+    def test_rejects_negative_power(self):
+        """A negative power has no dB value: _db raises rather than writing NaN."""
+        with pytest.raises(ValueError):
+            _db(np.array([1.0, -1e-9]))
+
 
 class TestBuildDevices:
     def test_tr_cohort_assigned_to_weakest_links(self):
