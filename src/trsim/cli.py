@@ -394,7 +394,7 @@ def _cmd_frames(args: argparse.Namespace) -> int:
 
 def _cmd_rrc_check(args: argparse.Namespace) -> int:
     with _out_stream(args.out) as fh:
-        fh.write((rrc.check_reachability().format_report() + "\n").encode())
+        fh.write((rrc.check_reachability() + "\n").encode())
     return EXIT_OK
 
 

@@ -1,7 +1,7 @@
 """Far-field EM exposure metrics and the interference-complexity measure.
 
-Power density follows spherical spreading, S = P * G / (4 pi d^2); the
-plane-wave relation E = sqrt(S * eta0) links it to the electric field.
+Power density follows isotropic spherical spreading, S = P / (4 pi d^2);
+the plane-wave relation E = sqrt(S * eta0) links it to the electric field.
 The Exposure Ratio (ER) divides a device's E-field by a standard's
 reference level for the band in use; ER <= 1 means within limits.
 Reference levels are configuration inputs, never hard-coded.
@@ -78,15 +78,13 @@ def _check_not_negative(name: str, value: float | np.ndarray) -> None:
         raise ValueError(f"{name} must be >= 0, got {value}")
 
 
-def power_density(tx_power_w: float | np.ndarray, antenna_gain_lin: float, distance_m: float):
-    """Far-field power density in W/m^2: P * G / (4 pi d^2), of a float power
-    or of each element of an array of powers."""
+def power_density(tx_power_w: float | np.ndarray, distance_m: float):
+    """Far-field isotropic power density in W/m^2: P / (4 pi d^2), of a float
+    power or of each element of an array of powers."""
     _check_not_negative("tx_power_w", tx_power_w)
-    if antenna_gain_lin <= 0.0:
-        raise ValueError(f"antenna_gain_lin must be > 0, got {antenna_gain_lin}")
     if distance_m <= 0.0:
         raise ValueError(f"distance_m must be > 0, got {distance_m}")
-    return tx_power_w * antenna_gain_lin / (4.0 * math.pi * distance_m**2)
+    return tx_power_w / (4.0 * math.pi * distance_m**2)
 
 
 def e_field_from_density(s_w_m2: float | np.ndarray) -> float | np.ndarray:
@@ -129,8 +127,8 @@ def network_exposure(
     each device's carrier and emitted uplink power (Devices.emitted_w).
 
     Uplink emission only: base-station downlink exposure is not part of
-    this report. A device's density and E-field are power_density (gain 1)
-    and e_field_from_density of its power. Densities add incoherently
+    this report. A device's density and E-field are power_density and
+    e_field_from_density of its power. Densities add incoherently
     (straight power sums, standard for uncorrelated sources), in device
     order. The network ER divides the network E-field by the most
     restrictive reference level among the bands the devices occupy, which
@@ -138,7 +136,7 @@ def network_exposure(
     """
     if not len(freq_hz):
         raise ValueError("device list must be non-empty")
-    density = power_density(emitted_w, 1.0, observer_distance_m)
+    density = power_density(emitted_w, observer_distance_m)
     e_field = e_field_from_density(density)
     # a running sum in device order: a pairwise sum would reorder the additions
     total_density = float(np.cumsum(density)[-1])

@@ -46,26 +46,20 @@ class Duplex(Enum):
 @dataclass(frozen=True)
 class Numerology:
     mu: int
-    subcarrier_spacing_khz: float
     slots_per_subframe: int
 
 
 def make_numerology(mu: int) -> Numerology:
-    """Numerology mu in schema.MU: spacing 15 * 2^mu kHz, 2^mu slots/subframe."""
+    """Numerology mu in schema.MU: 2^mu slots/subframe."""
     if not MU[0] <= mu <= MU[1]:
         raise ValueError(f"mu must be in [{MU[0]}, {MU[1]}], got {mu}")
-    return Numerology(
-        mu=mu,
-        subcarrier_spacing_khz=15.0 * 2**mu,
-        slots_per_subframe=2**mu,
-    )
+    return Numerology(mu=mu, slots_per_subframe=2**mu)
 
 
 @dataclass(frozen=True)
 class RadioFrame:
     duplex: Duplex
     subframes: tuple[tuple[SlotKind, ...], ...]
-    tr_active: bool
 
 
 def _frame(
@@ -78,7 +72,7 @@ def _frame(
         "U": (SlotKind.GUARD if tr_active else SlotKind.UPLINK,) * n,
         "S": (toggle,) + (SlotKind.GUARD,) * (n - 1),
     }
-    return RadioFrame(duplex, tuple(subframe[e] for e in entries), tr_active)
+    return RadioFrame(duplex, tuple(subframe[e] for e in entries))
 
 
 def build_fdd_pair(

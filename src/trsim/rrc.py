@@ -10,7 +10,6 @@ transition function is total and the machine stays model-checkable.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from enum import Enum
 
 
@@ -56,51 +55,20 @@ def uplink_grant_allowed(state: RrcState) -> bool:
     return state is RrcState.CONNECTED
 
 
-@dataclass(frozen=True)
-class ReachabilityReport:
-    """Exhaustive view of the machine for model checking and golden output."""
-
-    entries: tuple[tuple[RrcState, RrcEvent, RrcState], ...]
-    shortest_path_from_idle: dict[RrcState, tuple[RrcEvent, ...]]
-    grant_states: tuple[RrcState, ...]
-    ee_grant_blocked: bool
-    ee_events_to_grant: tuple[RrcEvent, ...]
-
-    def format_report(self) -> str:
-        lines = [f"transition-table entries={len(self.entries)}"]
-        for state, event, nxt in self.entries:
+def check_reachability() -> str:
+    """The `rrc-check` report: every (state, event) pair and where it leads,
+    the shortest event path from Idle to each state (or `unreachable`), the
+    states that allow an uplink grant, and the events that take
+    EnergyEfficient to one. It shows that every state is reachable from Idle
+    and that no uplink grant is available from EnergyEfficient without first
+    reaching Connected.
+    """
+    lines = [f"transition-table entries={len(RrcState) * len(RrcEvent)}"]
+    for state in RrcState:
+        for event in RrcEvent:
+            nxt = transition(state, event)
             suffix = " self" if nxt is state else ""
             lines.append(f"{state.value} {event.value} -> {nxt.value}{suffix}")
-        for state in RrcState:
-            path = self.shortest_path_from_idle.get(state)
-            if path is None:
-                lines.append(f"reachable-from-Idle {state.value} unreachable")
-            else:
-                lines.append(
-                    f"reachable-from-Idle {state.value}"
-                    f" via={','.join(e.value for e in path)}"
-                )
-        lines.append(
-            "grant-allowed " + ",".join(s.value for s in self.grant_states)
-        )
-        lines.append(f"ee-grant-blocked {'true' if self.ee_grant_blocked else 'false'}")
-        lines.append(
-            "ee-to-grant-events " + ",".join(e.value for e in self.ee_events_to_grant)
-        )
-        return "\n".join(lines)
-
-
-def check_reachability() -> ReachabilityReport:
-    """Enumerate all (state, event) pairs and the reachability structure.
-
-    Confirms every state is reachable from Idle and that no uplink grant is
-    available from EnergyEfficient without first reaching Connected.
-    """
-    entries = tuple(
-        (state, event, transition(state, event))
-        for state in RrcState
-        for event in RrcEvent
-    )
 
     # BFS for shortest event paths from Idle
     paths: dict[RrcState, tuple[RrcEvent, ...]] = {RrcState.IDLE: ()}
@@ -112,18 +80,17 @@ def check_reachability() -> ReachabilityReport:
             if nxt not in paths:
                 paths[nxt] = paths[state] + (event,)
                 queue.append(nxt)
+    for state in RrcState:
+        path = paths.get(state)
+        via = "unreachable" if path is None else "via=" + ",".join(e.value for e in path)
+        lines.append(f"reachable-from-Idle {state.value} {via}")
 
-    grant_states = tuple(s for s in RrcState if uplink_grant_allowed(s))
-    ee_grant_blocked = not uplink_grant_allowed(RrcState.ENERGY_EFFICIENT)
-    ee_events_to_grant = tuple(
-        event
-        for event in RrcEvent
-        if uplink_grant_allowed(transition(RrcState.ENERGY_EFFICIENT, event))
-    )
-    return ReachabilityReport(
-        entries=entries,
-        shortest_path_from_idle=paths,
-        grant_states=grant_states,
-        ee_grant_blocked=ee_grant_blocked,
-        ee_events_to_grant=ee_events_to_grant,
-    )
+    ee = RrcState.ENERGY_EFFICIENT
+    lines += [
+        "grant-allowed " + ",".join(s.value for s in RrcState if uplink_grant_allowed(s)),
+        f"ee-grant-blocked {str(not uplink_grant_allowed(ee)).lower()}",
+        "ee-to-grant-events " + ",".join(
+            e.value for e in RrcEvent if uplink_grant_allowed(transition(ee, e))
+        ),
+    ]
+    return "\n".join(lines)

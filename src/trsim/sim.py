@@ -306,7 +306,8 @@ def _db(values: np.ndarray) -> np.ndarray:
     nonzero = flat != 0
     logs = np.full(flat.size, -np.inf)
     # a memoryview hands the values to log10 as Python floats, one at a time
-    logs[nonzero] = np.fromiter(map(math.log10, memoryview(flat[nonzero])), float)
+    logs[nonzero] = np.fromiter(map(math.log10, memoryview(flat[nonzero])), float,
+                                np.count_nonzero(nonzero))
     logs *= 10.0
     return logs.reshape(values.shape)
 

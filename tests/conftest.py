@@ -72,7 +72,9 @@ def assert_frame_invariants(frame: RadioFrame, mu: int) -> None:
     slot in a TDD frame and none in any other."""
     assert [len(sf) for sf in frame.subframes] == [2**mu] * SUBFRAMES_PER_FRAME
     census = slot_census(frame)
-    if frame.tr_active or frame.duplex is Duplex.FDD_DOWNLINK:
+    # a frame's TR state is its toggle slot: FREQ_SWITCH1 or Hold
+    tr_active = census[SlotKind.FREQ_SWITCH1] + census[SlotKind.HOLD] > 0
+    if tr_active or frame.duplex is Duplex.FDD_DOWNLINK:
         assert census[SlotKind.UPLINK] == 0, census
     if frame.duplex is Duplex.FDD_UPLINK:
         assert census[SlotKind.DOWNLINK] == 0, census

@@ -192,11 +192,13 @@ def test_frame_invariants_property_cases():
 
 def test_rrc_model_check():
     with criterion("rrc model check (36 pairs, 1e4 random traces x 100 events)") as detail:
-        report = check_reachability()
-        assert len(report.entries) == 36
-        for state, event, nxt in report.entries:
-            if nxt is RrcState.ENERGY_EFFICIENT:
-                assert not uplink_grant_allowed(nxt)
+        lines = check_reachability().splitlines()
+        table = [line.split() for line in lines if " -> " in line]
+        assert lines[0] == "transition-table entries=36" and len(table) == 36
+        for _, _, _, nxt, *_ in table:
+            if nxt == RrcState.ENERGY_EFFICIENT.value:
+                assert not uplink_grant_allowed(RrcState(nxt))
+        assert "ee-grant-blocked true" in lines
 
         rng = random.Random(424242)
         states = list(RrcState)

@@ -907,10 +907,10 @@ def test_decided_demand_output_is_pinned(ul, dl, fmt, tmp_path):
 def test_traced_peak_per_device(tmp_path):
     """The traced peak of a one-slot `trsim run` in process grows by at
     most 200 B per device from 4.5x10^4 to 5.5x10^4 devices of the tr50
-    ring (185 B on Python 3.11 and numpy 2.4). Both peaks fall in one phase,
-    the `_db` of the SINR column, and within one growth step of its
-    np.fromiter buffer; a pair that straddles such a step reads up to 200 B
-    (4.2x10^4 to 6x10^4). Below about 3.9x10^4 devices the peak falls in
+    ring (193 B on Python 3.11 and numpy 2.4). Both peaks fall in one phase,
+    the `_db` of the SINR column, whose np.fromiter buffer is sized to its
+    values, so a wider pair in that phase reads the same (193 B from
+    4.2x10^4 to 6x10^4). Below about 3.9x10^4 devices the peak falls in
     other phases: at 10^4, in seeding the fading streams (`streams._seed`).
     So from 10^4 to 5x10^4 the slope read 174 B, the difference of two
     phases. Over that pair it grew by 375 B while the engine kept its

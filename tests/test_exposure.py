@@ -30,31 +30,29 @@ STANDARD = ExposureStandard(
 
 class TestPowerDensity:
     def test_constants_cancel(self):
-        assert power_density(4 * math.pi, 1.0, 1.0) == pytest.approx(1.0, rel=1e-12)
+        assert power_density(4 * math.pi, 1.0) == pytest.approx(1.0, rel=1e-12)
 
     def test_hand_evaluated_point(self):
-        assert power_density(1.0, 2.0, 10.0) == pytest.approx(1.5915e-3, rel=1e-4)
+        assert power_density(2.0, 10.0) == pytest.approx(1.5915e-3, rel=1e-4)
 
-    @given(st.floats(1e-6, 1e3), st.floats(0.1, 10.0), st.floats(0.1, 1e4))
-    def test_doubling_distance_quarters_density(self, p, g, d):
-        assert power_density(p, g, 2 * d) == pytest.approx(
-            power_density(p, g, d) / 4.0, rel=1e-9
+    @given(st.floats(1e-6, 1e3), st.floats(0.1, 1e4))
+    def test_doubling_distance_quarters_density(self, p, d):
+        assert power_density(p, 2 * d) == pytest.approx(
+            power_density(p, d) / 4.0, rel=1e-9
         )
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
-            power_density(-1.0, 1.0, 1.0)
+            power_density(-1.0, 1.0)
         with pytest.raises(ValueError):
-            power_density(1.0, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            power_density(1.0, 1.0, 0.0)
+            power_density(1.0, 0.0)
 
     def test_array_is_each_elements_scalar_call(self):
         powers = np.array([0.0, -0.0, 0.2, 0.02, 1 / 3, 7.5e-4, 12.0])
-        expected = [power_density(p, 1.0, 1.7) for p in powers.tolist()]
-        assert power_density(powers, 1.0, 1.7).tolist() == expected
+        expected = [power_density(p, 1.7) for p in powers.tolist()]
+        assert power_density(powers, 1.7).tolist() == expected
         with pytest.raises(ValueError, match=r"min\(tx_power_w\) must be >= 0, got -1e-09"):
-            power_density(np.array([0.2, -1e-9, 0.1]), 1.0, 1.7)
+            power_density(np.array([0.2, -1e-9, 0.1]), 1.7)
 
 
 class TestEField:
@@ -66,7 +64,7 @@ class TestEField:
 
     @given(st.floats(1e-9, 1e3), st.floats(0.5, 5.0))
     def test_round_trip_recovers_density(self, p, d):
-        s = power_density(p, 1.0, d)
+        s = power_density(p, d)
         assert e_field_from_density(s) ** 2 / FREE_SPACE_IMPEDANCE_OHM == pytest.approx(
             s, rel=1e-12
         )
@@ -183,10 +181,10 @@ class TestNetworkExposure:
     def test_singleton_matches_power_density(self):
         _, report = _exposure(_fleet(1, 0, power=0.5), 2.0)
         assert report.network_total_power_density_w_m2 == pytest.approx(
-            power_density(0.5, 1.0, 2.0), rel=1e-12
+            power_density(0.5, 2.0), rel=1e-12
         )
         assert report.power_density_w_m2[0] == pytest.approx(
-            power_density(0.5, 1.0, 2.0), rel=1e-12
+            power_density(0.5, 2.0), rel=1e-12
         )
 
     def test_totals_permutation_invariant(self):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from trsim import rrc
 from trsim.rrc import (
     RrcEvent,
     RrcState,
@@ -55,44 +56,64 @@ class TestGrantGate:
         assert uplink_grant_allowed(nxt) is True
 
 
+def report_lines() -> list[str]:
+    return check_reachability().splitlines()
+
+
 class TestReachability:
     def test_enumeration_covers_all_pairs(self):
-        report = check_reachability()
-        assert len(report.entries) == 36
-        assert len({(s, e) for s, e, _ in report.entries}) == 36
+        """Each table line is one (state, event) pair, where `transition`
+        takes it and ` self` on a self-loop; the 36 pairs each appear once."""
+        pairs = []
+        for line in report_lines():
+            head, arrow, tail = line.partition(" -> ")
+            if arrow:
+                state, event = head.split()
+                nxt, *self_loop = tail.split()
+                expected = transition(RrcState(state), RrcEvent(event))
+                assert RrcState(nxt) is expected
+                assert self_loop == (["self"] if expected.value == state else [])
+                pairs.append((state, event))
+        assert len(pairs) == len(set(pairs)) == 36
 
     def test_every_state_reachable_from_idle(self):
-        report = check_reachability()
-        assert set(report.shortest_path_from_idle) == set(RrcState)
+        reach = [l.split() for l in report_lines() if l.startswith("reachable-from-Idle ")]
+        assert [state for _, state, _ in reach] == [s.value for s in RrcState]
+        assert all(via.startswith("via=") for _, _, via in reach)
 
     def test_ee_reached_via_connected(self):
-        report = check_reachability()
-        assert report.shortest_path_from_idle[EE] == (
-            RrcEvent.CONNECTION_REQUEST,
-            RrcEvent.TR_MODE_ENTER,
+        assert (
+            "reachable-from-Idle EnergyEfficient via=ConnectionRequest,TrModeEnter"
+            in report_lines()
         )
 
     def test_no_single_event_moves_idle_to_ee(self):
-        for _, event, nxt in check_reachability().entries[:9]:
-            # the first nine entries enumerate Idle with every event
-            assert nxt is not EE
+        for line in report_lines():
+            assert not (line.startswith("Idle ") and line.endswith(" -> EnergyEfficient"))
         for event in RrcEvent:
             assert transition(RrcState.IDLE, event) is not EE
 
     def test_ee_grant_blocked_and_exit_events(self):
-        report = check_reachability()
-        assert report.ee_grant_blocked is True
-        assert report.grant_states == (RrcState.CONNECTED,)
-        assert set(report.ee_events_to_grant) == {
-            RrcEvent.TR_MODE_EXIT,
-            RrcEvent.UPLINK_DATA_PENDING,
-        }
+        lines = report_lines()
+        assert "ee-grant-blocked true" in lines
+        assert "grant-allowed Connected" in lines
+        assert "ee-to-grant-events TrModeExit,UplinkDataPending" in lines
 
     def test_report_mentions_every_pair(self):
-        text = check_reachability().format_report()
-        lines = text.splitlines()
+        lines = report_lines()
         assert lines[0] == "transition-table entries=36"
         assert len([l for l in lines if " -> " in l]) == 36
+
+    def test_unreachable_state_is_reported(self, monkeypatch):
+        """Without Connected -> Inactive no event path leads from Idle to
+        Inactive, and the report says so."""
+        monkeypatch.delitem(
+            rrc._TRANSITIONS, (RrcState.CONNECTED, RrcEvent.SUSPEND_TO_INACTIVE)
+        )
+        lines = report_lines()
+        assert "reachable-from-Idle Inactive unreachable" in lines
+        assert "Connected SuspendToInactive -> Connected self" in lines
+        assert "reachable-from-Idle EnergyEfficient via=ConnectionRequest,TrModeEnter" in lines
 
 
 def test_grant_never_available_in_ee_over_random_traces():

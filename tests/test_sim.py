@@ -184,6 +184,35 @@ def test_every_public_name_is_used_or_documented():
     assert unused == []
 
 
+def test_every_field_is_read_or_documented():
+    """The library holds only what the commands compute: each annotated field
+    of a class of src/trsim is read as an attribute in src/trsim outside its
+    own class, or README names it in backticks. Classes read field by field
+    are exempt: schema.Columns and its subclasses, and each class passed by
+    name to dataclasses.fields."""
+    readme = (REPO_ROOT / "README.md").read_text()
+    ticked = " ".join(re.findall(r"`([^`\n]+)`", readme))
+    fields_of, readers, columns, by_fields = {}, {}, {"Columns"}, set()
+    for path in sorted((REPO_ROOT / "src" / "trsim").glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = None
+            if isinstance(stmt, ast.ClassDef):
+                owner = f"{path.stem}.{stmt.name}"
+                fields_of[owner] = [s.target.id for s in stmt.body if isinstance(s, ast.AnnAssign)]
+                if any(getattr(base, "id", None) in columns for base in stmt.bases):
+                    columns.add(stmt.name)
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    readers.setdefault(node.attr, set()).add(owner)
+                elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "fields":
+                    by_fields |= {arg.id for arg in node.args if isinstance(arg, ast.Name)}
+    unread = [f"{owner}.{name}" for owner, names in fields_of.items()
+              if owner.partition(".")[2] not in columns | by_fields for name in names
+              if not readers.get(name, set()) - {owner}
+              and not re.search(rf"\b{name}\b", ticked)]
+    assert unread == []
+
+
 class TestRunScenario:
     def test_deterministic_for_fixed_seed(self, small_config):
         assert run_scenario(small_config) == run_scenario(small_config)
@@ -472,7 +501,7 @@ def scalar_run(cfg):
     density = 0.0
     for i in range(n):
         emitted_w = tx_power[i] if uplink_enabled(mode[i]) else 0.0
-        density += power_density(emitted_w, 1.0, cfg.observer_distance_m)
+        density += power_density(emitted_w, cfg.observer_distance_m)
     e_field = e_field_from_density(density)
     freqs = devices.freq_hz.tolist()
     ers = {
@@ -734,6 +763,23 @@ class TestDbColumns:
         """A negative power has no dB value: _db raises rather than writing NaN."""
         with pytest.raises(ValueError):
             _db(np.array([1.0, -1e-9]))
+
+    def test_peak_grows_by_at_most_32_bytes_per_value(self):
+        """_db holds the nonzero mask and values, the logs and np.fromiter's
+        buffer, sized to the count of nonzero values: 25 B per value. A buffer
+        left to grow by about 1.5x at a time read 252 B per value from 58,000
+        to 59,000 values, across one of its steps."""
+
+        def peak(n: int) -> int:
+            values = np.linspace(1.0, 2.0, n)
+            tracemalloc.start()
+            try:
+                _db(values)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert (peak(59_000) - peak(58_000)) / 1_000 <= 32
 
 
 class TestBuildDevices:
