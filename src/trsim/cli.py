@@ -24,8 +24,6 @@ returns and its output is written.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import os
 import sys
 from contextlib import contextmanager, suppress
@@ -277,6 +275,8 @@ def _write_csv(fh: IO[bytes], columns: tuple[str, ...], chunks: Chunks):
     `kind` column, if there is one, and its keys' columns; it leaves the
     rest empty. Each cell is what csv.writer writes: a float as its repr,
     None as an empty cell, a string quoted when it needs to be."""
+    import csv  # here, so that a JSON-lines run does not load it
+
     writerow = csv.writer(_Echo(), lineterminator="\n").writerow
 
     def cell(value) -> str:
@@ -302,6 +302,7 @@ def _write_csv(fh: IO[bytes], columns: tuple[str, ...], chunks: Chunks):
 def _write_jsonl(fh: IO[bytes], chunks: Chunks) -> None:
     """One JSON object per record, as json.dumps writes it: its `kind`, then
     its keys in order."""
+    import json  # here, so that a CSV run does not load it
 
     def layout(kind: str, keys: tuple) -> list:
         pieces = [f'{{"kind": {json.dumps(kind)}']

@@ -57,12 +57,13 @@ from .trmode import Mode, hold_modes, uplink_enabled
 # Upper bound on a run's population x n_slots, refused by iter_run as a
 # configuration error before any work. A run holds one chunk of slots
 # (ENGINE_ROWS), two bits per device-slot and its mode-transition log. On a
-# 2-CPU x86 host `trsim run` peaked at 32.9-33.7 MiB RSS on the 10^5
-# device-slot benchmark workloads, and at the cap at 37 MiB on a 1000-device
-# ring (CSV) and 51 MiB on a switching disk (JSON-lines), taking 16-21 s and
-# writing 2.2 to 3.8 GB. Memory grows by 200-230 B per device: a ring of
-# 2x10^5 devices x 1 slot peaked at 78 MiB, one of 10^6 at 255 MiB and one
-# of 10^7 at 2.0 GiB (CSV, 29 s of CPU).
+# 2-CPU x86 host `trsim run` peaked at 33.1-34.0 MiB RSS on the 10^5
+# device-slot benchmark workloads, compiling trsim from source as the
+# benchmark does (about 0.5 MiB less byte-compiled), and at the cap at 37 MiB
+# on a 1000-device ring (CSV) and 51 MiB on a switching disk (JSON-lines),
+# taking 16-21 s and writing 2.2 to 3.8 GB. Memory grows by 200-230 B per
+# device: a ring of 2x10^5 devices x 1 slot peaked at 78 MiB, one of 10^6 at
+# 255 MiB and one of 10^7 at 2.0 GiB (CSV, 29 s of CPU).
 MAX_DEVICE_SLOTS = 10**7
 
 # Device-slots per engine chunk: iter_run computes ceil(ENGINE_ROWS / n)

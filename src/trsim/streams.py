@@ -23,17 +23,20 @@ them against the installed numpy). What it ports:
 The 128-bit arithmetic is on (hi, lo) pairs of uint64 arrays, through 32-bit
 limbs. A stream only ever goes forward. A draw computes its states at once: a
 jump of k steps is the affine map s -> a**k s + inc (1 + a + ... + a**(k-1))
-mod 2**128, and the streams, each with its own inc, apply the jumps of
-1..BASE_ROWS steps with their own addends, kept, then double from there by
-jumps of powers of two: the states after k+1..2k steps are those after 1..k
-steps jumped k more. A skip of k outputs computes none of them: it is one
+mod 2**128, and the streams, each with its own inc, apply the jumps of 1..r
+steps with their own addends, kept, then double from there by jumps of powers
+of two: the states after k+1..2k steps are those after 1..k steps jumped k
+more. r is a power of two, at most BASE_ROWS, and the fewer the wider the
+population (32 rows for 1000 streams, BASE_ROWS for one). The multipliers and
+sums of those jumps are one table shared by all streams, 32 bytes a row, built
+only up to the most rows a stream keeps: 1 KiB for 1000 streams, 64 KiB for
+10, 256 KiB for one. A skip of k outputs computes none of them: it is one
 jump of k steps.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -309,18 +312,33 @@ def _jump(steps: int):
 _JUMP_MULTS, _JUMP_PLUSES = zip(*(_jump(1 << i) for i in range((TILE - 1).bit_length())))
 
 
-@lru_cache(maxsize=1)
-def _table():
+# the rows of _table built so far: (hi, lo), each (2, rows), read-only
+_rows = None
+
+
+def _table(rows: int):
     """The multipliers a**j and the sums 1 + a + ... + a**(j-1) of the maps of
-    j = 1..BASE_ROWS steps, as (hi, lo) words: the states of a stream from 1
-    with increment 0, and of one from 0 with increment 1."""
-    hi, lo = np.empty((2, BASE_ROWS), np.uint64), np.empty((2, BASE_ROWS), np.uint64)
-    hi[:, 0], lo[:, 0] = [MULTIPLIER >> 64, 0], [MULTIPLIER & M64, 1]
-    pluses = [(np.array([0, p >> 64], np.uint64), np.array([0, p & M64], np.uint64))
-              for p in _JUMP_PLUSES]  # those of increments 0 and 1: 0 and the sums
-    _walk(hi, lo, 1, pluses)
-    hi.flags.writeable = lo.flags.writeable = False  # shared by every caller
-    return hi[0], lo[0], hi[1], lo[1]
+    j = 1..rows steps, as (hi, lo) words: the states of a stream from 1 with
+    increment 0, and of one from 0 with increment 1. They are the first rows
+    of one read-only table shared by every caller. It holds the least power
+    of two of rows that covers every request so far, and grows by doubling
+    from its last row when a request needs more; a row does not depend on
+    how many are built. At 32 bytes a row, BASE_ROWS rows take 256 KiB."""
+    global _rows
+    built = 0 if _rows is None else _rows[0].shape[1]
+    if built < rows:
+        hi, lo = np.empty((2, 2, 1 << (rows - 1).bit_length()), np.uint64)
+        if built:
+            hi[:, :built], lo[:, :built] = _rows
+        else:
+            hi[:, 0], lo[:, 0] = [MULTIPLIER >> 64, 0], [MULTIPLIER & M64, 1]
+        pluses = [(np.array([0, p >> 64], np.uint64), np.array([0, p & M64], np.uint64))
+                  for p in _JUMP_PLUSES]  # those of increments 0 and 1: 0 and the sums
+        _walk(hi, lo, max(1, built), pluses)
+        hi.flags.writeable = lo.flags.writeable = False
+        _rows = hi, lo
+    hi, lo = _rows
+    return hi[0, :rows], lo[0, :rows], hi[1, :rows], lo[1, :rows]
 
 
 def _xsl_rr(hi, lo):
@@ -369,7 +387,7 @@ class Streams:
             np.bitwise_or(w3 << 1, 1, out=inc[1])
             _affine(*_affine(*inc, 1, w0, w1), MULTIPLIER, *inc, self.hi[cols], self.lo[cols])
         self._pluses = []  # each stream's addends of jumps of 1, 2, 4, ... steps
-        self._base = None  # each stream's addends of 1..BASE_ROWS steps
+        self._base = None  # each stream's addends of 1..r steps, r <= BASE_ROWS
 
     def skip(self, steps: int) -> None:
         """Advance every stream by `steps` outputs without computing them: one
@@ -381,8 +399,8 @@ class Streams:
     def _states(self, cols, steps: int):
         """The states of the streams `cols` (a slice or an index array) after
         1..steps steps, as two (streams, steps) arrays: the multipliers of
-        1..BASE_ROWS steps applied to their states, plus their own addends,
-        computed once, then doubling."""
+        1..r steps applied to their states, plus their own addends of as many
+        steps, computed once, then doubling."""
         streams = len(self.hi[cols])
         # the longer axis in memory order: numpy is slow along a short one
         step_major = steps < streams
@@ -390,12 +408,11 @@ class Streams:
         out_hi, out_lo = np.empty(shape, np.uint64), np.empty(shape, np.uint64)
         if step_major:
             out_hi, out_lo = out_hi.T, out_lo.T
-        a_hi, a_lo, g_hi, g_lo = _table()
         if self._base is None:
             rows = max(1, min(BASE_ROWS, BASE_BYTES // (16 * self.n)))
-            rows = 1 << (rows.bit_length() - 1)
-            self._base = self._addends(g_hi[:rows], g_lo[:rows])
+            self._base = self._addends(*_table(1 << (rows.bit_length() - 1))[2:])
         done = min(steps, self._base[0].shape[1])
+        a_hi, a_lo = _table(done)[:2]
 
         def laid(x):  # x in the memory order of the states
             return x.T if step_major else x

@@ -54,12 +54,13 @@ _LEAD, _LEAD0, _TRAIL, _TRAIL0, _PLUS, _POINT = 10_000, 20_000, 30_000, 40_000, 
 
 # Schubfach's k = floor(log10(2^q)), or floor(log10(3/4 2^q)) for a power of
 # two, with the shift and 5^-k that scale its significand by 2^q 10^-k; rows
-# by biased exponent, then again for powers of two. The rows used, those of
-# positional values, have 0 <= -k <= 20.
-_Q = np.tile(np.arange(2048) - 1075, 2)
-_K = (_Q * 1262611 - np.repeat([0, 524031], 2048)) >> 22
-_SHIFT = (1 - _Q + _K).clip(0, 63).astype(_U64)
-_POW5 = 5.0 ** (-_K).clip(0, 20)  # exact in float64
+# by biased exponent from _E0, those of positional values, 1e-4 <= x < 1e16,
+# then again for powers of two: 136 rows, of 0 <= -k <= 20.
+_E0, _EXPONENTS = 1009, 68
+_Q = np.tile(np.arange(_E0, _E0 + _EXPONENTS) - 1075, 2)
+_K = (_Q * 1262611 - np.repeat([0, 524031], _EXPONENTS)) >> 22
+_SHIFT = (1 - _Q + _K).astype(_U64)
+_POW5 = 5.0 ** -_K  # exact in float64
 # by e + 20, for digits d and exponent e, -20 <= e <= 1, of a value d 10^e:
 # the divisors and factors that split it into its integer part and its 20
 # fraction digits, as 12 and then 8
@@ -81,7 +82,7 @@ def shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     cp = bits & _U64(2**52 - 1)
     irregular = cp == 0  # the next double down is nearer than the next up
     row = (bits >> 52).astype(np.intp)
-    row += irregular * 2048
+    row += irregular * _EXPONENTS - _E0
     k, shift, pow5 = _K[row], _SHIFT[row], _POW5[row]
     del row
     # The paper's vb is cb 2^q 10^-k rounded to odd, cb = 4c. Here 10^-k is

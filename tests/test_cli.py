@@ -107,6 +107,22 @@ class TestGoldenOutputs:
             tmp_path,
         )
 
+    @pytest.mark.parametrize("fmt, suffix", [("csv", "csv"), ("json-lines", "jsonl")])
+    def test_exposure_at_another_distance(self, fmt, suffix, tmp_path):
+        """The fixture's observer at 2.5 m, where the inverse-square law and
+        any other law in d part: each field and ratio is the 1 m golden's
+        over 2.5, each power density the 1 m golden's over 6.25."""
+        text = ER_TABLE_FIXTURE.read_text(encoding="utf-8")
+        moved = text.replace("observer_distance_m = 1.0\n", "observer_distance_m = 2.5\n")
+        assert moved != text
+        config = tmp_path / "er_table_2.5m.cfg"
+        config.write_text(moved, encoding="utf-8")
+        self.check(
+            ["exposure", "--config", str(config), "--format", fmt],
+            f"exposure_er_table_2.5m.{suffix}",
+            tmp_path,
+        )
+
     @pytest.mark.parametrize("duplex", ["fdd", "tdd"])
     def test_run_switching_csv(self, duplex, tmp_path):
         self.check(
@@ -945,6 +961,25 @@ def child_env(**changes: str | None) -> dict[str, str]:
         else:
             env[name] = value
     return env
+
+
+@pytest.mark.parametrize("fmt, loaded, absent", [("csv", "csv", "json"),
+                                                  ("json-lines", "json", "csv")])
+def test_run_loads_only_its_formats_module(fmt, loaded, absent):
+    """A run imports the module of its own output format and not the other
+    format's, beyond what the interpreter had loaded before trsim."""
+    code = (
+        "import os, sys\n"
+        "bare = set(sys.modules)\n"
+        "from trsim.cli import main\n"
+        f"main(['run', '--config', {str(SCENARIO_TR50)!r}, '--format', {fmt!r},"
+        " '--out', os.devnull])\n"
+        f"print({loaded!r} in sys.modules, {absent!r} in set(sys.modules) - bare)\n"
+    )
+    child = subprocess.run([sys.executable, "-c", code], env=child_env(),
+                           capture_output=True, text=True)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.split() == ["True", "False"]
 
 
 @pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])

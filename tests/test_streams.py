@@ -164,6 +164,46 @@ class TestDraws:
         assert port.random(0).shape == (0, 4)
 
 
+class TestJumpTable:
+    """streams._table builds only the rows asked of it, and grows."""
+
+    def test_each_size_is_a_prefix_of_the_full_table(self, monkeypatch):
+        """_table(r), built fresh and then grown to BASE_ROWS, holds the first
+        r rows of the BASE_ROWS table, each a**j and G(j) as _jump composes
+        them, for every power of two r and some others."""
+        monkeypatch.setattr(streams, "_rows", None)
+        full = [words.copy() for words in streams._table(streams.BASE_ROWS)]
+        for j in (1, 2, 3, 31, 32, 33, 2048, streams.BASE_ROWS):
+            a_hi, a_lo, g_hi, g_lo = (int(words[j - 1]) for words in full)
+            assert (a_hi << 64 | a_lo, g_hi << 64 | g_lo) == streams._jump(j), j
+        sizes = [1 << i for i in range(streams.BASE_ROWS.bit_length())] + [3, 33, 1000]
+        for rows in sizes:
+            monkeypatch.setattr(streams, "_rows", None)
+            table = streams._table(rows)
+            assert streams._rows[0].shape[1] == 1 << (rows - 1).bit_length()
+            assert [words.tolist() for words in table] == [words[:rows].tolist() for words in full]
+            grown = streams._table(streams.BASE_ROWS)
+            assert [words.tolist() for words in grown] == [words.tolist() for words in full], rows
+            assert not any(words.flags.writeable for words in grown)
+
+    def test_a_wide_population_then_one_stream(self, monkeypatch):
+        """In one process, as a run draws fading and then traffic: 1,000
+        streams build 32 rows and draw numpy's exponentials past them, then
+        one stream grows the table to BASE_ROWS and draws numpy's values."""
+        monkeypatch.setattr(streams, "_rows", None)
+        seed, n = 20260808, 1000
+        wide = Streams(seed, 2, np.arange(n))
+        expected = np.stack([numpy_stream(seed, 2, i).exponential(1.0, 40) for i in range(n)], 1)
+        assert wide.exponential(40).tolist() == expected.tolist()
+        assert wide._base[0].shape == (n, 32)
+        assert streams._rows[0].shape[1] == 32
+        one, numpy = Streams(seed, 1), numpy_stream(seed, 1)
+        size = streams.TILE + 5
+        assert one.random(size)[:, 0].tolist() == numpy.random(size).tolist()
+        assert one._base[0].shape == (1, streams.BASE_ROWS)
+        assert streams._rows[0].shape[1] == streams.BASE_ROWS
+
+
 class TestSkip:
     @pytest.mark.parametrize("seed", (0, 2**64 + 5, 20260808))
     @pytest.mark.parametrize("n", (1, 50))
