@@ -7,7 +7,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import astuple, fields
+from dataclasses import astuple, fields, replace
 from io import BytesIO, StringIO
 
 import numpy as np
@@ -40,6 +40,7 @@ from trsim.exposure import network_exposure
 DATA_DIR = REPO_ROOT / "tests" / "data"
 OUTAGE_DEMO = DATA_DIR / "outage_demo.cfg"
 SWITCH_TDD = DATA_DIR / "run_switch_tdd.cfg"
+ESCAPED_IDS_CONFIG = DATA_DIR / "run_escaped_ids.cfg"
 
 
 # every device's frequency lies outside the one standard's band
@@ -120,6 +121,16 @@ class TestGoldenOutputs:
         self.check(
             ["exposure", "--config", str(config), "--format", fmt],
             f"exposure_er_table_2.5m.{suffix}",
+            tmp_path,
+        )
+
+    @pytest.mark.parametrize("fmt, suffix", [("csv", "csv"), ("json-lines", "jsonl")])
+    @pytest.mark.parametrize("command", ["run", "exposure"])
+    def test_escaped_ids(self, command, fmt, suffix, tmp_path):
+        """Explicit ids that need escaping in one format or the other."""
+        self.check(
+            [command, "--config", str(ESCAPED_IDS_CONFIG), "--format", fmt],
+            f"{command}_escaped_ids.{suffix}",
             tmp_path,
         )
 
@@ -647,6 +658,9 @@ def reference_write_jsonl(fh, chunks):
 
 
 ESCAPED_IDS = ("a,b", 'q"x', "ü-1", "back\\slash", "nul\x00id", "ue-7")
+# the characters that csv.writer or json.dumps write other than as themselves
+# on some Python from 3.10, non-ASCII among them, and plain ones
+ID_CHARS = ',"\n\r\x00\\\t\x7f\u00fc\u2028\U0001f600ab-_ '
 ANY_FLOAT = st.floats(width=64)  # nan, +-inf, subnormals and exponent form too
 
 
@@ -727,6 +741,26 @@ class TestEncoderEqualsReference:
         devices = sim.build_devices(cfg)
         report = network_exposure(devices.freq_hz, devices.emitted_w(devices.mode),
                                   cfg.standards, observer_distance_m)
+        chunks = list(cli._exposure_chunks(devices.device_id, report))
+        check_encoder(tuple(chunks[0][1]), chunks)
+
+
+    @settings(max_examples=25, deadline=None)
+    @given(ids=st.lists(st.text(ID_CHARS, max_size=5), min_size=1, max_size=6, unique=True))
+    def test_any_ids(self, ids):
+        """Device ids made of the characters that either escape treats
+        specially (csv.writer's on any Python from 3.10: `,`, `"`, LF, CR and
+        NUL; json.dumps': these, `\\`, other controls and every non-ASCII
+        one), beside plain ones, in every kind of record of `run` and of
+        `exposure`."""
+        cfg = id_config(5, 12, 3.0)
+        cfg = replace(cfg, devices=tuple(replace(spec, device_id=device_id)
+                                         for spec, device_id in zip(cfg.devices, ids)))
+        run = sim.iter_run(cfg)
+        check_encoder(RUN_CSV_COLUMNS, cli._run_chunks(next(run), run))
+        devices = sim.build_devices(cfg)
+        report = network_exposure(devices.freq_hz, devices.emitted_w(devices.mode),
+                                  cfg.standards, cfg.observer_distance_m)
         chunks = list(cli._exposure_chunks(devices.device_id, report))
         check_encoder(tuple(chunks[0][1]), chunks)
 
