@@ -10,7 +10,11 @@ README) and leaves the other columns empty; json-lines writes each record
 as one object of its kind and keys. Both write up to CHUNK_ROWS records at
 once, as the rows of one byte matrix kept from piece to piece
 (_write_chunks), with the text of the numbers computed a whole column at a
-time (textcols), and write the output as UTF-8 bytes.
+time (textcols), and write the output as UTF-8 bytes. A value is written as
+csv.writer or json.dumps writes it, but csv or json is loaded only by the
+first value that needs an escape: a str holding one of the format's special
+characters (_FORMATS), a non-finite float, or a value of another type. A
+run whose labels need none, synthesized ids among them, loads neither.
 frames and rrc-check emit fixed text layouts used as golden files.
 
 Exit codes: 0 success; 2 configuration or usage error; 3 domain error
@@ -24,11 +28,12 @@ returns and its output is written.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from contextlib import contextmanager, suppress
 from dataclasses import fields, replace
-from typing import IO, Iterable, Iterator, NamedTuple, NoReturn
+from typing import IO, Callable, Iterable, Iterator, NamedTuple, NoReturn
 
 # trsim calls no BLAS routine, so OpenBLAS's thread pool only costs start-up;
 # set before numpy loads, and a value the user sets is kept
@@ -53,6 +58,7 @@ from .sim import (
     RrcEvents,
     Samples,
     ScenarioConfig,
+    SynthesizedIds,
     build_devices,
     iter_run,
     outage_curve,
@@ -86,10 +92,81 @@ NETWORK_TOTAL = "network-total"
 class Coded(NamedTuple):
     """A column of labels repeated across records, as codes into a table of
     them, so that an encoder writes each distinct label once per run, as its
-    format's escape writes it."""
+    format's escape writes it. The labels are a tuple of values, or
+    SynthesizedIds."""
 
-    labels: tuple
+    labels: tuple | SynthesizedIds
     codes: np.ndarray
+
+
+class _Echo:
+    """A file whose `write` returns its text, so that a csv writer's
+    `writerow` returns the row."""
+
+    @staticmethod
+    def write(text: str) -> str:
+        return text
+
+
+def _csv_cell(value) -> str:
+    """value as csv.writer writes it as a cell of a row of several. csv is
+    loaded here, by the first value that needs it."""
+    import csv
+
+    try:
+        return csv.writer(_Echo(), lineterminator="\n").writerow((value, ""))[:-2]
+    except csv.Error as exc:  # Python 3.10's writer refuses NUL
+        raise ValueError(f"{value!r} cannot be written as CSV: {exc}") from None
+
+
+def _json_dumps(value) -> str:
+    """value as json.dumps writes it. json is loaded here, by the first value
+    that needs it."""
+    import json
+
+    return json.dumps(value)
+
+
+class _Format(NamedTuple):
+    """An output format: `escape` writes a value, and writes a str none of
+    whose UTF-8 bytes is in `special` as itself between two `quote`s."""
+
+    special: bytes
+    quote: str
+    escape: Callable[[object], str]
+
+
+def _format(special: bytes, quote: str, none: str, module: Callable[[object], str]) -> _Format:
+    """The format whose module's escape is `module`. Its escape writes what
+    `module` writes, and calls it only for a value that needs an escape: it
+    writes None as `none`, an int or a finite float as its repr, and a str
+    without `special` bytes between quotes itself."""
+
+    def escape(value) -> str:
+        if value is None:
+            return none
+        kind = type(value)
+        if kind is int or kind is float and math.isfinite(value):
+            return repr(value)
+        if kind is str:
+            raw = value.encode("utf-8", "surrogatepass")
+            if len(raw.translate(None, special)) == len(raw):
+                return f"{quote}{value}{quote}"
+        return module(value)
+
+    return _Format(special, quote, escape)
+
+
+# Each format's special bytes, found by testing every code point against the
+# module's escape on Pythons 3.10 to 3.13. csv.writer quotes `,`, `"` and LF,
+# and from 3.13 CR too; on 3.10 it refuses NUL, on 3.11 and later writes it
+# as itself. So CR and NUL go to it as well. json.dumps escapes `"`, `\`,
+# every control and every non-ASCII character (ensure_ascii).
+_FORMATS = {
+    "csv": _format(b',"\n\r\0', "", "", _csv_cell),
+    "json-lines": _format(bytes([*range(0x20), *b'"\\', *range(0x7F, 0x100)]), '"', "null",
+                          _json_dumps),
+}
 
 
 def _tx_bits(levels_w: np.ndarray) -> np.ndarray:
@@ -159,7 +236,7 @@ def _run_chunks(devices: Devices, run: Iterator) -> Chunks:
         del part
 
 
-def _exposure_chunks(ids: tuple, report: ExposureReport) -> Chunks:
+def _exposure_chunks(ids: tuple | SynthesizedIds, report: ExposureReport) -> Chunks:
     """A device-exposure record per device, `ids` naming them, then the
     network-exposure record; both kinds have these keys, with the ER
     columns in the report's order."""
@@ -169,7 +246,8 @@ def _exposure_chunks(ids: tuple, report: ExposureReport) -> Chunks:
                 "e_field_v_per_m": e_field,
                 **{f"er_{name}": er for name, er in er_per_standard.items()}}
 
-    yield "device-exposure", columns(ids, report.power_density_w_m2, report.e_field_v_per_m,
+    yield "device-exposure", columns(Coded(ids, np.arange(len(ids), dtype=np.int32)),
+                                     report.power_density_w_m2, report.e_field_v_per_m,
                                      report.er_per_standard)
     yield "network-exposure", columns(
         (NETWORK_TOTAL,), (report.network_total_power_density_w_m2,),
@@ -177,7 +255,7 @@ def _exposure_chunks(ids: tuple, report: ExposureReport) -> Chunks:
         {name: (er,) for name, er in report.network_er_per_standard.items()})
 
 
-def _write_chunks(fh: IO[bytes], layout, chunks: Chunks, escape) -> None:
+def _write_chunks(fh: IO[bytes], layout, chunks: Chunks, fmt: _Format, tables: dict) -> None:
     """Write each chunk in pieces of at most CHUNK_ROWS records, each piece
     as the rows of one matrix of bytes, one row per record. A kind's layout,
     `layout(kind, keys)` of the keys of its first chunk, is its record's
@@ -190,16 +268,15 @@ def _write_chunks(fh: IO[bytes], layout, chunks: Chunks, escape) -> None:
     of a block changes. Each piece writes only its blocks, into the rows it
     fills.
 
-    Every value is written as `escape` writes it. textcols writes the ints
-    and the floats of an array as str and repr do, which is what both
+    Every value is written as `fmt.escape` writes it. textcols writes the
+    ints and the floats of an array as str and repr do, which is what both
     escapes write for them, and leaves the floats that repr writes in
-    exponent form, and non-finite ones, to `escape`. A Coded column's labels
-    are escaped once per run, one at a time into their table.
+    exponent form, and non-finite ones, to the escape. A Coded column's
+    labels are written once per run into their table (_table), which
+    `tables` keeps by the id of the labels: the labels (held, so that the id
+    stays their own) and the table.
     """
     pad = bytes([textcols.PAD])
-    # id of a Coded column's labels -> the labels (held, so that the id stays
-    # their own) and their padded text
-    tables: dict[int, tuple] = {}
     layouts: dict[str, list] = {}
     shape = spans = buffer = matrix = None  # the kept matrix, by kind and block widths
     for kind, chunk in chunks:
@@ -212,7 +289,7 @@ def _write_chunks(fh: IO[bytes], layout, chunks: Chunks, escape) -> None:
             # their text stays cached
             cut = slice(r0, r0 + CHUNK_ROWS)
             blocks = _blocks([c._replace(codes=c.codes[cut]) if isinstance(c, Coded) else c[cut]
-                              for c in chunk], escape, tables)
+                              for c in chunk], fmt, tables)
             rows, widths = len(blocks[0]), tuple(block.shape[1] for block in blocks)
             if shape != (kind, widths):
                 shape, spans, at, literals = (kind, widths), [], 0, []
@@ -236,24 +313,30 @@ def _write_chunks(fh: IO[bytes], layout, chunks: Chunks, escape) -> None:
         del chunk  # let go before the next is made
 
 
-def _blocks(columns: list, escape, tables: dict) -> list:
+def _table(labels: tuple | SynthesizedIds, fmt: _Format) -> np.ndarray:
+    """The labels as `fmt` writes them, one padded block each (textcols)."""
+    if isinstance(labels, SynthesizedIds):  # none of which needs an escape
+        return textcols.numbered(fmt.quote + labels.PREFIX, len(labels), labels.width, fmt.quote)
+    return textcols.labels(labels, fmt.escape, fmt.special, fmt.quote)
+
+
+def _blocks(columns: list, fmt: _Format, tables: dict) -> list:
     """Each column's values as the rows of a matrix of fixed-width blocks, as
     _write_chunks writes them; `tables` caches each Coded column's labels'
-    text."""
+    table."""
     blocks = [None] * len(columns)
     floats = [j for j, c in enumerate(columns) if isinstance(c, np.ndarray) and c.dtype.kind == "f"]
     if floats:
-        text = textcols.floats(np.stack([columns[j] for j in floats]), escape)
+        text = textcols.floats(np.stack([columns[j] for j in floats]), fmt.escape)
         for j, block in zip(floats, text):
             blocks[j] = block
     for j, column in enumerate(columns):
         if isinstance(column, tuple):  # a Coded is a tuple too
             if not isinstance(column, Coded):
-                texts = textcols.labels(map(escape, column))
+                texts = _table(column, fmt)
             else:
                 if id(column.labels) not in tables:
-                    texts = textcols.labels(map(escape, column.labels))
-                    tables[id(column.labels)] = column.labels, texts
+                    tables[id(column.labels)] = column.labels, _table(column.labels, fmt)
                 texts = tables[id(column.labels)][1].take(column.codes)
             blocks[j] = texts.view(np.uint8).reshape(len(texts), -1)
         elif blocks[j] is None:
@@ -261,27 +344,15 @@ def _blocks(columns: list, escape, tables: dict) -> list:
     return blocks
 
 
-class _Echo:
-    """A file whose `write` returns its text, so that a csv writer's
-    `writerow` returns the row."""
-
-    @staticmethod
-    def write(text: str) -> str:
-        return text
-
-
-def _write_csv(fh: IO[bytes], columns: tuple[str, ...], chunks: Chunks):
+def _write_csv(fh: IO[bytes], columns: tuple[str, ...], chunks: Chunks,
+               tables: dict | None = None) -> None:
     """A header of `columns`, then one row per record. A record fills the
     `kind` column, if there is one, and its keys' columns; it leaves the
     rest empty. Each cell is what csv.writer writes: a float as its repr,
-    None as an empty cell, a string quoted when it needs to be."""
-    import csv  # here, so that a JSON-lines run does not load it
-
-    writerow = csv.writer(_Echo(), lineterminator="\n").writerow
-
-    def cell(value) -> str:
-        # the cell as it stands in a row of several cells
-        return writerow((value, ""))[:-2]
+    None as an empty cell, a string quoted when it needs to be. `tables`
+    holds label tables built before (_write_chunks)."""
+    fmt = _FORMATS["csv"]
+    cell = fmt.escape
 
     def layout(kind: str, keys: tuple) -> list:
         pieces = [""]
@@ -296,31 +367,45 @@ def _write_csv(fh: IO[bytes], columns: tuple[str, ...], chunks: Chunks):
         return pieces
 
     fh.write((",".join(map(cell, columns)) + "\n").encode())
-    _write_chunks(fh, layout, chunks, cell)
+    _write_chunks(fh, layout, chunks, fmt, {} if tables is None else tables)
 
 
-def _write_jsonl(fh: IO[bytes], chunks: Chunks) -> None:
+def _write_jsonl(fh: IO[bytes], chunks: Chunks, tables: dict | None = None) -> None:
     """One JSON object per record, as json.dumps writes it: its `kind`, then
-    its keys in order."""
-    import json  # here, so that a CSV run does not load it
+    its keys in order. `tables` holds label tables built before
+    (_write_chunks)."""
+    fmt = _FORMATS["json-lines"]
+    dumps = fmt.escape
 
     def layout(kind: str, keys: tuple) -> list:
-        pieces = [f'{{"kind": {json.dumps(kind)}']
+        pieces = [f'{{"kind": {dumps(kind)}']
         for j, key in enumerate(keys):
-            pieces[-1] += f", {json.dumps(key)}: "
+            pieces[-1] += f", {dumps(key)}: "
             pieces += [j, ""]
         pieces[-1] += "}\n"
         return pieces
 
-    _write_chunks(fh, layout, chunks, json.dumps)
+    _write_chunks(fh, layout, chunks, fmt, {} if tables is None else tables)
 
 
-def _emit(args: argparse.Namespace, columns: tuple[str, ...], chunks: Chunks) -> int:
+def _emit(args: argparse.Namespace, columns: tuple[str, ...], chunks: Chunks,
+          ids: tuple | SynthesizedIds | None = None) -> int:
+    """Write the chunks to --out in --format. Where `ids`, the devices' ids,
+    are the [devices] ids (a tuple), their label table is built first, before
+    the output is opened, so that an id the format cannot write (Python
+    3.10's csv.writer refuses NUL) is a configuration error. Synthesized ids
+    need no escape, and their table is built as the encoder reaches them."""
+    tables = {}
+    if isinstance(ids, tuple):
+        try:
+            tables[id(ids)] = ids, _table(ids, _FORMATS[args.format])
+        except ValueError as exc:
+            raise ConfigError([f"[devices]: device id {exc}"]) from None
     with _out_stream(args.out) as fh:
         if args.format == "csv":
-            _write_csv(fh, columns, chunks)
+            _write_csv(fh, columns, chunks, tables)
         else:
-            _write_jsonl(fh, chunks)
+            _write_jsonl(fh, chunks, tables)
     return EXIT_OK
 
 
@@ -355,7 +440,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     run = iter_run(cfg)
     devices = next(run)  # the config is checked by now, before the output is opened
-    return _emit(args, RUN_CSV_COLUMNS, _run_chunks(devices, run))
+    return _emit(args, RUN_CSV_COLUMNS, _run_chunks(devices, run), devices.device_id)
 
 
 def _cmd_outage(args: argparse.Namespace) -> int:
@@ -374,7 +459,7 @@ def _cmd_exposure(args: argparse.Namespace) -> int:
     report = network_exposure(devices.freq_hz, devices.emitted_w(devices.mode), cfg.standards,
                               cfg.observer_distance_m)
     chunks = list(_exposure_chunks(devices.device_id, report))
-    return _emit(args, tuple(chunks[0][1]), chunks)
+    return _emit(args, tuple(chunks[0][1]), chunks, devices.device_id)
 
 
 def _cmd_frames(args: argparse.Namespace) -> int:

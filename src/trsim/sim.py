@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import InitVar, dataclass, field, fields
-from typing import Iterator, Sequence
+from typing import ClassVar, Iterator, Sequence
 
 import numpy as np
 
@@ -61,9 +61,10 @@ from .trmode import Mode, hold_modes, uplink_enabled
 # device-slot benchmark workloads, compiling trsim from source as the
 # benchmark does (about 0.5 MiB less byte-compiled), and at the cap at 37 MiB
 # on a 1000-device ring (CSV) and 51 MiB on a switching disk (JSON-lines),
-# taking 16-21 s and writing 2.2 to 3.8 GB. Memory grows by 200-230 B per
-# device: a ring of 2x10^5 devices x 1 slot peaked at 78 MiB, one of 10^6 at
-# 255 MiB and one of 10^7 at 2.0 GiB (CSV, 29 s of CPU).
+# taking 16-21 s and writing 2.2 to 3.8 GB. Memory grows by about 165 B per
+# device: a ring of 2x10^5 devices x 1 slot peaked at 63 MiB and one of 10^6
+# at 188 MiB in either format (1.9 s of CPU as CSV). One of 10^7 peaked at
+# 2.0 GiB (CSV, 29 s of CPU) while each synthesized id was a str.
 MAX_DEVICE_SLOTS = 10**7
 
 # Device-slots per engine chunk: iter_run computes ceil(ENGINE_ROWS / n)
@@ -162,16 +163,46 @@ _MODE_UPLINK = np.array(MODE_UPLINK)
 
 
 @dataclass(frozen=True, eq=False)
+class SynthesizedIds(Sequence[str]):
+    """The ids of n synthesized devices, held as n alone, not as n strs: row
+    i's id is PREFIX, then i in `width` digits with leading zeros (ue-0 to
+    ue-9 for 10 devices, ue-00 to ue-99 for 100). No such id needs an
+    escape in either output format. It equals the tuple of its ids."""
+
+    PREFIX: ClassVar[str] = "ue-"
+    n: int
+
+    @property
+    def width(self) -> int:
+        return len(str(self.n - 1))
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, i: int) -> str:
+        return f"{self.PREFIX}{range(self.n)[i]:0{self.width}d}"
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, SynthesizedIds):
+            return self.n == other.n
+        return isinstance(other, tuple) and len(other) == self.n and tuple(self) == other
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+
+@dataclass(frozen=True, eq=False)
 class Devices(Columns):
     """The device population as read-only columns, one row per device,
-    named after the fields of DeviceSpec. `mode` is each device's starting
-    mode; a run's modes after a slot are in its Samples. `uplink_levels_w`
+    named after the fields of DeviceSpec. `device_id` holds the [devices]
+    ids as a tuple of str, or is SynthesizedIds. `mode` is each device's
+    starting mode; a run's modes after a slot are in its Samples. `uplink_levels_w`
     is the one table of each device's three uplink levels, the rows of a
     (3, n) array that Samples.ul_level indexes: silent (+0.0), always-on
     (always_on_fraction x tx_power_w) and data (tx_power_w, which is this
     row)."""
 
-    device_id: tuple[str, ...]
+    device_id: tuple[str, ...] | SynthesizedIds
     distance_m: np.ndarray
     tx_power_w: np.ndarray
     freq_hz: np.ndarray
@@ -281,10 +312,8 @@ def build_devices(cfg: ScenarioConfig) -> Devices:
     mode = np.full(n, MODES.index(Mode.AM), np.int8)
     # TR cohort = the weakest links (largest distance), ties by device index
     mode[np.argsort(-distances, kind="stable")[: cfg.n_tr]] = MODES.index(Mode.TR)
-    width = len(str(n - 1))
-    ids = tuple(f"ue-{i:0{width}d}" for i in range(n))
-    return Devices(ids, distances, np.full(n, cfg.ue_tx_power_w), np.full(n, cfg.freq_hz), mode,
-                   cfg.always_on_fraction)
+    return Devices(SynthesizedIds(n), distances, np.full(n, cfg.ue_tx_power_w),
+                   np.full(n, cfg.freq_hz), mode, cfg.always_on_fraction)
 
 
 def _am_uplink_mask(cfg: ScenarioConfig) -> list[bool]:

@@ -207,17 +207,52 @@ def floats(values: np.ndarray, escape) -> np.ndarray:
     return text.reshape(*values.shape, width)
 
 
-def labels(texts: Iterable[str]) -> np.ndarray:
-    """A table of texts, one padded block each, to gather with `take`. The
-    texts are encoded LABEL_ROWS at a time, so that no list of the bytes of
+def _utf8(value) -> bytes:
+    """A str's UTF-8; NUL, which labels() sends to its escape, for any other
+    value and for a str that UTF-8 cannot encode (one with a lone surrogate)."""
+    if type(value) is str:
+        try:
+            return value.encode()
+        except UnicodeEncodeError:
+            pass
+    return b"\0"
+
+
+def _rows(raw: list) -> np.ndarray:
+    """Bytes objects as the rows of a matrix, each padded with PAD to the
+    longest's length, at least 1."""
+    size = np.fromiter(map(len, raw), np.intp, len(raw))
+    # numpy pads with NULs; PAD goes past each text's length, so its own NULs stay
+    rows = np.array(raw, f"S{max(1, int(size.max()))}").view(np.uint8).reshape(len(raw), -1)
+    rows[np.arange(rows.shape[1]) >= size[:, None]] = PAD
+    return rows
+
+
+def labels(values: Iterable, escape, special: bytes, quote: str) -> np.ndarray:
+    """A table of values as `escape` writes them, one padded block each, to
+    gather with `take`. `escape` must write a str none of whose UTF-8 bytes
+    is in `special` as itself between two `quote`s: one vector test over
+    the bytes finds these strs, and the table holds them so without a call.
+    Every other value goes through `escape`, as does a str holding NUL. The
+    values are encoded LABEL_ROWS at a time, so that no list of the bytes of
     them all is held."""
-    texts, parts = iter(texts), []
-    while raw := [text.encode() for text in islice(texts, LABEL_ROWS)]:
-        size = np.fromiter(map(len, raw), np.intp, len(raw))
-        # numpy pads with NULs; PAD goes past each text's length, so its own NULs stay
-        part = np.array(raw, f"S{max(1, int(size.max()))}").view(np.uint8).reshape(len(raw), -1)
-        del raw
-        part[np.arange(part.shape[1]) >= size[:, None]] = PAD
+    odd = np.zeros(256, bool)
+    odd[list(special)] = True
+    odd[0], odd[PAD] = True, False  # _utf8's mark for escape; padding
+    quote = quote.encode()
+    values, parts = iter(values), []
+    while chunk := list(islice(values, LABEL_ROWS)):
+        part = _rows(list(map(_utf8, chunk)))
+        rows = np.flatnonzero(odd[part].any(axis=1))
+        if quote:
+            ends = np.broadcast_to(np.frombuffer(quote, np.uint8), (len(part), len(quote)))
+            part = np.concatenate([ends, part, ends], axis=1)
+        if rows.size:
+            escaped = _rows([escape(chunk[i]).encode() for i in rows.tolist()])
+            part = np.pad(part, ((0, 0), (0, max(0, escaped.shape[1] - part.shape[1]))),
+                          constant_values=PAD)
+            part[rows] = PAD
+            part[rows, :escaped.shape[1]] = escaped
         parts.append(part)
     width = max((part.shape[1] for part in parts), default=1)
     table = np.full((sum(map(len, parts)), width), PAD, np.uint8)
@@ -226,3 +261,20 @@ def labels(texts: Iterable[str]) -> np.ndarray:
         table[at:at + len(part), :part.shape[1]] = part
         at += len(part)
     return table.ravel().view(f"V{width}")
+
+
+def numbered(lead: str, n: int, width: int, tail: str) -> np.ndarray:
+    """The table that labels() makes of the n texts lead, i in `width`
+    digits with leading zeros, tail, for i < n, when none needs an escape:
+    built from the digits, without a str of any."""
+    lead, tail = lead.encode(), tail.encode()
+    groups = (width + 3) // 4
+    # a group's code below 10,000 is its entry with every zero written
+    digits = _gather(_groups(np.arange(n, dtype=np.int32), groups))
+    size = len(lead) + width + len(tail)
+    table = np.empty((n, size), np.uint8)
+    table[:, :len(lead)] = np.frombuffer(lead, np.uint8)
+    table[:, len(lead):len(lead) + width] = digits[:, 4 * groups - width:]
+    del digits
+    table[:, len(lead) + width:] = np.frombuffer(tail, np.uint8)
+    return table.ravel().view(f"V{size}")

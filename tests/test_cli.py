@@ -57,6 +57,26 @@ def run_cli(args: list[str]) -> int:
     return main(args)
 
 
+def _csv_refuses_nul() -> bool:
+    try:
+        csv.writer(StringIO()).writerow(("\x00",))
+    except csv.Error:
+        return True
+    return False
+
+
+# Python 3.10's csv.writer refuses NUL ("need to escape, but no escapechar
+# set"); from 3.11 it writes it as itself. Where it refuses, a [devices] id
+# with NUL is a configuration error of a CSV run or exposure.
+CSV_REFUSES_NUL = _csv_refuses_nul()
+
+
+def is_nul_finding(stderr: str) -> bool:
+    """stderr is the one finding of a [devices] id that CSV cannot hold."""
+    return re.fullmatch(r"trsim: error: \[devices\]: device id '[^']*\\x00[^']*' cannot be"
+                        r" written as CSV: .*\n", stderr) is not None
+
+
 class TestGoldenOutputs:
     def check(self, args: list[str], golden_name: str, tmp_path):
         out = tmp_path / "out.txt"
@@ -340,6 +360,10 @@ class TestEncoders:
         chunks = [("point", {"name": names, "value": values}),
                   ("total", {"name": ("all",), "value": (len(values),)})]
         out = BytesIO()
+        if fmt == "csv" and CSV_REFUSES_NUL:
+            with pytest.raises(ValueError, match=r"^'nul\\x00' cannot be written as CSV: "):
+                cli._write_csv(out, ("kind", "name", "value"), chunks)
+            return
         if fmt == "csv":
             cli._write_csv(out, ("kind", "name", "value"), chunks)
             expected = StringIO()
@@ -679,14 +703,23 @@ def id_config(seed: int, n_slots: int, hysteresis_db: float):
 
 def check_encoder(columns, chunks) -> list[str]:
     """cli's encoders write `chunks` as the reference encoder does, in both
-    formats, a CSV under `columns`; the texts, CSV first."""
+    formats, a CSV under `columns`; the texts, CSV first. Where csv.writer
+    refuses a value (NUL, on Python 3.10), cli's CSV encoder raises
+    ValueError naming it, and the CSV text is None."""
     chunks = list(chunks)
     texts = []
     for fmt in OUTPUT_FORMATS:
         got, want = BytesIO(), StringIO()
         if fmt == "csv":
+            try:
+                reference_write_csv(want, columns, chunks)
+            except csv.Error:
+                assert CSV_REFUSES_NUL
+                with pytest.raises(ValueError, match=r"\\x00.*' cannot be written as CSV: "):
+                    cli._write_csv(got, columns, chunks)
+                texts.append(None)
+                continue
             cli._write_csv(got, columns, chunks)
-            reference_write_csv(want, columns, chunks)
         else:
             cli._write_jsonl(got, chunks)
             reference_write_jsonl(want, chunks)
@@ -763,6 +796,69 @@ class TestEncoderEqualsReference:
                                   cfg.standards, cfg.observer_distance_m)
         chunks = list(cli._exposure_chunks(devices.device_id, report))
         check_encoder(tuple(chunks[0][1]), chunks)
+
+
+def module_escape(fmt: str, value):
+    """value as csv.writer, in a row of several, or json.dumps writes it;
+    ValueError where csv.writer refuses it."""
+    if fmt == "json-lines":
+        return json.dumps(value)
+    try:
+        return csv.writer(cli._Echo(), lineterminator="\n").writerow((value, ""))[:-2]
+    except csv.Error:
+        return ValueError
+
+
+def fast_escape(fmt: str, value):
+    try:
+        return cli._FORMATS[fmt].escape(value)
+    except ValueError:
+        return ValueError
+
+
+ABOVE_0X800 = st.one_of(st.integers(0xD800, 0xDFFF), st.integers(0x800, 0x10FFFF)).map(chr)
+
+
+class TestEscape:
+    """Each format's escape writes what its module writes; it calls the
+    module only for the values that need it."""
+
+    @pytest.mark.parametrize("fmt", OUTPUT_FORMATS)
+    def test_every_character_below_0x800(self, fmt):
+        """Alone and inside a str. The characters the module writes other
+        than as themselves, derived here on this Python, are among those
+        whose UTF-8 bytes are the format's special ones: for csv `,`, `"`,
+        LF and, from Python 3.13, CR, and NUL on 3.10; for json `"`, `\\`,
+        the controls and all but ASCII."""
+        special = cli._FORMATS[fmt].special
+        derived = []
+        for code in range(0x800):
+            c = chr(code)
+            for text in (c, f"a{c}b", c * 3):
+                assert fast_escape(fmt, text) == module_escape(fmt, text), (fmt, text)
+            quote = cli._FORMATS[fmt].quote
+            if module_escape(fmt, c) != f"{quote}{c}{quote}":
+                derived.append(c)
+        held = [c for c in map(chr, range(0x800)) if set(c.encode()) & set(special)]
+        assert set(derived) <= set(held)
+        if fmt == "json-lines":
+            assert derived == held
+        else:
+            assert set(derived) >= set(',"\n')
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=st.text(ABOVE_0X800, max_size=4), fmt=st.sampled_from(OUTPUT_FORMATS))
+    def test_characters_above_0x800(self, text, fmt):
+        """Lone surrogates included: json.dumps escapes them; csv.writer
+        writes them as themselves, which UTF-8 then refuses."""
+        assert fast_escape(fmt, text) == module_escape(fmt, text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(value=st.one_of(st.none(), st.floats(), st.integers(), st.booleans(),
+                           st.text(ID_CHARS)),
+           fmt=st.sampled_from(OUTPUT_FORMATS))
+    def test_other_values(self, value, fmt):
+        assert fast_escape(fmt, value) == module_escape(fmt, value)
 
 
 class TestTxPowerText:
@@ -875,6 +971,10 @@ class TestChunkRows:
             monkeypatch.setattr(cli, "CHUNK_ROWS", rows)
             out = tmp_path / f"{rows}.out"
             args = [command, "--config", str(config), "--format", fmt, "--out", str(out)]
+            if command == "run" and fmt == "csv" and CSV_REFUSES_NUL:
+                assert run_cli(args) == EXIT_CONFIG  # see test_nul_id_is_a_config_error
+                assert not out.exists()
+                return
             assert run_cli(args) == 0
             texts.append(out.read_text(encoding="utf-8"))
         assert texts[1] == texts[0]
@@ -956,19 +1056,19 @@ def test_decided_demand_output_is_pinned(ul, dl, fmt, tmp_path):
 
 def test_traced_peak_per_device(tmp_path):
     """The traced peak of a one-slot `trsim run` in process grows by at
-    most 200 B per device from 4.5x10^4 to 5.5x10^4 devices of the tr50
-    ring (193 B on Python 3.11 and numpy 2.4). Both peaks fall in one phase,
-    the `_db` of the SINR column, whose np.fromiter buffer is sized to its
-    values, so a wider pair in that phase reads the same (193 B from
-    4.2x10^4 to 6x10^4). Below about 3.9x10^4 devices the peak falls in
-    other phases: at 10^4, in seeding the fading streams (`streams._seed`).
-    So from 10^4 to 5x10^4 the slope read 174 B, the difference of two
-    phases. Over that pair it grew by 375 B while the engine kept its
-    fading streams, the last chunk's temporaries and the exposure report
-    through the RRC log, and the ids' label table was built from a list of
-    every id's bytes; by 215 B with the fading streams alone kept through
-    the RRC log, and by 207 B with the label table alone built from that
-    list."""
+    most 147 B per device from 4.5x10^4 to 5.5x10^4 devices of the tr50
+    ring (128 B on Python 3.11 and numpy 2.4, plus 15%). Both peaks fall in
+    one phase, the `_db` of the SINR column, as they did when the ids were
+    a tuple of strs (193 B): holding the ids as SynthesizedIds, and writing
+    their label table from digits in the encoder, took the 65 B of each
+    id's str and its slot in the tuple out of that phase. Below about
+    3.9x10^4 devices the peak falls in another phase: at 10^4, in seeding
+    the fading streams (`streams._seed`), so from 10^4 to 5x10^4 the slope
+    reads 107 B (174 B with the strs), the difference of two phases. Over
+    that pair it grew by 375 B while the engine kept its fading streams,
+    the last chunk's temporaries and the exposure report through the RRC
+    log, and the ids' label table was built from a list of every id's
+    bytes."""
 
     def peak(n_users: int) -> int:
         config = tmp_path / f"{n_users}.cfg"
@@ -982,7 +1082,7 @@ def test_traced_peak_per_device(tmp_path):
 
     peak(10_000)  # what a process allocates once is made before either peak
     slope = (peak(55_000) - peak(45_000)) / 10_000
-    assert slope <= 200, f"{slope:.0f} B per device"
+    assert slope <= 147, f"{slope:.0f} B per device"
 
 
 def child_env(**changes: str | None) -> dict[str, str]:
@@ -997,23 +1097,59 @@ def child_env(**changes: str | None) -> dict[str, str]:
     return env
 
 
-@pytest.mark.parametrize("fmt, loaded, absent", [("csv", "csv", "json"),
-                                                  ("json-lines", "json", "csv")])
-def test_run_loads_only_its_formats_module(fmt, loaded, absent):
-    """A run imports the module of its own output format and not the other
+@pytest.mark.parametrize("config, fmt, loaded", [
+    (SCENARIO_TR50, "csv", []),
+    (SCENARIO_TR50, "json-lines", []),
+    (ESCAPED_IDS_CONFIG, "csv", ["csv"]),
+    (ESCAPED_IDS_CONFIG, "json-lines", ["json"]),
+], ids=["plain-csv", "plain-json-lines", "escaped-csv", "escaped-json-lines"])
+def test_run_loads_only_its_formats_module(config, fmt, loaded):
+    """A run whose labels need no escape (synthesized ids, finite floats)
+    imports neither csv nor json, and a run of ids that need escaping in
+    both formats imports the module of its own format and not the other
     format's, beyond what the interpreter had loaded before trsim."""
     code = (
         "import os, sys\n"
         "bare = set(sys.modules)\n"
         "from trsim.cli import main\n"
-        f"main(['run', '--config', {str(SCENARIO_TR50)!r}, '--format', {fmt!r},"
+        f"main(['run', '--config', {str(config)!r}, '--format', {fmt!r},"
         " '--out', os.devnull])\n"
-        f"print({loaded!r} in sys.modules, {absent!r} in set(sys.modules) - bare)\n"
+        "print(*[m for m in ('csv', 'json') if m in set(sys.modules) - bare])\n"
     )
     child = subprocess.run([sys.executable, "-c", code], env=child_env(),
                            capture_output=True, text=True)
     assert child.returncode == 0, child.stderr
-    assert child.stdout.split() == ["True", "False"]
+    assert child.stdout.split() == loaded
+
+
+@pytest.mark.parametrize("command", ["run", "exposure"])
+def test_nul_id_is_a_config_error_where_csv_refuses_it(command, tmp_path, capsys, monkeypatch):
+    """With csv.writer refusing NUL, as Python 3.10's does, a CSV run or
+    exposure of a [devices] id holding NUL exits 2 with one finding naming
+    [devices] and the id, before --out is opened; JSON-lines writes it."""
+    real_writer = csv.writer
+
+    class Writer:
+        def __init__(self, *args, **kwargs):
+            self.writer = real_writer(*args, **kwargs)
+
+        def writerow(self, row):
+            if any("\x00" in value for value in row if isinstance(value, str)):
+                raise csv.Error("need to escape, but no escapechar set")
+            return self.writer.writerow(row)
+
+    monkeypatch.setattr(csv, "writer", Writer)
+    config, out = tmp_path / "ids.cfg", tmp_path / "out"
+    config.write_text(format_config(id_config(3, 4, 3.0)), encoding="utf-8")
+    capsys.readouterr()
+    assert run_cli([command, "--config", str(config), "--out", str(out)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == "" and is_nul_finding(captured.err), captured.err
+    assert "'nul\\x00id'" in captured.err
+    assert not out.exists()
+    args = [command, "--config", str(config), "--format", "json-lines", "--out", str(out)]
+    assert run_cli(args) == 0
+    assert '"nul\\u0000id"' in out.read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
@@ -1026,6 +1162,13 @@ def test_stdout_gets_the_bytes_of_the_out_file(fmt, unbuffered, tmp_path):
     config.write_text(format_config(id_config(3, 40, 3.0)), encoding="utf-8")
     args = [sys.executable, "-m", "trsim", "run", "--config", str(config), "--format", fmt]
     env = child_env(PYTHONIOENCODING="ascii", PYTHONUNBUFFERED=unbuffered)
+    if fmt == "csv" and CSV_REFUSES_NUL:  # the ids hold NUL
+        for where in ("-", str(out)):
+            child = subprocess.run([*args, "--out", where], env=env, capture_output=True, text=True)
+            assert (child.returncode, child.stdout) == (EXIT_CONFIG, "")
+            assert is_nul_finding(child.stderr), child.stderr
+        assert not out.exists()
+        return
     piped = subprocess.run([*args, "--out", "-"], env=env, capture_output=True, check=True)
     subprocess.run([*args, "--out", str(out)], env=env, check=True)
     assert piped.stdout == out.read_bytes()

@@ -4,6 +4,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from trsim import textcols
 
@@ -73,8 +74,12 @@ class TestInts:
         assert texts(textcols.ints(np.array(values))) == list(map(str, values))
 
 
+def never(value):
+    raise AssertionError(f"escape called for {value!r}")
+
+
 def test_labels_are_padded_utf8():
-    table = textcols.labels(["a", "ü-1", ""])
+    table = textcols.labels(["a", "ü-1", ""], never, b"", "")
     rows = table.take(np.array([1, 0, 2, 1])).view(np.uint8).reshape(4, -1)
     assert texts(rows) == ["ü-1", "a", "", "ü-1"]
 
@@ -84,9 +89,50 @@ def test_labels_are_padded_utf8():
 ])
 def test_label_table_keeps_every_byte_of_each_text(labels):
     """A text's bytes, NULs inside and at its end too, then PAD to the
-    widest text's length, at least 1."""
+    widest text's length, at least 1 (the texts with NUL go through the
+    escape, here str)."""
     raw = [label.encode() for label in labels]
     width = max([1, *map(len, raw)])
-    table = textcols.labels(iter(labels))
+    table = textcols.labels(iter(labels), str, b"", "")
     assert table.dtype == np.dtype(f"V{width}")
     assert table.tobytes() == b"".join(r.ljust(width, bytes([textcols.PAD])) for r in raw)
+
+
+def encodable(text: str) -> bool:
+    try:
+        text.encode()
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(values=st.lists(st.one_of(st.text(",\x00\ud800\u00fc\U0001f600ab'"), st.none(),
+                                 st.floats(), st.integers()), min_size=1, max_size=12))
+def test_labels_escape_only_what_needs_it(values, monkeypatch):
+    """Each value's block is what the escape writes. The escape is called
+    for a value that is not a str, or a str with a special byte, NUL or a
+    lone surrogate, in that order; every other str is written between the
+    quotes without a call. The values are encoded 5 at a time."""
+    monkeypatch.setattr(textcols, "LABEL_ROWS", 5)
+    called = []
+
+    def escape(value):
+        called.append(value)
+        return f"<{value!r}>"  # ASCII: repr escapes a lone surrogate
+
+    plain = [type(v) is str and "," not in v and "\x00" not in v and encodable(v) for v in values]
+    table = textcols.labels(values, escape, b",", "'")
+    want = [f"'{v}'" if p else f"<{v!r}>" for v, p in zip(values, plain)]
+    assert texts(table.view(np.uint8).reshape(len(values), -1)) == want
+    assert called == [v for v, p in zip(values, plain) if not p]
+
+
+@pytest.mark.parametrize("n", [1, 7, 10, 11, 10_000, 10_001, 123_457])
+def test_numbered_is_the_label_table_of_its_texts(n):
+    width = len(str(n - 1))
+    table = textcols.numbered('"ue-', n, width, '"')
+    ids = [f'"ue-{i:0{width}d}"' for i in range(n)]
+    assert table.tobytes() == textcols.labels(ids, never, b"", "").tobytes()
+    assert table.dtype == np.dtype(f"V{width + 5}")
